@@ -158,26 +158,49 @@ def _gain_H_raw(mu, s, x):
 
 
 def h_curves(spec: ProblemSpec, grid) -> HCurvePair:
-    """Zero curves of H on a time grid by bracketed root finding.
+    """Zero curves of H on a time grid by one vectorized bracketed bisection.
 
     At every grid point t < T the roots of x -> H(t, x) on each side of 0
-    are bracketed (H(t, 0) = -1 and H -> 1 at +-inf) and polished with
-    Brent's method; h_minus(T) = h_plus(T) = 0 by continuity.
+    (H(t, 0) = -1, H increases in |x| and tends to 1 at +-inf) are
+    bracketed for all nodes and both sides at once, then bisected together
+    to a relative width of a few ulps; h_minus(T) = h_plus(T) = 0 by
+    continuity.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending with >= 2 points")
     if grid[0] < 0.0 or grid[-1] > spec.T:
         raise ValueError("grid must lie within [0, T]")
-    hp = np.empty_like(grid)
-    hm = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        if t >= spec.T:
-            hp[i] = 0.0
-            hm[i] = 0.0
-            continue
-        hp[i] = _h_root(spec, t, side=+1)
-        hm[i] = _h_root(spec, t, side=-1)
+    hp = np.zeros_like(grid)
+    hm = np.zeros_like(grid)
+    inner = grid < spec.T
+    s = np.tile(spec.T - grid[inner], 2)
+    side = np.repeat([1.0, -1.0], s.size // 2)
+
+    def f(a):
+        return _gain_H_raw(spec.mu, s, side * a)
+
+    lo = np.full(s.size, 1e-12 * np.sqrt(spec.T))
+    hi = np.sqrt(s)
+    for _ in range(200):
+        low = f(hi) <= 0.0
+        if not low.any():
+            break
+        lo = np.where(low, hi, lo)
+        hi = np.where(low, 2.0 * hi, hi)
+    else:
+        raise RuntimeError("failed to bracket H roots; H should reach 1 "
+                           "for large |x|")
+    for _ in range(200):
+        if np.all(hi - lo <= 4.0 * np.finfo(float).eps * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) <= 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    root = 0.5 * (lo + hi)
+    hp[inner] = root[:root.size // 2]
+    hm[inner] = -root[root.size // 2:]
     return HCurvePair(grid=grid, h_minus=hm, h_plus=hp)
 
 

@@ -124,6 +124,31 @@ class TestValue:
             main(["value", "--boundaries", str(bad)])
         assert exc.value.code == EXIT_SCHEMA
 
+    def _rewritten(self, solved_dir, tmp_path, edit):
+        doc = json.loads((solved_dir / "boundaries.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_missing_key_schema_error(self, solved_dir, tmp_path, capsys):
+        path = self._rewritten(solved_dir, tmp_path,
+                               lambda doc: doc.pop("b_plus"))
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "b_plus" in capsys.readouterr().err
+
+    def test_nan_boundary_schema_error(self, solved_dir, tmp_path, capsys):
+        def poison(doc):
+            doc["b_minus"][3] = float("nan")
+
+        path = self._rewritten(solved_dir, tmp_path, poison)
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _run(self, solved_dir, capsys, *extra):

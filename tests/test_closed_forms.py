@@ -7,7 +7,7 @@ import pytest
 from lastzero.closed_forms import (ProblemSpec, HCurvePair, std_normal_cdf,
                                    std_normal_pdf, max_cdf, max_cdf_dx,
                                    gain_H, h_curves, density_f, g_cdf,
-                                   mean_g)
+                                   mean_g, _h_root)
 
 # high-precision references (40-digit arbitrary-precision evaluation;
 # regeneration: tests/oracles.py)
@@ -173,6 +173,18 @@ class TestHCurves:
         hm, hp = hc.interpolate(0.515)
         assert abs(hp - PHI_INV_075 * np.sqrt(1 - 0.515)) < 2e-4
         assert abs(hm + hp) < 1e-12
+
+    @pytest.mark.parametrize("mu, T", [(0.0, 1.0), (0.8, 2.0),
+                                       (-1.5, 0.25), (2.0, 4.0)])
+    def test_matches_scalar_root(self, mu, T):
+        # the vectorized bisection agrees with the scalar Brent polish
+        spec = ProblemSpec(mu=mu, T=T)
+        grid = T * (1.0 - np.linspace(1.0, 0.0, 41) ** 2)
+        hc = h_curves(spec, grid)
+        want_p = [_h_root(spec, t, +1) for t in grid[:-1]] + [0.0]
+        want_m = [_h_root(spec, t, -1) for t in grid[:-1]] + [0.0]
+        npt.assert_allclose(hc.h_plus, want_p, atol=1e-12, rtol=0)
+        npt.assert_allclose(hc.h_minus, want_m, atol=1e-12, rtol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
