@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .closed_forms import (ProblemSpec, HCurvePair, std_normal_cdf,
                            std_normal_pdf, max_cdf, max_cdf_dx, gain_H,
                            h_curves, density_f, g_cdf, mean_g)
-from .kernel import KernelQuery, LagRule, kernel_K, lag_rule, \
-    integrate_K_over_lag, lag_integral_batch
+from .kernel import LagRule, lag_rule, lag_integral_batch
 from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          interpolate_boundary, boundary_residuals,
                          NonConvergenceError, InvariantViolationError,

@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .closed_forms import ProblemSpec, h_curves
+from .closed_forms import HCurvePair, ProblemSpec, h_curves
 from .kernel import lag_rule, lag_integral_batch
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
@@ -176,8 +177,13 @@ class BoundaryPair:
             raise SchemaError("boundary JSON must be an object")
         return cls.from_json_dict(doc)
 
+    @cached_property
+    def _h_curves(self) -> HCurvePair:
+        """h± on this pair's grid, for the CSV; ``solve_boundaries`` seeds it."""
+        return h_curves(self.spec, self.grid)
+
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
-        hc = h_curves(self.spec, self.grid)
+        hc = self._h_curves
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if manifest_hash is not None:
                 fh.write(f"# manifest_hash={manifest_hash}\n")
@@ -363,8 +369,11 @@ def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
             f"{10 * cfg.tol_b:.3e}; refine the time grid")
     if np.any(bm > hc.h_minus + 1e-9) or np.any(bp < hc.h_plus - 1e-9):
         raise InvariantViolationError("solution left the h±(t) class")
-    return BoundaryPair(spec=spec, grid=grid, b_minus=bm, b_plus=bp,
+    pair = BoundaryPair(spec=spec, grid=grid, b_minus=bm, b_plus=bp,
                         residuals=res)
+    # the sweep's h± are the curves save_csv would recompute on this grid
+    object.__setattr__(pair, "_h_curves", hc)
+    return pair
 
 
 def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair, times,

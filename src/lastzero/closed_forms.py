@@ -266,9 +266,13 @@ def g_cdf(spec: ProblemSpec, t) -> float:
 
 
 def mean_g(spec: ProblemSpec) -> float:
-    """E g = integral of P(g > t) over [0, T] by adaptive quadrature."""
-    from scipy.integrate import quad
+    """E g = (1 - exp(-mu^2 T/2)) / mu^2, and T/2 at zero drift.
 
-    val, _ = quad(lambda t: 1.0 - g_cdf(spec, t), 0.0, spec.T,
-                  epsabs=1e-9, epsrel=1e-9, limit=200)
-    return float(val)
+    Written as T (1 - exp(-nu^2/2)) / nu^2 with nu^2 = mu^2 T and expm1, so
+    it stays accurate as nu -> 0; nu^2 below the smallest normal double
+    (including mu = 0) returns the limit T/2.
+    """
+    nu2 = spec.mu * spec.mu * spec.T
+    if nu2 < np.finfo(float).tiny:
+        return 0.5 * spec.T
+    return float(spec.T * -np.expm1(-0.5 * nu2) / nu2)

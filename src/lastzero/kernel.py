@@ -6,21 +6,17 @@ The kernel
                        = int_{z-}^{z+} H(t+s, y) phi((y - x - mu s)/sqrt(s)) / sqrt(s) dy
 
 is the building block of the value formula V(t,x) = int_0^{T-t} K ds and of
-the boundary equations.  Two evaluation paths are provided:
-
-* ``kernel_K`` -- scalar, adaptive: Gauss-Legendre panels split at the
-  derivative kink of H (y = 0) and at the zero-level curves of H, with the
-  panel order doubled until the requested absolute accuracy is met.
-
-* ``integrate_K_over_lag`` -- the full lag integral with a fixed, fully
-  vectorized composite rule.  The lag endpoints are tamed by the
-  substitutions s = u^2 (near s = 0, where the transition density
-  concentrates) and T - t - s = v^2 (near the horizon, where H has a
-  square-root derivative blow-up), restoring smooth integrands.
+the boundary equations.  ``lag_integral_batch`` evaluates that lag integral
+for a batch of points with a fixed, fully vectorized composite rule.  The
+lag endpoints are tamed by the substitutions s = u^2 (near s = 0, where the
+transition density concentrates) and T - t - s = v^2 (near the horizon,
+where H has a square-root derivative blow-up), restoring smooth integrands.
 
 Inner integrals are computed in the standardized variable
 xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
-lags are always resolved; panels are split at the image of y = 0.
+lags are always resolved; panels are split at the image of y = 0.  Wide
+batches are evaluated in tiles of lag nodes, so the (point, lag, node)
+temporaries stay near a fixed size whatever the batch width.
 """
 
 from __future__ import annotations
@@ -30,25 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import ProblemSpec, _gain_H_raw, _h_root, std_normal_cdf
+from .closed_forms import ProblemSpec, _gain_H_raw
 
-# Standardized tail cutoff: mass beyond is ~1.5e-23, far below any eps_K used.
+# Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """Arguments of one kernel evaluation: K(t, x, s, z_minus, z_plus)."""
-
-    t: float
-    x: float
-    s: float
-    z_minus: float
-    z_plus: float
-
-    def __post_init__(self):
-        if self.z_minus > self.z_plus:
-            raise ValueError("window requires z_minus <= z_plus")
+# H evaluations per lag tile: bounds each (point, lag, node) temporary at
+# 512 KB; a solver call (2 points x 128 lags x 64 nodes) fits in one tile.
+_TILE_H_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -97,69 +82,6 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
                    weights=np.concatenate([w_lo, w_hi[order]]))
 
 
-def _inner_kernel_panels(spec: ProblemSpec, t_plus_s: float, x: float, s: float,
-                         z_minus: float, z_plus: float, n_gl: int,
-                         extra_breaks=()) -> float:
-    """One inner integral in xi-space with panels split at breakpoints."""
-    sq = np.sqrt(s)
-    center = x + spec.mu * s
-    a = max((z_minus - center) / sq, -_CLIP)
-    c = min((z_plus - center) / sq, _CLIP)
-    if c <= a:
-        return 0.0
-    breaks = [a, c]
-    for y_brk in (0.0, *extra_breaks):
-        xi = (y_brk - center) / sq
-        if a < xi < c:
-            breaks.append(xi)
-    breaks = np.sort(np.array(breaks))
-    r, w = _gauss_unit(n_gl)
-    total = 0.0
-    s_rem = spec.T - t_plus_s
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        xi = lo + (hi - lo) * r
-        y = center + sq * xi
-        h = _gain_H_raw(spec.mu, s_rem, y)
-        phi = np.exp(-0.5 * xi * xi) / np.sqrt(2.0 * np.pi)
-        total += (hi - lo) * np.dot(w, h * phi)
-    return float(total)
-
-
-def kernel_K(spec: ProblemSpec, q: KernelQuery, eps_k: float = 1e-9) -> float:
-    """Evaluate the kernel to absolute accuracy eps_k (default 1e-9).
-
-    Accepts s = T - t, where H degenerates to its terminal limit 1 away
-    from zero and the kernel reduces to the window probability.
-    """
-    if q.s <= 0.0:
-        raise ValueError("kernel_K requires s > 0")
-    if q.t + q.s > spec.T * (1.0 + 1e-12):
-        raise ValueError("kernel_K requires t + s <= T")
-    if q.z_minus == q.z_plus:
-        return 0.0
-    sq = np.sqrt(q.s)
-    center = q.x + spec.mu * q.s
-    if spec.T - (q.t + q.s) <= 1e-14 * spec.T:
-        # terminal limit: H(T, y) = 1 a.e.
-        return float(std_normal_cdf((q.z_plus - center) / sq)
-                     - std_normal_cdf((q.z_minus - center) / sq))
-    t_plus_s = q.t + q.s
-    extra = (_h_root(spec, t_plus_s, -1), _h_root(spec, t_plus_s, +1))
-    n = 32
-    prev = _inner_kernel_panels(spec, t_plus_s, q.x, q.s,
-                                q.z_minus, q.z_plus, n, extra)
-    while n <= 1024:
-        n *= 2
-        cur = _inner_kernel_panels(spec, t_plus_s, q.x, q.s,
-                                   q.z_minus, q.z_plus, n, extra)
-        if abs(cur - prev) <= eps_k:
-            return cur
-        prev = cur
-    raise RuntimeError(f"kernel quadrature did not reach eps_k={eps_k}")
-
-
 def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                        rule: LagRule, n_gl: int = 64) -> np.ndarray:
     """Vectorized int_0^{L} K(t, x, s, z-(s), z+(s)) ds for a batch of x.
@@ -175,7 +97,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
 
     The inner integral per (x, s-node) uses two Gauss-Legendre panels in the
     standardized variable, split at the image of the kink y = 0; empty or
-    clipped-away windows contribute exactly 0.
+    clipped-away windows contribute exactly 0.  Lag nodes are processed in
+    tiles of about ``_TILE_H_POINTS`` H evaluations; every (x, s-node) entry
+    is reduced over the same Gauss-Legendre axis whatever the tiling, so the
+    result does not depend on the batch width.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if rule.n == 0:
@@ -196,35 +121,17 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
     r, w = _gauss_unit(n_gl)
     out = np.zeros((xs.size, rule.n))
-    for lo, hi in ((a, mid), (mid, c)):
-        width = hi - lo                                # (B, n_s)
-        xi = lo[..., np.newaxis] + width[..., np.newaxis] * r   # (B, n_s, n_gl)
-        y = center[..., np.newaxis] + sq[..., np.newaxis] * xi
-        h = _gain_H_raw(spec.mu, s_rem[..., np.newaxis], y)
-        phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-        out += width * np.einsum("bsg,g->bs", h * phi, w)
+    tile = max(1, _TILE_H_POINTS // (xs.size * n_gl))
+    for j in range(0, rule.n, tile):
+        cols = slice(j, j + tile)
+        center_t = center[:, cols, np.newaxis]
+        sq_t = sq[:, cols, np.newaxis]
+        s_rem_t = s_rem[:, cols, np.newaxis]
+        for lo, hi in ((a[:, cols], mid[:, cols]), (mid[:, cols], c[:, cols])):
+            width = hi - lo                            # (B, tile)
+            xi = lo[..., np.newaxis] + width[..., np.newaxis] * r  # (B, tile, n_gl)
+            y = center_t + sq_t * xi
+            h = _gain_H_raw(spec.mu, s_rem_t, y)
+            phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
+            out[:, cols] += width * np.einsum("bsg,g->bs", h * phi, w)
     return out @ rule.weights
-
-
-def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,
-                         rule: LagRule | None = None, n_nodes: int = 128,
-                         n_gl: int = 64) -> float:
-    """int_0^{T-t} K(t, x, s, z-(s), z+(s)) ds for a lag-dependent window.
-
-    ``window`` maps an array of lags s to a pair of arrays (z-(s), z+(s)).
-    Deterministic for fixed inputs; the rule defaults to
-    ``lag_rule(T - t, n_nodes)``.
-    """
-    if not 0.0 <= t <= spec.T:
-        raise ValueError("integrate_K_over_lag requires t in [0, T]")
-    if rule is None:
-        rule = lag_rule(spec.T - t, n_nodes)
-    if rule.n == 0:
-        return 0.0
-    zm, zp = window(rule.nodes)
-    zm = np.asarray(zm, dtype=float)
-    zp = np.asarray(zp, dtype=float)
-    if np.any(zm > zp):
-        raise ValueError("window must satisfy z_minus <= z_plus at every node")
-    return float(lag_integral_batch(spec, t, np.array([x]), zm, zp, rule,
-                                    n_gl=n_gl)[0])

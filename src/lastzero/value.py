@@ -7,12 +7,19 @@ problem is the lag integral of the kernel over the continuation window,
 
 zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}.  The optimal
 expected prediction error is V* = V(0,0) + E g.
+
+A surface's rows are independent lag integrals; ``build_value_surface``
+runs them on threads, one per CPU the process may use (the kernel's numpy
+and scipy ufuncs release the interpreter lock), and assembles them in grid
+order, so the result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +141,14 @@ def default_x_grid(bp: BoundaryPair, n_x: int = 200) -> np.ndarray:
     return np.linspace(bp.b_minus[0] - margin, bp.b_plus[0] + margin, n_x)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,
                         n_x: int = 200, t_grid=None, x_grid=None,
                         n_lag: int = 128, n_gl: int = 64) -> ValueSurface:
@@ -143,9 +158,14 @@ def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,
         x_grid = default_x_grid(bp, n_x)
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
+
+    def row(t):
+        return value_row(spec, bp, t, x_grid, n_lag=n_lag, n_gl=n_gl)
+
     vals = np.zeros((t_grid.size, x_grid.size))
-    for i, t in enumerate(t_grid):
-        vals[i] = value_row(spec, bp, t, x_grid, n_lag=n_lag, n_gl=n_gl)
+    with ThreadPoolExecutor(max_workers=_available_cpus()) as ex:
+        for i, v in enumerate(ex.map(row, t_grid)):
+            vals[i] = v
     # quadrature noise must not leak above zero
     vals = np.minimum(vals, 0.0)
     return ValueSurface(spec=spec, t_grid=t_grid, x_grid=x_grid, values=vals,

@@ -3,14 +3,25 @@
 Everything here is deliberately implemented from first principles, without
 importing the package under test (except where a test explicitly checks a
 quadrature against Monte Carlo of the *same* integrand).  Heavy Monte Carlo
-oracles are run once via ``python3 tests/oracles.py`` and their (estimate,
-standard error) pairs are frozen into the test modules together with the
-generating seed and sample size.
+oracles are run once via ``PYTHONPATH=src python3 tests/oracles.py`` and
+their (estimate, standard error) pairs are frozen into the test modules
+together with the generating seed and sample size.
+
+The quadrature references at the end (adaptive scalar kernel, untiled lag
+integral, nested-quad E g) reuse the package's gain function H and lag
+rule: they check how the package integrates, not what it integrates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from lastzero.closed_forms import (ProblemSpec, _gain_H_raw, _h_root, g_cdf,
+                                   std_normal_cdf)
+from lastzero.kernel import (_CLIP, LagRule, _gauss_unit, lag_integral_batch,
+                             lag_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +152,158 @@ def mc_last_zero_law(mu, T, t_query, n_paths=1_000_000, n_steps=4000,
 def central_difference(f, x, h=1e-6):
     """Central finite difference (f(x+h) - f(x-h)) / (2h)."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature references for the kernel, its lag integral and E g
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KernelQuery:
+    """Arguments of one kernel evaluation: K(t, x, s, z_minus, z_plus)."""
+
+    t: float
+    x: float
+    s: float
+    z_minus: float
+    z_plus: float
+
+    def __post_init__(self):
+        if self.z_minus > self.z_plus:
+            raise ValueError("window requires z_minus <= z_plus")
+
+
+def _inner_kernel_panels(spec: ProblemSpec, t_plus_s: float, x: float, s: float,
+                         z_minus: float, z_plus: float, n_gl: int,
+                         extra_breaks=()) -> float:
+    """One inner integral in xi-space with panels split at breakpoints."""
+    sq = np.sqrt(s)
+    center = x + spec.mu * s
+    a = max((z_minus - center) / sq, -_CLIP)
+    c = min((z_plus - center) / sq, _CLIP)
+    if c <= a:
+        return 0.0
+    breaks = [a, c]
+    for y_brk in (0.0, *extra_breaks):
+        xi = (y_brk - center) / sq
+        if a < xi < c:
+            breaks.append(xi)
+    breaks = np.sort(np.array(breaks))
+    r, w = _gauss_unit(n_gl)
+    total = 0.0
+    s_rem = spec.T - t_plus_s
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        if hi <= lo:
+            continue
+        xi = lo + (hi - lo) * r
+        y = center + sq * xi
+        h = _gain_H_raw(spec.mu, s_rem, y)
+        phi = np.exp(-0.5 * xi * xi) / np.sqrt(2.0 * np.pi)
+        total += (hi - lo) * np.dot(w, h * phi)
+    return float(total)
+
+
+def kernel_K(spec: ProblemSpec, q: KernelQuery, eps_k: float = 1e-9) -> float:
+    """Evaluate the kernel to absolute accuracy eps_k (default 1e-9).
+
+    Accepts s = T - t, where H degenerates to its terminal limit 1 away
+    from zero and the kernel reduces to the window probability.
+    """
+    if q.s <= 0.0:
+        raise ValueError("kernel_K requires s > 0")
+    if q.t + q.s > spec.T * (1.0 + 1e-12):
+        raise ValueError("kernel_K requires t + s <= T")
+    if q.z_minus == q.z_plus:
+        return 0.0
+    sq = np.sqrt(q.s)
+    center = q.x + spec.mu * q.s
+    if spec.T - (q.t + q.s) <= 1e-14 * spec.T:
+        # terminal limit: H(T, y) = 1 a.e.
+        return float(std_normal_cdf((q.z_plus - center) / sq)
+                     - std_normal_cdf((q.z_minus - center) / sq))
+    t_plus_s = q.t + q.s
+    extra = (_h_root(spec, t_plus_s, -1), _h_root(spec, t_plus_s, +1))
+    n = 32
+    prev = _inner_kernel_panels(spec, t_plus_s, q.x, q.s,
+                                q.z_minus, q.z_plus, n, extra)
+    while n <= 1024:
+        n *= 2
+        cur = _inner_kernel_panels(spec, t_plus_s, q.x, q.s,
+                                   q.z_minus, q.z_plus, n, extra)
+        if abs(cur - prev) <= eps_k:
+            return cur
+        prev = cur
+    raise RuntimeError(f"kernel quadrature did not reach eps_k={eps_k}")
+
+
+def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
+                               z_plus, rule: LagRule,
+                               n_gl: int = 64) -> np.ndarray:
+    """``lastzero.lag_integral_batch`` as one untiled pass over all lags.
+
+    The package evaluates the same arithmetic in tiles of lag nodes; tests
+    require the two to agree bit for bit.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if rule.n == 0:
+        return np.zeros(xs.shape)
+    s = rule.nodes[np.newaxis, :]                      # (1, n_s)
+    sq = np.sqrt(s)
+    zm = np.asarray(z_minus, dtype=float)
+    zp = np.asarray(z_plus, dtype=float)
+    if zm.ndim == 1:
+        zm = zm[np.newaxis, :]
+    if zp.ndim == 1:
+        zp = zp[np.newaxis, :]
+    center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
+    a = np.maximum((zm - center) / sq, -_CLIP)
+    c = np.minimum((zp - center) / sq, _CLIP)
+    c = np.maximum(c, a)
+    mid = np.clip(-center / sq, a, c)
+    s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
+    r, w = _gauss_unit(n_gl)
+    out = np.zeros((xs.size, rule.n))
+    for lo, hi in ((a, mid), (mid, c)):
+        width = hi - lo                                # (B, n_s)
+        xi = lo[..., np.newaxis] + width[..., np.newaxis] * r   # (B, n_s, n_gl)
+        y = center[..., np.newaxis] + sq[..., np.newaxis] * xi
+        h = _gain_H_raw(spec.mu, s_rem[..., np.newaxis], y)
+        phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
+        out += width * np.einsum("bsg,g->bs", h * phi, w)
+    return out @ rule.weights
+
+
+def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,
+                         rule: LagRule | None = None, n_nodes: int = 128,
+                         n_gl: int = 64) -> float:
+    """int_0^{T-t} K(t, x, s, z-(s), z+(s)) ds for a lag-dependent window.
+
+    ``window`` maps an array of lags s to a pair of arrays (z-(s), z+(s)).
+    Deterministic for fixed inputs; the rule defaults to
+    ``lag_rule(T - t, n_nodes)``.
+    """
+    if not 0.0 <= t <= spec.T:
+        raise ValueError("integrate_K_over_lag requires t in [0, T]")
+    if rule is None:
+        rule = lag_rule(spec.T - t, n_nodes)
+    if rule.n == 0:
+        return 0.0
+    zm, zp = window(rule.nodes)
+    zm = np.asarray(zm, dtype=float)
+    zp = np.asarray(zp, dtype=float)
+    if np.any(zm > zp):
+        raise ValueError("window must satisfy z_minus <= z_plus at every node")
+    return float(lag_integral_batch(spec, t, np.array([x]), zm, zp, rule,
+                                    n_gl=n_gl)[0])
+
+
+def mean_g_quad(spec: ProblemSpec) -> float:
+    """E g = integral of P(g > t) over [0, T] by nested adaptive quadrature."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda t: 1.0 - g_cdf(spec, t), 0.0, spec.T,
+                  epsabs=1e-9, epsrel=1e-9, limit=200)
+    return float(val)
 
 
 if __name__ == "__main__":

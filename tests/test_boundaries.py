@@ -305,6 +305,29 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             BoundaryPair.from_json_dict(doc)
 
+    def test_csv_reuses_solver_h_curves(self, monkeypatch, tmp_path):
+        # a solved pair writes the h± curves its sweep computed; a pair built
+        # from the same arrays computes them itself, and the files agree
+        calls = []
+        real = boundaries_module.h_curves
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boundaries_module, "h_curves", counting)
+        spec = ProblemSpec(mu=0.3, T=2.0)
+        solved = solve_boundaries(spec, SolverConfig(n_steps=20))
+        solved.save_csv(tmp_path / "solved.csv", manifest_hash="x")
+        assert len(calls) == 1
+        fresh = BoundaryPair(spec=spec, grid=solved.grid,
+                             b_minus=solved.b_minus, b_plus=solved.b_plus,
+                             residuals=solved.residuals)
+        fresh.save_csv(tmp_path / "fresh.csv", manifest_hash="x")
+        assert len(calls) == 2
+        assert (tmp_path / "solved.csv").read_bytes() \
+            == (tmp_path / "fresh.csv").read_bytes()
+
     def test_csv_layout(self, boundaries_for, tmp_path):
         bp = boundaries_for(0.0)
         path = tmp_path / "b.csv"

@@ -8,6 +8,7 @@ from lastzero.closed_forms import (ProblemSpec, HCurvePair, std_normal_cdf,
                                    std_normal_pdf, max_cdf, max_cdf_dx,
                                    gain_H, h_curves, density_f, g_cdf,
                                    mean_g, _h_root)
+from oracles import mean_g_quad
 
 # high-precision references (40-digit arbitrary-precision evaluation;
 # regeneration: tests/oracles.py)
@@ -222,13 +223,24 @@ class TestLawOfG:
         assert abs(mean_g(spec) - T / 2.0) < 1e-8
 
     @pytest.mark.parametrize("mu,T", [(1.0, 1.0), (2.0, 1.0), (0.5, 2.0),
-                                      (-1.0, 4.0)])
+                                      (-1.0, 4.0), (0.0, 2.0), (1e-6, 1.0),
+                                      (-5e-7, 4.0), (20.0, 1.0),
+                                      (-10.0, 4.0)])
     def test_mean_closed_form(self, mu, T):
-        # E g = (1 - exp(-mu^2 T / 2)) / mu^2; independently confirmed by
-        # the frozen MC oracle above at (mu, T) = (1, 1)
+        # the closed form against the nested quadrature of P(g > t), which
+        # the frozen MC oracle above confirms at (mu, T) = (1, 1)
         spec = ProblemSpec(mu=mu, T=T)
-        want = (1.0 - np.exp(-mu * mu * T / 2.0)) / (mu * mu)
-        assert abs(mean_g(spec) - want) < 1e-9
+        assert abs(mean_g(spec) - mean_g_quad(spec)) <= 1e-9 * T
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-160, 1e-154, 1e-20, 1e-9])
+    @pytest.mark.parametrize("T", [1e-4, 1.0, 100.0])
+    def test_mean_near_zero_drift(self, mu, T):
+        # mu^2 T underflows or is subnormal for the smallest drifts: the
+        # limit T/2 must come out, never 0/0
+        with np.errstate(invalid="raise", divide="raise"):
+            for m in (mu, -mu):
+                val = mean_g(ProblemSpec(mu=m, T=T))
+                assert abs(val - 0.5 * T) <= 1e-12 * T
 
     def test_mean_in_range(self):
         spec = ProblemSpec(mu=-0.7, T=3.0)

@@ -2,8 +2,9 @@
 
 Cross-validation strategy: the fixed-rule vectorized integrator is checked
 against (a) the adaptive scalar kernel, (b) scipy.integrate.quad / dblquad
-reference values, and (c) a plain Monte Carlo estimate of the kernel's
-defining expectation.
+reference values, (c) a plain Monte Carlo estimate of the kernel's
+defining expectation, and (d) its own untiled form, bit for bit.  The
+scalar kernel and the untiled form live in ``oracles.py``.
 """
 
 import numpy as np
@@ -12,14 +13,17 @@ import pytest
 from scipy.integrate import quad
 
 from lastzero import (
-    KernelQuery,
     ProblemSpec,
     gain_H,
     h_curves,
-    integrate_K_over_lag,
-    kernel_K,
     lag_integral_batch,
     lag_rule,
+)
+from oracles import (
+    KernelQuery,
+    integrate_K_over_lag,
+    kernel_K,
+    lag_integral_batch_untiled,
 )
 
 
@@ -249,3 +253,42 @@ class TestLagIntegral:
         coarse = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=64)
         fine = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=256)
         assert abs(coarse - fine) <= 1e-9
+
+
+class TestLagTiling:
+    spec = ProblemSpec(mu=0.7, T=1.0)
+    t = 0.2
+
+    def _inputs(self, n_points, window):
+        rule = lag_rule(self.spec.T - self.t, 128)
+        xs = np.linspace(-1.5, 1.5, n_points)
+        if window == "straddles_zero":
+            # per-row windows around 0, shrinking toward the horizon
+            half = np.sqrt(self.spec.T - self.t - rule.nodes)
+            widen = np.linspace(0.6, 1.4, n_points)[:, np.newaxis]
+            return rule, xs, -widen * half - 0.05, widen * half
+        # far edges: clipped at +-10 sd of the transition law at every lag
+        return rule, xs, np.full(rule.n, -50.0), np.full(rule.n, 50.0)
+
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    def test_tiled_equals_untiled(self, n_points, window):
+        rule, xs, zm, zp = self._inputs(n_points, window)
+        tiled = lag_integral_batch(self.spec, self.t, xs, zm, zp, rule)
+        whole = lag_integral_batch_untiled(self.spec, self.t, xs, zm, zp,
+                                           rule)
+        assert np.array_equal(tiled, whole)
+
+    def test_peak_memory_bounded(self):
+        import tracemalloc
+
+        rule, xs, zm, zp = self._inputs(64, "straddles_zero")
+        lag_integral_batch(self.spec, self.t, xs, zm, zp, rule)  # warm caches
+        tracemalloc.start()
+        try:
+            lag_integral_batch(self.spec, self.t, xs, zm, zp, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one untiled call peaks near 40 MB at this batch width
+        assert peak <= 8e6

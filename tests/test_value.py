@@ -8,6 +8,7 @@ values that the lattice oracle and Monte Carlo closure re-derive elsewhere.
 """
 
 import json
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -24,6 +25,8 @@ from lastzero import (
     value_at,
 )
 from lastzero.value import default_x_grid, value_row
+
+import lastzero.value as value_module
 
 # Regression anchors at solver defaults (n_steps=400, T=1).  E g comes from
 # the closed form (1 - exp(-mu^2 T / 2)) / mu^2; V(0,0) is certified by the
@@ -146,6 +149,27 @@ class TestValueSurface:
         assert surf.values.shape == (12, 21)
         assert np.all(surf.values <= 0.0)
         npt.assert_array_equal(surf.values[-1], np.zeros(21))
+
+    @pytest.mark.parametrize("workers", [None, 8])
+    def test_threaded_rows_match_serial(self, boundaries_for, monkeypatch,
+                                        workers):
+        # rows run on a thread pool (None: one thread per available CPU;
+        # 8: more threads than cores, switching as often as possible) and
+        # must come back bit for bit as the serial rows, in grid order
+        bp = boundaries_for(1.0)
+        if workers is not None:
+            monkeypatch.setattr(value_module, "_available_cpus",
+                                lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            surf = build_value_surface(bp.spec, bp, n_t=9, n_x=70)
+        finally:
+            sys.setswitchinterval(interval)
+        rows = [value_row(bp.spec, bp, float(t), surf.x_grid)
+                for t in surf.t_grid]
+        npt.assert_array_equal(surf.values,
+                               np.minimum(np.stack(rows), 0.0))
 
     def test_zero_on_stopping_region_columns(self, boundaries_for):
         bp = boundaries_for(0.0)
