@@ -14,9 +14,8 @@ from .closed_forms import (ProblemSpec, HCurvePair, std_normal_cdf,
                            h_curves, density_f, g_cdf, mean_g)
 from .kernel import LagRule, lag_rule, lag_integral_batch
 from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
-                         interpolate_boundary, boundary_residuals,
-                         NonConvergenceError, InvariantViolationError,
-                         SchemaError)
+                         boundary_residuals, NonConvergenceError,
+                         InvariantViolationError, SchemaError)
 from .value import (ValueSurface, value_at, value_row, build_value_surface,
                     optimal_value_Vstar, should_stop, smooth_fit_diagnostic,
                     SmoothFitReport)
@@ -26,7 +25,6 @@ from .montecarlo import (SimConfig, PathEnsemble, PolicyReport,
                          simulate_paths, last_zero_of_path, evaluate_policy,
                          evaluate_policies, collect_last_zeros, parse_policy,
                          per_path_records, save_per_path_csv,
-                         OptimalRule, ScaledOptimalRule, SqrtRule,
-                         FixedTimeRule)
+                         OptimalRule, SqrtRule, FixedTimeRule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

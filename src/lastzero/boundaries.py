@@ -202,11 +202,6 @@ class SchemaError(ValueError):
     """Unrecognized or malformed serialized artifact."""
 
 
-def interpolate_boundary(bp: BoundaryPair, t):
-    """(b-(t), b+(t)) by monotone piecewise-linear interpolation."""
-    return bp.interpolate(t)
-
-
 def sqrt_time_grid(T: float, n_steps: int) -> np.ndarray:
     """Grid uniform in v = sqrt(T - t): t_k = T(1 - ((n-k)/n)^2)."""
     k = np.arange(n_steps + 1)
@@ -218,7 +213,7 @@ def _window_arrays(t_k, beta_m, beta_p, grid, bm, bp, k, s_nodes):
 
     Future values come from the solved tail of the grid; inside the first
     cell the current iterate at t_k is a knot, so the step's equations see
-    exactly the interpolant later used by ``interpolate_boundary``.
+    exactly the interpolant later used by ``BoundaryPair.interpolate``.
     """
     knots_t = np.concatenate([[t_k], grid[k + 1:]])
     u = t_k + s_nodes

@@ -30,9 +30,8 @@ from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          SchemaError)
 from .bellman import LatticeSpec, bellman_solve, oracle_compare
 from .value import build_value_surface, value_at
-from .montecarlo import (MAX_STORED_PATHS, SimConfig, parse_policy,
-                         evaluate_policy, per_path_records,
-                         save_per_path_csv)
+from .montecarlo import (MAX_STORED_PATHS, PER_PATH_DTYPE, SimConfig,
+                         parse_policy, evaluate_policy, save_per_path_csv)
 from .plotting import save_boundaries_svg
 
 EXIT_OK = 0
@@ -173,7 +172,9 @@ def cmd_simulate(parser, args) -> int:
         parser.error(str(exc))
     if args.dump and args.paths > MAX_STORED_PATHS:
         parser.error(f"--dump is limited to {MAX_STORED_PATHS} paths")
-    report = evaluate_policy(spec, rule, cfg)
+    # one pass scores the policy and fills the per-path dump
+    records = np.empty(cfg.n_paths, PER_PATH_DTYPE) if args.dump else None
+    report = evaluate_policy(spec, rule, cfg, records=records)
     core, h = _manifest_core(
         "simulate", {"mu": spec.mu, "T": spec.T},
         {"paths": args.paths, "steps": args.steps, "seed": args.seed,
@@ -189,8 +190,7 @@ def cmd_simulate(parser, args) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
         if args.dump:
-            save_per_path_csv(args.dump, per_path_records(spec, rule, cfg),
-                              manifest_hash=h)
+            save_per_path_csv(args.dump, records, manifest_hash=h)
         if args.out or args.dump:
             target = args.out if args.out else args.dump
             _write_manifest(target + ".manifest.json", core, h,

@@ -10,20 +10,24 @@ in their stopping set; estimates across policies share paths (common
 random numbers).
 
 Randomness is counter-based and splittable: path i of a run seeded s draws
-from Philox keyed (s, i), so results are independent of chunking and of
-any parallel schedule, and bit-reproducible on one platform.
+from Philox keyed (s, i).  Blocks of paths are drawn, scanned and stopped on
+threads, one per CPU the process may use, and reduced in whole chunks in
+path order, so results are independent of chunking and of the number of
+workers, and bit-reproducible on one platform.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import ProblemSpec
 from .boundaries import BoundaryPair
+from ._pool import _available_cpus
 
 MAX_STORED_PATHS = 10_000
 
@@ -77,11 +81,6 @@ class PolicyReport:
         return json.dumps(self.to_json_dict())
 
 
-def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int):
     """Paths, bridge uniforms, and placement uniforms for paths [start, start+n).
 
@@ -89,17 +88,18 @@ def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int):
     ensembles are identical however the work is chunked.
     """
     dt = spec.T / cfg.n_steps
-    z = np.empty((n, cfg.n_steps))
+    scale, drift = np.sqrt(dt), spec.mu * dt
+    w = np.empty((n, cfg.n_steps + 1))
+    w[:, 0] = 0.0
     u_bridge = np.empty((n, cfg.n_steps))
     u_place = np.empty(n)
     for i in range(n):
-        rng = _path_generator(cfg.seed, start + i)
-        z[i] = rng.standard_normal(cfg.n_steps)
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([cfg.seed, start + i], dtype=np.uint64)))
+        np.cumsum(drift + scale * rng.standard_normal(cfg.n_steps),
+                  out=w[i, 1:])
         u_bridge[i] = rng.random(cfg.n_steps)
         u_place[i] = rng.random()
-    w = np.empty((n, cfg.n_steps + 1))
-    w[:, 0] = 0.0
-    np.cumsum(spec.mu * dt + np.sqrt(dt) * z, axis=1, out=w[:, 1:])
     return w, u_bridge, u_place
 
 
@@ -162,27 +162,44 @@ def last_zero_of_path(path, spec: ProblemSpec, cfg: SimConfig,
                              cfg.bridge_correction)[0])
 
 
+def _stream(spec: ProblemSpec, cfg: SimConfig, rules, chunk: int):
+    """Yield (start, g, [tau per rule]) for each chunk of paths, in order.
+
+    Chunks hold at most 8e6 path values.  Blocks of chunk / (2 * workers)
+    paths keep the workers within half a chunk; numpy's draws and array
+    arithmetic release the interpreter lock, so the blocks run in parallel.
+    """
+    chunk = max(1, min(chunk, int(8_000_000 // (cfg.n_steps + 1))))
+    workers = _available_cpus()
+    block = -(-chunk // (2 * workers))
+    times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+
+    def run(start, stop):
+        w, u_bridge, u_place = _draw_chunk(spec, cfg, start, stop - start)
+        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction)
+        return g, [rule.taus(times, w) for rule in rules]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, cfg.n_paths, chunk):
+            stop = min(start + chunk, cfg.n_paths)
+            edges = [*range(start, stop, block), stop]
+            parts = list(pool.map(run, edges[:-1], edges[1:]))
+            yield (start, np.concatenate([g for g, _ in parts]),
+                   [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
+
+
 def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig,
                        chunk: int = 1000) -> np.ndarray:
     """Stream the ensemble and return the n_paths last-zero times."""
-    chunk = max(1, min(chunk, int(8_000_000 // (cfg.n_steps + 1))))
-    times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-    out = np.empty(cfg.n_paths)
-    done = 0
-    while done < cfg.n_paths:
-        n = min(chunk, cfg.n_paths - done)
-        w, u_bridge, u_place = _draw_chunk(spec, cfg, done, n)
-        out[done:done + n] = _last_zeros(times, w, u_bridge, u_place,
-                                         cfg.bridge_correction)
-        done += n
-    return out
+    return np.concatenate([g for _, g, _ in _stream(spec, cfg, [], chunk)])
 
 
 # -- stopping rules -------------------------------------------------------
 
 
 class StoppingRule:
-    """Grid policy: stop at the first time the path enters the rule's set."""
+    """Grid policy: stop at the first time the path enters the rule's set;
+    ``taus`` runs on worker threads, so it must not mutate the rule."""
 
     name = "abstract"
 
@@ -206,10 +223,6 @@ class OptimalRule(StoppingRule):
     def stop_mask(self, times, w):
         zm, zp = self.bp.interpolate(times)
         return (w <= self.factor * zm) | (w >= self.factor * zp)
-
-
-def ScaledOptimalRule(bp: BoundaryPair, factor: float) -> OptimalRule:
-    return OptimalRule(bp, factor=factor)
 
 
 class SqrtRule(StoppingRule):
@@ -243,14 +256,10 @@ def parse_policy(text: str, spec: ProblemSpec,
     """Parse CLI policy strings: optimal | fixed_time:C | sqrt_rule:Z |
     scaled_optimal:F."""
     kind, _, arg = text.partition(":")
-    if kind == "optimal":
+    if kind in ("optimal", "scaled_optimal"):
         if bp is None:
-            raise ValueError("policy 'optimal' needs boundaries")
-        return OptimalRule(bp)
-    if kind == "scaled_optimal":
-        if bp is None:
-            raise ValueError("policy 'scaled_optimal' needs boundaries")
-        return OptimalRule(bp, factor=float(arg))
+            raise ValueError(f"policy {kind!r} needs boundaries")
+        return OptimalRule(bp, factor=1.0 if kind == "optimal" else float(arg))
     if kind == "sqrt_rule":
         return SqrtRule(float(arg), spec.T)
     if kind == "fixed_time":
@@ -259,24 +268,26 @@ def parse_policy(text: str, spec: ProblemSpec,
 
 
 def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
-                      chunk: int = 1000) -> list[PolicyReport]:
-    """One streamed ensemble pass scoring every rule on the same paths."""
+                      chunk: int = 1000,
+                      records: np.ndarray | None = None) -> list[PolicyReport]:
+    """One streamed ensemble pass scoring every rule on the same paths.
+
+    ``records`` (n_paths rows of PER_PATH_DTYPE) gets the first rule's rows.
+    """
     rules = list(rules)
-    # keep the per-chunk working set around ~10^7 floats
-    chunk = max(1, min(chunk, int(8_000_000 // (cfg.n_steps + 1))))
-    times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+    if records is not None and (not rules or records.shape != (cfg.n_paths,)):
+        raise ValueError("records need a rule and one row per path")
     sums = np.zeros(len(rules))
     sq = np.zeros(len(rules))
-    done = 0
-    while done < cfg.n_paths:
-        n = min(chunk, cfg.n_paths - done)
-        w, u_bridge, u_place = _draw_chunk(spec, cfg, done, n)
-        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction)
-        for j, rule in enumerate(rules):
-            err = np.abs(g - rule.taus(times, w))
+    for start, g, taus in _stream(spec, cfg, rules, chunk):
+        for j, tau in enumerate(taus):
+            err = np.abs(g - tau)
             sums[j] += err.sum()
             sq[j] += (err * err).sum()
-        done += n
+            if j == 0 and records is not None:
+                rows = records[start:start + g.size]
+                rows["path_id"] = np.arange(start, start + g.size)
+                rows["g"], rows["tau"], rows["abs_error"] = g, tau, err
     n = cfg.n_paths
     out = []
     for j, rule in enumerate(rules):
@@ -289,8 +300,9 @@ def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
 
 
 def evaluate_policy(spec: ProblemSpec, rule: StoppingRule,
-                    cfg: SimConfig, chunk: int = 1000) -> PolicyReport:
-    return evaluate_policies(spec, [rule], cfg, chunk=chunk)[0]
+                    cfg: SimConfig, chunk: int = 1000,
+                    records: np.ndarray | None = None) -> PolicyReport:
+    return evaluate_policies(spec, [rule], cfg, chunk, records)[0]
 
 
 PER_PATH_DTYPE = np.dtype([("path_id", np.int64), ("g", float),
@@ -301,8 +313,7 @@ def per_path_records(spec: ProblemSpec, rule: StoppingRule,
                      cfg: SimConfig, chunk: int = 1000) -> np.ndarray:
     """Per-path (path_id, g, tau, |g - tau|) table for small runs.
 
-    The same substream design as the estimators applies, so the rows here
-    are exactly the paths a PolicyReport with the same cfg averaged over.
+    The rows come from the very pass evaluate_policy makes with this cfg.
     Guarded by MAX_STORED_PATHS: the dump is a diagnostic artifact, not a
     bulk format; large runs go through the streaming estimators.
     """
@@ -310,20 +321,8 @@ def per_path_records(spec: ProblemSpec, rule: StoppingRule,
         raise ValueError(
             f"n_paths={cfg.n_paths} exceeds the {MAX_STORED_PATHS}-path "
             "per-path dump guard; dumps are for small runs")
-    chunk = max(1, min(chunk, int(8_000_000 // (cfg.n_steps + 1))))
-    times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
     out = np.empty(cfg.n_paths, dtype=PER_PATH_DTYPE)
-    out["path_id"] = np.arange(cfg.n_paths)
-    done = 0
-    while done < cfg.n_paths:
-        n = min(chunk, cfg.n_paths - done)
-        w, u_bridge, u_place = _draw_chunk(spec, cfg, done, n)
-        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction)
-        tau = rule.taus(times, w)
-        out["g"][done:done + n] = g
-        out["tau"][done:done + n] = tau
-        out["abs_error"][done:done + n] = np.abs(g - tau)
-        done += n
+    evaluate_policy(spec, rule, cfg, chunk=chunk, records=out)
     return out
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ import numpy as np
 from .closed_forms import ProblemSpec, mean_g
 from .kernel import lag_rule, lag_integral_batch
 from .boundaries import BoundaryPair
+from ._pool import _available_cpus
 
 SURFACE_SCHEMA = "lastzero.surface.v1"
 _SOURCES = ("integral_formula", "bellman")
@@ -139,14 +139,6 @@ def default_x_grid(bp: BoundaryPair, n_x: int = 200) -> np.ndarray:
     """Span [b-(0) - 2 sqrt(T), b+(0) + 2 sqrt(T)]: covers D both sides."""
     margin = 2.0 * np.sqrt(bp.spec.T)
     return np.linspace(bp.b_minus[0] - margin, bp.b_plus[0] + margin, n_x)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where supported)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,

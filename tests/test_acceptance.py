@@ -19,7 +19,6 @@ from lastzero import (
     FixedTimeRule,
     OptimalRule,
     ProblemSpec,
-    ScaledOptimalRule,
     SimConfig,
     SqrtRule,
     boundary_residuals,
@@ -62,8 +61,8 @@ def mc_reports(boundaries_for, z_star_bellman):
         spec = bp.spec
         rules = [
             OptimalRule(bp),
-            ScaledOptimalRule(bp, 0.8),
-            ScaledOptimalRule(bp, 1.25),
+            OptimalRule(bp, factor=0.8),
+            OptimalRule(bp, factor=1.25),
             FixedTimeRule(mean_g(spec), spec.T),
             SqrtRule(1.3 * z_star_bellman, spec.T),
         ]

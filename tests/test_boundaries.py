@@ -20,7 +20,6 @@ from lastzero import (
     SolverConfig,
     boundary_residuals,
     h_curves,
-    interpolate_boundary,
     solve_boundaries,
 )
 from lastzero.boundaries import sqrt_time_grid
@@ -180,7 +179,7 @@ class TestInterpolation:
         ts = np.linspace(0.0, 1.0, 11)
         bm, bpl = bp.interpolate(ts)
         assert bm.shape == ts.shape
-        fm, fp = interpolate_boundary(bp, ts)
+        fm, fp = bp.interpolate(ts)
         npt.assert_array_equal(fm, bm)
         npt.assert_array_equal(fp, bpl)
 

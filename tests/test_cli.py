@@ -13,7 +13,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from lastzero import BoundaryPair
+from lastzero import BoundaryPair, montecarlo
 from lastzero.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -221,6 +221,20 @@ class TestSimulate:
             (tmp_path / "paths.csv.manifest.json").read_text())
         assert sibling["manifest_hash"] == doc["manifest_hash"]
         assert "paths.csv" in sibling["outputs"]
+
+    def test_dump_draws_each_path_once(self, solved_dir, tmp_path, capsys,
+                                       monkeypatch):
+        # scoring and dumping share one pass over the ensemble
+        drawn = []
+        draw = montecarlo._draw_chunk
+
+        def counting_draw(spec, cfg, start, n):
+            drawn.append(n)
+            return draw(spec, cfg, start, n)
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", counting_draw)
+        self._run(solved_dir, capsys, "--dump", str(tmp_path / "p.csv"))
+        assert sum(drawn) == 400
 
 
 class TestCompare:

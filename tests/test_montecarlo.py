@@ -5,17 +5,20 @@ drift, the closed form E g = (1 - exp(-mu^2 T / 2)) / mu^2, and hand-worked
 synthetic paths for the detector's decision logic.
 """
 
+import hashlib
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from lastzero import (
+    BoundaryPair,
     FixedTimeRule,
     OptimalRule,
     ProblemSpec,
-    ScaledOptimalRule,
     SimConfig,
     SqrtRule,
     collect_last_zeros,
@@ -28,7 +31,15 @@ from lastzero import (
     save_per_path_csv,
     simulate_paths,
 )
-from lastzero.montecarlo import MAX_STORED_PATHS
+from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
+import lastzero.montecarlo as mc_module
+
+
+def _sqrt_pair(spec):
+    """Fixed square-root boundaries, so pins depend on no solver."""
+    grid = np.linspace(0.0, spec.T, 41)
+    v = np.sqrt(spec.T - grid)
+    return BoundaryPair(spec=spec, grid=grid, b_minus=-0.9 * v, b_plus=1.2 * v)
 
 
 class TestSimConfig:
@@ -203,7 +214,7 @@ class TestStoppingRules:
     def test_rule_names(self, boundaries_for):
         bp = boundaries_for(0.0)
         assert OptimalRule(bp).name == "optimal"
-        assert ScaledOptimalRule(bp, 1.3).name == "scaled_optimal:1.3"
+        assert OptimalRule(bp, factor=1.3).name == "scaled_optimal:1.3"
         assert SqrtRule(0.8, 1.0).name == "sqrt_rule:0.8"
         assert FixedTimeRule(0.5, 1.0).name == "fixed_time:0.5"
 
@@ -356,3 +367,107 @@ class TestPerPathDump:
         npt.assert_array_equal(back["g"], rec["g"])
         npt.assert_array_equal(back["tau"], rec["tau"])
         npt.assert_array_equal(back["abs_error"], rec["abs_error"])
+
+
+class TestThreadedStream:
+    """Path blocks run on a thread pool; no result may depend on it."""
+
+    spec = ProblemSpec(mu=0.3, T=1.0)
+    cfg = SimConfig(n_paths=1300, n_steps=90, seed=31)
+
+    def _run(self, workers):
+        # None: one worker per available CPU; 8: more workers than cores,
+        # switching threads as often as possible
+        rules = [OptimalRule(_sqrt_pair(self.spec)), SqrtRule(1.0, 1.0)]
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            if workers is not None:
+                mp.setattr(mc_module, "_available_cpus", lambda: workers)
+            sys.setswitchinterval(1e-6)
+            try:
+                return (collect_last_zeros(self.spec, self.cfg, chunk=300),
+                        evaluate_policies(self.spec, rules, self.cfg,
+                                          chunk=300),
+                        per_path_records(self.spec, rules[0], self.cfg,
+                                         chunk=300))
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_matches_one_serial_pass(self):
+        # the whole ensemble drawn, scanned and stopped as one array
+        g, _, rec = self._run(None)
+        times = np.linspace(0.0, self.spec.T, self.cfg.n_steps + 1)
+        w, u_bridge, u_place = _draw_chunk(self.spec, self.cfg, 0,
+                                           self.cfg.n_paths)
+        g_ref = _last_zeros(times, w, u_bridge, u_place, True)
+        tau_ref = OptimalRule(_sqrt_pair(self.spec)).taus(times, w)
+        npt.assert_array_equal(g, g_ref)
+        npt.assert_array_equal(rec["path_id"], np.arange(self.cfg.n_paths))
+        npt.assert_array_equal(rec["g"], g_ref)
+        npt.assert_array_equal(rec["tau"], tau_ref)
+        npt.assert_array_equal(rec["abs_error"], np.abs(g_ref - tau_ref))
+
+    @pytest.mark.parametrize("workers", [None, 8])
+    def test_worker_count_invariance(self, workers):
+        g1, reps1, rec1 = self._run(1)
+        g, reps, rec = self._run(workers)
+        assert np.array_equal(g, g1)
+        assert np.array_equal(rec, rec1)
+        for a, b in zip(reps, reps1):
+            assert a.estimate == b.estimate
+            assert a.std_error == b.std_error
+
+    def test_records_with_report_in_one_pass(self):
+        rule = SqrtRule(1.0, 1.0)
+        rec = np.empty(self.cfg.n_paths, mc_module.PER_PATH_DTYPE)
+        rep = evaluate_policy(self.spec, rule, self.cfg, records=rec)
+        assert rep == evaluate_policy(self.spec, rule, self.cfg)
+        assert np.array_equal(rec, per_path_records(self.spec, rule,
+                                                    self.cfg))
+        with pytest.raises(ValueError, match="one row per path"):
+            evaluate_policy(self.spec, rule, self.cfg, records=rec[:-1])
+        with pytest.raises(ValueError, match="a rule"):
+            evaluate_policies(self.spec, [], self.cfg, records=rec)
+
+    def test_peak_memory_below_one_former_chunk(self):
+        # The former loop held a whole chunk of 1000 x 4000 doubles five
+        # times over (normals, bridge uniforms, path, two temporaries) and
+        # the previous chunk's path and uniforms while drawing the next.
+        # Blocks on workers must together stay within that single chunk.
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        cfg = SimConfig(n_paths=2000, n_steps=4000, seed=3)
+        rules = [OptimalRule(_sqrt_pair(spec)), SqrtRule(1.0, 1.0)]
+        tracemalloc.start()
+        try:
+            evaluate_policies(spec, rules, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 1000 * (cfg.n_steps + 1) * 8
+
+
+class TestRegressionPins:
+    """Exact outputs of fixed runs: any change to the sampler moves them."""
+
+    def test_two_rule_estimates(self):
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        cfg = SimConfig(n_paths=3000, n_steps=500, seed=20261018)
+        opt, sqrt_rule = evaluate_policies(
+            spec, [OptimalRule(_sqrt_pair(spec)), SqrtRule(1.0, 1.0)], cfg)
+        assert (opt.estimate, opt.std_error) == (0.2538662206266871,
+                                                 0.0032664517221926543)
+        assert (sqrt_rule.estimate, sqrt_rule.std_error) == (
+            0.23939396452816852, 0.003211002645592286)
+
+    def test_last_zero_digest(self):
+        g = collect_last_zeros(ProblemSpec(mu=-0.5, T=2.0),
+                               SimConfig(n_paths=2500, n_steps=300, seed=77))
+        assert hashlib.sha256(g.tobytes()).hexdigest() == (
+            "a3152fbab12829a9b282ccc6296cb4a35b45b3ff48afdc973fcab66deaad2501")
+
+    def test_per_path_digest(self):
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        rec = per_path_records(spec, OptimalRule(_sqrt_pair(spec), 0.8),
+                               SimConfig(n_paths=700, n_steps=200, seed=5))
+        assert hashlib.sha256(rec.tobytes()).hexdigest() == (
+            "f1af856fa8a5ecbdbc5ca16a945d9519d28e22af786281bd23fa7dfd464c2613")
