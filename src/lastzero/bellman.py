@@ -41,17 +41,13 @@ class LatticeTooCoarseError(RuntimeError):
 class LatticeSpec:
     n_t: int = 2000
     n_x: int = 2001
-    x_span: float | None = None   # half-width; None -> 6 sqrt(T) + |mu| T
 
     def __post_init__(self):
         if self.n_t < 2 or self.n_x < 2:
             raise ValueError("n_t and n_x must be >= 2")
-        if self.x_span is not None and self.x_span <= 0.0:
-            raise ValueError("x_span must be positive")
 
     def span(self, spec: ProblemSpec) -> float:
-        if self.x_span is not None:
-            return self.x_span
+        """Half-width of the x-lattice: 6 sqrt(T) + |mu| T."""
         return 6.0 * np.sqrt(spec.T) + abs(spec.mu) * spec.T
 
 
@@ -93,8 +89,8 @@ def _extract_row(x: np.ndarray, c_row: np.ndarray):
         raise LatticeTooCoarseError("no continuation cells in a row")
     i_lo, i_hi = neg[0], neg[-1]
     if i_lo == 0 or i_hi == x.size - 1:
-        raise LatticeTooCoarseError("continuation region touches the edge; "
-                                    "increase x_span")
+        raise LatticeTooCoarseError("continuation region touches the "
+                                    "lattice edge")
     dx = x[1] - x[0]
     b_plus = x[i_hi] + dx * c_row[i_hi] / (c_row[i_hi] - c_row[i_hi + 1])
     b_minus = x[i_lo] - dx * c_row[i_lo] / (c_row[i_lo] - c_row[i_lo - 1])

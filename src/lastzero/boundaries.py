@@ -14,6 +14,16 @@ safeguarded by bracketing bisection.  It stops only once a taken step is
 within ``tol_b`` and the residuals are within ``tol_res``: smooth fit makes
 the residual nearly flat in x, so a small residual alone leaves the answer
 far from the discrete solution.
+
+By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
+
+    b±(t; mu, T) = sqrt(T) b±(t/T; nu, 1),
+
+and the residuals scale with T.  The sweep therefore solves only the
+normalized problem (nu, 1) and maps its grid, boundaries and residuals back
+in one place, so every step size and tolerance is relative to the problem's
+own scale (``tol_b`` to sqrt(T), ``tol_res`` to T), and whether a solve
+succeeds depends on nu and ``n_steps`` alone.
 """
 
 from __future__ import annotations
@@ -21,26 +31,36 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .closed_forms import HCurvePair, ProblemSpec, h_curves
+from .closed_forms import ProblemSpec, h_curves
 from .kernel import lag_rule, lag_integral_batch
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
 
+# Finite-difference step and quasi-Newton step limit, both in the units of
+# the normalized problem (nu, 1), where the boundaries are O(1).
+_FD_H = 1e-7
+_STEP_LIMIT = 0.25
+
 
 class NonConvergenceError(RuntimeError):
-    """Raised when a per-step solve exhausts its iteration budget."""
+    """Raised when a per-step solve exhausts its iteration budget.
 
-    def __init__(self, step: int, t: float, residual: float):
+    ``t`` and ``residual`` are those of the normalized problem: t/T and
+    residual/T.
+    """
+
+    def __init__(self, step: int, t: float, residual: float, nu: float,
+                 n_steps: int):
         self.step = step
         self.t = t
         self.residual = residual
         super().__init__(
-            f"boundary solve stalled at step {step} (t={t:.6g}), "
-            f"residual {residual:.3e}")
+            f"boundary solve stalled at step {step} (t/T={t:.6g}), "
+            f"residual/T {residual:.3e}, for nu = mu*sqrt(T) = {nu:.6g} "
+            f"with n_steps = {n_steps}")
 
 
 class InvariantViolationError(RuntimeError):
@@ -53,15 +73,12 @@ class SolverConfig:
     max_iter: int = 200
     tol_b: float = 1e-7
     tol_res: float = 1e-6
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.n_steps < 1 or self.max_iter < 1:
             raise ValueError("n_steps and max_iter must be positive")
-        if min(self.tol_b, self.tol_res, self.damping) <= 0.0:
-            raise ValueError("tolerances and damping must be positive")
-        if self.damping > 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+        if min(self.tol_b, self.tol_res) <= 0.0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,7 +151,6 @@ class BoundaryPair:
             out["config"] = {
                 "n_steps": config.n_steps, "max_iter": config.max_iter,
                 "tol_b": config.tol_b, "tol_res": config.tol_res,
-                "damping": config.damping,
             }
         return out
 
@@ -177,13 +193,8 @@ class BoundaryPair:
             raise SchemaError("boundary JSON must be an object")
         return cls.from_json_dict(doc)
 
-    @cached_property
-    def _h_curves(self) -> HCurvePair:
-        """h± on this pair's grid, for the CSV; ``solve_boundaries`` seeds it."""
-        return h_curves(self.spec, self.grid)
-
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
-        hc = self._h_curves
+        hc = h_curves(self.spec, self.grid)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if manifest_hash is not None:
                 fh.write(f"# manifest_hash={manifest_hash}\n")
@@ -256,47 +267,49 @@ def _bracket_root(f, start, direction, scale, tol, max_expand=60,
     return 0.5 * (a + b)
 
 
-def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
-                     n_lag: int = 128, n_gl: int = 64) -> BoundaryPair:
+def solve_boundaries(spec: ProblemSpec,
+                     cfg: SolverConfig = SolverConfig()) -> BoundaryPair:
     """Sweep k = n-1 .. 0 solving the two coupled equations at each node.
 
-    Per step: warm start extrapolated linearly in v = sqrt(T - t) from the
-    two previous nodes and clipped into the h±-class, one finite-difference
-    2x2 Jacobian, then quasi-Newton steps with Broyden updates (the FD
-    Jacobian is refreshed whenever a step fails to halve the residual) and
-    a bracketing bisection fallback whenever a step misbehaves.  A step
-    ends once a taken update moves each boundary by at most ``tol_b`` and
-    leaves both residuals within ``tol_res``.
+    The sweep solves the normalized problem (nu, 1), nu = mu sqrt(T), and
+    returns its solution rescaled to ``spec``: grid times T, boundaries
+    times sqrt(T), residuals times T.  Per step: warm start extrapolated
+    linearly in v = sqrt(T - t) from the two previous nodes and clipped
+    into the h±-class, one finite-difference 2x2 Jacobian, then
+    quasi-Newton steps with Broyden updates (the FD Jacobian is refreshed
+    whenever a step fails to halve the residual) and a bracketing bisection
+    fallback whenever a step misbehaves.  A step ends once a taken update
+    moves each boundary by at most ``tol_b`` and leaves both residuals
+    within ``tol_res`` (in the normalized problem).
     Raises :class:`NonConvergenceError` on iteration exhaustion and
     :class:`InvariantViolationError` if the final monotonicity clamp moves
     any value by more than 10*tol_b.
     """
-    T = spec.T
     n = cfg.n_steps
-    grid = sqrt_time_grid(T, n)
-    hc = h_curves(spec, grid)
+    root_T = np.sqrt(spec.T)
+    unit = ProblemSpec(mu=spec.mu * root_T, T=1.0)
+    grid = sqrt_time_grid(1.0, n)
+    hc = h_curves(unit, grid)
     bm = np.zeros(n + 1)
     bp = np.zeros(n + 1)
     res = np.full((n + 1, 2), np.nan)
     res[n] = 0.0
-    fd_h = 1e-7 * max(1.0, np.sqrt(T))
-    limit = 0.25 * np.sqrt(T)
 
     for k in range(n - 1, -1, -1):
         t_k = grid[k]
-        rule = lag_rule(T - t_k, n_lag)
+        rule = lag_rule(1.0 - t_k)
 
         def residuals(b_m, b_p):
             zm, zp = _window_arrays(t_k, b_m, b_p, grid, bm, bp, k,
                                     rule.nodes)
-            return lag_integral_batch(spec, t_k, np.array([b_m, b_p]),
-                                      zm, zp, rule, n_gl=n_gl)
+            return lag_integral_batch(unit, t_k, np.array([b_m, b_p]),
+                                      zm, zp, rule)
 
         def jacobian(b_m, b_p, r):
             # one-sided outward FD columns (stay inside the h±-class)
-            r_m = residuals(b_m - fd_h, b_p)
-            r_p = residuals(b_m, b_p + fd_h)
-            return np.column_stack([(r - r_m) / fd_h, (r_p - r) / fd_h])
+            r_m = residuals(b_m - _FD_H, b_p)
+            r_p = residuals(b_m, b_p + _FD_H)
+            return np.column_stack([(r - r_m) / _FD_H, (r_p - r) / _FD_H])
 
         # the grid is uniform in v, so linear extrapolation in v is 2b1 - b2
         if k + 2 <= n:
@@ -314,10 +327,11 @@ def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
                 step = np.array([np.inf, np.inf])
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > limit:
+            if not np.all(np.isfinite(step)) \
+                    or np.max(np.abs(step)) > _STEP_LIMIT:
                 # quasi-Newton unusable: bisect each coordinate outward from
                 # the h±-class edge, where the admissible root must lie.
-                scale = np.sqrt(T - t_k)
+                scale = np.sqrt(1.0 - t_k)
                 try:
                     beta_m = _bracket_root(
                         lambda v: residuals(v, beta_p)[0],
@@ -327,12 +341,13 @@ def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
                         hc.h_plus[k], +1.0, scale, cfg.tol_b)
                 except RuntimeError:
                     raise NonConvergenceError(k, t_k,
-                                              float(np.max(np.abs(r))))
+                                              float(np.max(np.abs(r))),
+                                              unit.mu, n)
                 r = residuals(beta_m, beta_p)
                 jac = jacobian(beta_m, beta_p, r)
                 continue
-            beta_m_new = min(beta_m + cfg.damping * step[0], hc.h_minus[k])
-            beta_p_new = max(beta_p + cfg.damping * step[1], hc.h_plus[k])
+            beta_m_new = min(beta_m + step[0], hc.h_minus[k])
+            beta_p_new = max(beta_p + step[1], hc.h_plus[k])
             taken = np.array([beta_m_new - beta_m, beta_p_new - beta_p])
             beta_m, beta_p = beta_m_new, beta_p_new
             r_old, r = r, residuals(beta_m, beta_p)
@@ -347,7 +362,8 @@ def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
                 jac = jac + np.outer(r - r_old - jac @ taken, taken) \
                     / (taken @ taken)
         if not converged:
-            raise NonConvergenceError(k, t_k, float(np.max(np.abs(r))))
+            raise NonConvergenceError(k, t_k, float(np.max(np.abs(r))),
+                                      unit.mu, n)
         bm[k], bp[k] = beta_m, beta_p
         res[k] = r
 
@@ -360,24 +376,22 @@ def solve_boundaries(spec: ProblemSpec, cfg: SolverConfig = SolverConfig(),
         bm[k], bp[k] = bm_c, bp_c
     if clamp > 10.0 * cfg.tol_b:
         raise InvariantViolationError(
-            f"monotonicity clamp of {clamp:.3e} exceeds 10*tol_b="
-            f"{10 * cfg.tol_b:.3e}; refine the time grid")
+            f"monotonicity clamp of {clamp:.3e} (relative to sqrt(T)) "
+            f"exceeds 10*tol_b={10 * cfg.tol_b:.3e} for nu = mu*sqrt(T) = "
+            f"{unit.mu:.6g} with n_steps = {n}; refine the time grid")
     if np.any(bm > hc.h_minus + 1e-9) or np.any(bp < hc.h_plus - 1e-9):
         raise InvariantViolationError("solution left the h±(t) class")
-    pair = BoundaryPair(spec=spec, grid=grid, b_minus=bm, b_plus=bp,
-                        residuals=res)
-    # the sweep's h± are the curves save_csv would recompute on this grid
-    object.__setattr__(pair, "_h_curves", hc)
-    return pair
+    return BoundaryPair(spec=spec, grid=grid * spec.T, b_minus=bm * root_T,
+                        b_plus=bp * root_T, residuals=res * spec.T)
 
 
-def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair, times,
-                       n_lag: int = 256, n_gl: int = 128) -> np.ndarray:
+def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair,
+                       times) -> np.ndarray:
     """Re-evaluate both Volterra equations at given times, shape (m, 2).
 
-    Uses an independent quadrature (by default 2x the solver's node counts)
-    and the solved pair's own interpolant for the windows, so the result
-    certifies the returned object rather than the solver's internals.
+    Uses an independent quadrature (twice the solver's node counts) and the
+    solved pair's own interpolant for the windows, so the result certifies
+    the returned object rather than the solver's internals.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty((times.size, 2))
@@ -385,9 +399,9 @@ def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair, times,
         if t >= spec.T:
             out[i] = 0.0
             continue
-        rule = lag_rule(spec.T - t, n_lag)
+        rule = lag_rule(spec.T - t, 256)
         zm, zp = bp.interpolate(t + rule.nodes)
         xm, xp = bp.interpolate(t)
         out[i] = lag_integral_batch(spec, t, np.array([xm, xp]), zm, zp,
-                                    rule, n_gl=n_gl)
+                                    rule, n_gl=128)
     return out

@@ -53,15 +53,31 @@ def _manifest_core(command: str, spec: dict, config: dict,
     return core, _canonical_hash(core)
 
 
-def _write_manifest(path: str, core: dict, manifest_hash: str,
-                    wall_time_s: float) -> None:
-    doc = dict(core)
-    doc["manifest_hash"] = manifest_hash
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    doc["wall_time_s"] = round(wall_time_s, 3)
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _write_outputs(manifest_path: str, core: dict, manifest_hash: str,
+                   t0: float, *writers) -> int:
+    """Run each output writer, then write the manifest; I/O errors exit 4.
+
+    The manifest's timestamp and wall time (since ``t0``) stay outside the
+    hash.
+    """
+    doc = dict(core)
+    doc["manifest_hash"] = manifest_hash
+    try:
+        for write in writers:
+            write()
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+        doc["wall_time_s"] = round(time.monotonic() - t0, 3)
+        _write_json(manifest_path, doc)
+    except OSError as exc:
+        print(f"error: writing outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _positive(parser: argparse.ArgumentParser, name: str, value: float):
@@ -107,18 +123,15 @@ def cmd_solve(parser, args) -> int:
     core, h = _manifest_core(
         "solve", {"mu": spec.mu, "T": spec.T},
         {"n_steps": cfg.n_steps, "tol_res": cfg.tol_res, "tol_b": cfg.tol_b,
-         "damping": cfg.damping, "max_iter": cfg.max_iter},
+         "max_iter": cfg.max_iter},
         ["boundaries.csv", "boundaries.json"])
-    try:
-        bp.save_csv(csv_path, manifest_hash=h)
-        bp.save_json(json_path, config=cfg, manifest_hash=h)
-        _write_manifest(os.path.join(args.out, "manifest.json"), core, h,
-                        time.monotonic() - t0)
-    except OSError as exc:
-        print(f"error: writing outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
-    return EXIT_OK
+    rc = _write_outputs(
+        os.path.join(args.out, "manifest.json"), core, h, t0,
+        lambda: bp.save_csv(csv_path, manifest_hash=h),
+        lambda: bp.save_json(json_path, config=cfg, manifest_hash=h))
+    if rc == EXIT_OK:
+        print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
+    return rc
 
 
 def _parse_grid(parser, text: str) -> tuple[int, int]:
@@ -148,14 +161,10 @@ def cmd_value(parser, args) -> int:
             "value", {"mu": spec.mu, "T": spec.T},
             {"grid": args.grid, "boundaries": os.path.basename(args.boundaries)},
             ["surface.csv"])
-        try:
-            surface.save_csv(os.path.join(args.out, "surface.csv"),
-                             manifest_hash=h)
-            _write_manifest(os.path.join(args.out, "manifest.json"), core, h,
-                            time.monotonic() - t0)
-        except OSError as exc:
-            print(f"error: writing outputs: {exc}", file=sys.stderr)
-            return EXIT_IO
+        return _write_outputs(
+            os.path.join(args.out, "manifest.json"), core, h, t0,
+            lambda: surface.save_csv(os.path.join(args.out, "surface.csv"),
+                                     manifest_hash=h))
     return EXIT_OK
 
 
@@ -185,20 +194,18 @@ def cmd_simulate(parser, args) -> int:
     doc["manifest_hash"] = h
     line = json.dumps(doc)
     print(line)
-    try:
+    if not (args.out or args.dump):
+        return EXIT_OK
+
+    def write():
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
         if args.dump:
             save_per_path_csv(args.dump, records, manifest_hash=h)
-        if args.out or args.dump:
-            target = args.out if args.out else args.dump
-            _write_manifest(target + ".manifest.json", core, h,
-                            time.monotonic() - t0)
-    except OSError as exc:
-        print(f"error: writing outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+
+    return _write_outputs((args.out or args.dump) + ".manifest.json", core,
+                          h, t0, write)
 
 
 def cmd_compare(parser, args) -> int:
@@ -223,34 +230,26 @@ def cmd_compare(parser, args) -> int:
             {"n_steps": args.n_steps, "lattice": args.lattice},
             ["compare.json"])
         doc["manifest_hash"] = h
-        try:
-            with open(os.path.join(args.out, "compare.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-            _write_manifest(os.path.join(args.out, "manifest.json"), core, h,
-                            time.monotonic() - t0)
-        except OSError as exc:
-            print(f"error: writing outputs: {exc}", file=sys.stderr)
-            return EXIT_IO
+        return _write_outputs(
+            os.path.join(args.out, "manifest.json"), core, h, t0,
+            lambda: _write_json(os.path.join(args.out, "compare.json"), doc))
     return EXIT_OK
 
 
 def cmd_plot(parser, args) -> int:
+    t0 = time.monotonic()
     pairs = [_load_boundaries(p) for p in args.boundaries]
     core, h = _manifest_core(
         "plot",
         {"mus": [p.spec.mu for p in pairs], "T": pairs[0].spec.T},
         {"inputs": [os.path.basename(p) for p in args.boundaries]},
         [os.path.basename(args.out)])
-    try:
-        save_boundaries_svg(pairs, args.out, manifest_hash=h)
-        _write_manifest(args.out + ".manifest.json", core, h, 0.0)
-    except OSError as exc:
-        print(f"error: writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    rc = _write_outputs(
+        args.out + ".manifest.json", core, h, t0,
+        lambda: save_boundaries_svg(pairs, args.out, manifest_hash=h))
+    if rc == EXIT_OK:
+        print(f"wrote {args.out}")
+    return rc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True, help="horizon T")
     p.add_argument("--n-steps", type=int, default=400)
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="residual tolerance")
+                   help="residual tolerance, relative to T")
     p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("value", help="value surface from solved boundaries")

@@ -19,7 +19,6 @@ workers, and bit-reproducible on one platform.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,9 +75,6 @@ class PolicyReport:
                 "std_error": self.std_error, "n_paths": self.n_paths,
                 "seed": self.seed,
                 "spec": {"mu": self.spec.mu, "T": self.spec.T}}
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int):

@@ -17,7 +17,6 @@ order, so the result does not depend on the thread count.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,8 +27,10 @@ from .kernel import lag_rule, lag_integral_batch
 from .boundaries import BoundaryPair
 from ._pool import _available_cpus
 
-SURFACE_SCHEMA = "lastzero.surface.v1"
 _SOURCES = ("integral_formula", "bellman")
+
+# Points per kernel call in ``value_row``.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,6 @@ class ValueSurface:
                     w.writerow([f"{t:.17g}", f"{x:.17g}",
                                 f"{self.values[i, j]:.17g}"])
 
-    def save_json(self, path, manifest_hash: str | None = None) -> None:
-        doc = {
-            "schema": SURFACE_SCHEMA,
-            "spec": {"mu": self.spec.mu, "T": self.spec.T},
-            "source": self.source,
-            "t_grid": self.t_grid.tolist(),
-            "x_grid": self.x_grid.tolist(),
-            "values": self.values.tolist(),
-        }
-        if manifest_hash is not None:
-            doc["manifest_hash"] = manifest_hash
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-
 
 def should_stop(bp: BoundaryPair, t: float, x: float) -> bool:
     """Membership in the (closed) stopping set: x <= b-(t) or x >= b+(t)."""
@@ -94,8 +80,7 @@ def should_stop(bp: BoundaryPair, t: float, x: float) -> bool:
 
 
 def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
-              n_lag: int = 128, n_gl: int = 64, chunk: int = 64,
-              clip_stop: bool = True) -> np.ndarray:
+              n_lag: int = 128, clip_stop: bool = True) -> np.ndarray:
     """V(t, x) for an array of x at one time, exact 0 on the stopping set.
 
     With ``clip_stop=False`` the lag integral is evaluated verbatim even on
@@ -115,24 +100,20 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
         return out
     rule = lag_rule(spec.T - t, n_lag)
     zm, zp = bp.interpolate(t + rule.nodes)
-    for lo in range(0, idx.size, chunk):
-        sel = idx[lo:lo + chunk]
-        out[sel] = lag_integral_batch(spec, t, xs[sel], zm, zp, rule,
-                                      n_gl=n_gl)
+    for lo in range(0, idx.size, _CHUNK):
+        sel = idx[lo:lo + _CHUNK]
+        out[sel] = lag_integral_batch(spec, t, xs[sel], zm, zp, rule)
     return out
 
 
-def value_at(spec: ProblemSpec, bp: BoundaryPair, t: float, x: float,
-             n_lag: int = 128, n_gl: int = 64) -> float:
+def value_at(spec: ProblemSpec, bp: BoundaryPair, t: float, x: float) -> float:
     """V(t, x) via the boundary-window lag integral (0 on the stopping set)."""
-    return float(value_row(spec, bp, t, np.array([x]), n_lag=n_lag,
-                           n_gl=n_gl)[0])
+    return float(value_row(spec, bp, t, np.array([x]))[0])
 
 
-def optimal_value_Vstar(spec: ProblemSpec, bp: BoundaryPair,
-                        n_lag: int = 128, n_gl: int = 64) -> float:
+def optimal_value_Vstar(spec: ProblemSpec, bp: BoundaryPair) -> float:
     """V* = V(0, 0) + E g, the optimal expected prediction error."""
-    return value_at(spec, bp, 0.0, 0.0, n_lag=n_lag, n_gl=n_gl) + mean_g(spec)
+    return value_at(spec, bp, 0.0, 0.0) + mean_g(spec)
 
 
 def default_x_grid(bp: BoundaryPair, n_x: int = 200) -> np.ndarray:
@@ -142,17 +123,13 @@ def default_x_grid(bp: BoundaryPair, n_x: int = 200) -> np.ndarray:
 
 
 def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,
-                        n_x: int = 200, t_grid=None, x_grid=None,
-                        n_lag: int = 128, n_gl: int = 64) -> ValueSurface:
-    if t_grid is None:
-        t_grid = np.linspace(0.0, spec.T, n_t)
-    if x_grid is None:
-        x_grid = default_x_grid(bp, n_x)
-    t_grid = np.asarray(t_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
+                        n_x: int = 200) -> ValueSurface:
+    """V on n_t equally spaced times in [0, T] by ``default_x_grid(bp, n_x)``."""
+    t_grid = np.linspace(0.0, spec.T, n_t)
+    x_grid = default_x_grid(bp, n_x)
 
     def row(t):
-        return value_row(spec, bp, t, x_grid, n_lag=n_lag, n_gl=n_gl)
+        return value_row(spec, bp, t, x_grid)
 
     vals = np.zeros((t_grid.size, x_grid.size))
     with ThreadPoolExecutor(max_workers=_available_cpus()) as ex:
@@ -190,8 +167,7 @@ class SmoothFitReport:
 
 
 def smooth_fit_diagnostic(spec: ProblemSpec, bp: BoundaryPair, t_samples,
-                          eps_factors=(1e-2, 1e-3, 1e-4), n_lag: int = 192,
-                          n_gl: int = 64) -> SmoothFitReport:
+                          eps_factors=(1e-2, 1e-3, 1e-4)) -> SmoothFitReport:
     """Estimate V_x just inside b±(t) at shrinking offsets eps*sqrt(T).
 
     The outer one-sided derivative is exactly 0 (V vanishes on the stopping
@@ -200,7 +176,8 @@ def smooth_fit_diagnostic(spec: ProblemSpec, bp: BoundaryPair, t_samples,
     samples come from the raw integral formula (no stopping-set clipping):
     its small residual at the discrete boundary is common to both and
     cancels, instead of being amplified by 1/eps.  Smooth fit sends the
-    sequence to 0 as eps shrinks.
+    sequence to 0 as eps shrinks.  The lag rule has 192 nodes, finer than
+    the surface's 128.
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if np.any(t_samples <= 0.0) or np.any(t_samples >= spec.T):
@@ -212,8 +189,7 @@ def smooth_fit_diagnostic(spec: ProblemSpec, bp: BoundaryPair, t_samples,
     for i, t in enumerate(t_samples):
         zm, zp = bp.interpolate(t)
         xs = np.concatenate([[zm, zp], zm + 2.0 * eps, zp - 2.0 * eps])
-        v = value_row(spec, bp, t, xs, n_lag=n_lag, n_gl=n_gl,
-                      clip_stop=False)
+        v = value_row(spec, bp, t, xs, n_lag=192, clip_stop=False)
         gm[i] = np.abs(v[2:2 + ne] - v[0]) / (2.0 * eps)
         gp[i] = np.abs(v[1] - v[2 + ne:]) / (2.0 * eps)
     return SmoothFitReport(t_samples=t_samples, eps=eps, gaps_minus=gm,

@@ -19,6 +19,7 @@ from lastzero import (
     bellman_solve,
     oracle_compare,
 )
+from lastzero.bellman import _extract_row
 
 # Frozen values at the default 2000 x 2001 lattice (T = 1).  Derived once
 # from this discretization; the integral formula reproduces them to the
@@ -40,13 +41,10 @@ class TestLatticeSpec:
             LatticeSpec(n_t=1)
         with pytest.raises(ValueError):
             LatticeSpec(n_x=0)
-        with pytest.raises(ValueError):
-            LatticeSpec(x_span=-1.0)
 
     def test_default_span_covers_drift(self):
         spec = ProblemSpec(mu=2.0, T=4.0)
         assert LatticeSpec().span(spec) == 6.0 * 2.0 + 2.0 * 4.0
-        assert LatticeSpec(x_span=3.0).span(spec) == 3.0
 
 
 class TestBellmanSolve:
@@ -96,9 +94,15 @@ class TestBellmanSolve:
         assert abs(vals[500] - vals[1000]) < abs(vals[250] - vals[500])
 
     def test_narrow_span_raises(self):
-        spec = ProblemSpec(mu=0.0, T=1.0)
-        with pytest.raises(LatticeTooCoarseError):
-            bellman_solve(spec, LatticeSpec(n_t=200, n_x=201, x_span=1.0))
+        # a continuation region (c < 0) reaching either end of the x-lattice,
+        # as a span too narrow for the boundaries gives, is an error
+        x = np.linspace(-1.0, 1.0, 5)
+        assert _extract_row(x, np.array([1.0, -1.0, -2.0, -1.0, 1.0])) \
+            == (-0.75, 0.75)
+        for c_row in ([-1.0, -1.0, -2.0, -1.0, 1.0],
+                      [1.0, -1.0, -2.0, -1.0, -0.5]):
+            with pytest.raises(LatticeTooCoarseError, match="edge"):
+                _extract_row(x, np.array(c_row))
 
     def test_drift_flip_mirrors(self):
         lat = LatticeSpec(n_t=400, n_x=401)

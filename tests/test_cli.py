@@ -16,6 +16,7 @@ import pytest
 from lastzero import BoundaryPair, montecarlo
 from lastzero.cli import (
     EXIT_IO,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_USAGE,
@@ -73,6 +74,19 @@ class TestSolve:
             main(["solve", "--mu", "0.0", "--horizon", "-1.0"])
         assert exc.value.code == EXIT_USAGE
         assert "--horizon" in capsys.readouterr().err
+
+    def test_failure_depends_on_nu_only(self, tmp_path, capsys):
+        # (-50, 1) and (-5, 100) share nu = mu*sqrt(T) = -50: the same
+        # normalized problem fails with the same normalized clamp
+        errors = []
+        for mu, horizon in (("-50", "1"), ("-5", "100")):
+            rc = main(["solve", "--mu", mu, "--horizon", horizon,
+                       "--n-steps", "50", "--out", str(tmp_path)])
+            assert rc == EXIT_NONCONVERGENCE
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "clamp of 5.647e-05" in errors[0]
+        assert "nu = mu*sqrt(T) = -50 with n_steps = 50" in errors[0]
 
     def test_missing_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

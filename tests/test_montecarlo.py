@@ -6,7 +6,6 @@ synthetic paths for the detector's decision logic.
 """
 
 import hashlib
-import json
 import sys
 import tracemalloc
 
@@ -252,7 +251,7 @@ class TestEvaluatePolicies:
         assert report.policy_name == "fixed_time:0.5"
         assert report.n_paths == 500
         assert report.seed == 11
-        doc = json.loads(report.to_json_line())
+        doc = report.to_json_dict()
         assert doc["policy"] == "fixed_time:0.5"
         assert doc["spec"] == {"mu": 0.0, "T": 1.0}
 
