@@ -9,20 +9,19 @@ Monte Carlo harness cross-validate everything.
 
 __version__ = "0.1.0"
 
-from .closed_forms import (ProblemSpec, HCurvePair, std_normal_cdf,
-                           std_normal_pdf, max_cdf, max_cdf_dx, gain_H,
-                           h_curves, density_f, g_cdf, mean_g)
+from .closed_forms import (ProblemSpec, HCurvePair, gain_H, h_curves, g_cdf,
+                           mean_g)
 from .kernel import LagRule, lag_rule, lag_integral_batch
 from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          boundary_residuals, NonConvergenceError,
                          InvariantViolationError, SchemaError)
 from .value import (ValueSurface, value_at, value_row, build_value_surface,
-                    optimal_value_Vstar, should_stop, smooth_fit_diagnostic,
+                    optimal_value_Vstar, smooth_fit_diagnostic,
                     SmoothFitReport)
 from .bellman import (LatticeSpec, bellman_solve, oracle_compare,
                       OracleCompareReport, LatticeTooCoarseError)
 from .montecarlo import (SimConfig, PathEnsemble, PolicyReport,
-                         simulate_paths, last_zero_of_path, evaluate_policy,
+                         simulate_paths, evaluate_policy,
                          evaluate_policies, collect_last_zeros, parse_policy,
                          per_path_records, save_per_path_csv,
                          OptimalRule, SqrtRule, FixedTimeRule)

@@ -7,8 +7,9 @@ hash, so any figure or table can be traced to the exact invocation that
 produced it.  Reruns are byte-identical except the manifest's timestamp
 and wall-time fields, which stay outside the hash.
 
-Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence, 4 I/O error,
-5 schema mismatch in an input file.
+Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence (or a lattice
+too coarse to resolve the boundaries), 4 I/O error, 5 schema mismatch in an
+input file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .closed_forms import ProblemSpec, mean_g
 from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          NonConvergenceError, InvariantViolationError,
                          SchemaError)
-from .bellman import LatticeSpec, bellman_solve, oracle_compare
+from .bellman import (LatticeSpec, LatticeTooCoarseError, bellman_solve,
+                      oracle_compare)
 from .value import build_value_surface, value_at
 from .montecarlo import (MAX_STORED_PATHS, PER_PATH_DTYPE, SimConfig,
                          parse_policy, evaluate_policy, save_per_path_csv)
@@ -215,10 +217,14 @@ def cmd_compare(parser, args) -> int:
     n_t, n_x = _parse_grid(parser, args.lattice)
     try:
         bp_int = solve_boundaries(spec, SolverConfig(n_steps=args.n_steps))
+        _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
     except (NonConvergenceError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
+    except LatticeTooCoarseError as exc:
+        print(f"error: lattice {args.lattice} is too coarse: {exc}",
+              file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     rep = oracle_compare(bp_int, bp_bell)
     doc = rep.to_json_dict()
     doc["spec"] = {"mu": spec.mu, "T": spec.T}

@@ -1,4 +1,4 @@
-"""Closed-form scalar machinery for the last-zero prediction problem.
+"""Closed forms of the last-zero prediction problem.
 
 A Brownian motion with drift ``mu`` on the horizon ``[0, T]`` has a last
 zero ``g``.  Stopping as close as possible to ``g`` in L1 reduces to a
@@ -8,9 +8,12 @@ the law of the running maximum of drifted Brownian motion,
     F(nu)(t, x) = P(max_{s<=t} (nu*s + B_s) <= x)
                 = Phi((x - nu t)/sqrt(t)) - exp(2 nu x) Phi((-x - nu t)/sqrt(t)).
 
-Everything downstream (kernel quadrature, boundary solver, lattice oracle,
-Monte Carlo) consumes the functions defined here.  All functions are pure
-and accept scalars or numpy arrays.
+This module holds that gain function, its zero-level curves h+-, and the
+law of ``g`` itself: its CDF through Owen's T function and its mean, both
+exact.  Everything downstream (kernel quadrature, boundary solver, lattice
+oracle, Monte Carlo) consumes these; the numerical references that check
+them live with the tests.  All functions are pure and accept scalars or
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, owens_t
 
 
 @dataclass(frozen=True)
@@ -64,72 +66,6 @@ class HCurvePair:
         if np.any(np.diff(hm) < -1e-10) or np.any(np.diff(hp) > 1e-10):
             raise ValueError("h_minus must be nondecreasing and h_plus nonincreasing")
 
-    def interpolate(self, t):
-        """Piecewise-linear values (h_minus(t), h_plus(t))."""
-        t = np.asarray(t, dtype=float)
-        return (np.interp(t, self.grid, self.h_minus),
-                np.interp(t, self.grid, self.h_plus))
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF, accurate to ~1e-16 in both tails."""
-    z = np.asarray(z, dtype=float)
-    if np.any(~np.isfinite(z)):
-        raise ValueError("std_normal_cdf requires finite arguments")
-    out = ndtr(z)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    return float(out) if out.ndim == 0 else out
-
-
-def _max_cdf_raw(nu, t, x):
-    """F(nu)(t, x) without domain checks; nu, t, x broadcastable arrays.
-
-    The product exp(2 nu x) * Phi((-x - nu t)/sqrt(t)) pairs a huge
-    exponential with a tiny tail; it is evaluated as exp(2 nu x + logPhi)
-    whose exponent is always <= 0 up to log-correction terms.
-    """
-    rt = np.sqrt(t)
-    first = ndtr((x - nu * t) / rt)
-    second = np.exp(2.0 * nu * x + log_ndtr((-x - nu * t) / rt))
-    return np.clip(first - second, 0.0, 1.0)
-
-
-def max_cdf(nu, t, x):
-    """P(running maximum of drift-``nu`` BM at time t is <= x), t > 0, x >= 0."""
-    nu = np.asarray(nu, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("max_cdf requires t > 0")
-    if np.any(x < 0.0):
-        raise ValueError("max_cdf requires x >= 0")
-    out = _max_cdf_raw(nu, t, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def max_cdf_dx(nu, t, x):
-    """d/dx of max_cdf: (2/sqrt(t)) phi((x-nu t)/sqrt(t)) - 2 nu e^{2 nu x} Phi((-x-nu t)/sqrt(t)).
-
-    Bounded by 2/sqrt(t) + 2|nu|.
-    """
-    nu = np.asarray(nu, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("max_cdf_dx requires t > 0")
-    if np.any(x < 0.0):
-        raise ValueError("max_cdf_dx requires x >= 0")
-    rt = np.sqrt(t)
-    out = (2.0 / rt) * std_normal_pdf((x - nu * t) / rt) \
-        - 2.0 * nu * np.exp(2.0 * nu * x + log_ndtr((-x - nu * t) / rt))
-    return float(out) if out.ndim == 0 else out
-
 
 def gain_H(spec: ProblemSpec, t, x):
     """Gain function of the reduced stopping problem, values in [-1, 1].
@@ -149,12 +85,21 @@ def gain_H(spec: ProblemSpec, t, x):
 
 
 def _gain_H_raw(mu, s, x):
-    """H with s = T - t > 0 precomputed; no domain checks."""
+    """H with s = T - t > 0 precomputed; no domain checks.
+
+    H = 2 F(nu)(s, a) - 1 with a = |x| and nu = -mu sign(x).  The product
+    exp(2 nu a) * Phi((-a - nu s)/sqrt(s)) in F pairs a huge exponential
+    with a tiny tail; it is evaluated as exp(2 nu a + logPhi), whose
+    exponent is always <= 0 up to log-correction terms.
+    """
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     nu = -mu * np.sign(x)
-    return 2.0 * _max_cdf_raw(nu, s, a) - 1.0
+    rs = np.sqrt(s)
+    first = ndtr((a - nu * s) / rs)
+    second = np.exp(2.0 * nu * a + log_ndtr((-a - nu * s) / rs))
+    return 2.0 * np.clip(first - second, 0.0, 1.0) - 1.0
 
 
 def h_curves(spec: ProblemSpec, grid) -> HCurvePair:
@@ -204,65 +149,33 @@ def h_curves(spec: ProblemSpec, grid) -> HCurvePair:
     return HCurvePair(grid=grid, h_minus=hm, h_plus=hp)
 
 
-def _h_root(spec: ProblemSpec, t: float, side: int) -> float:
-    """Root of H(t, .) on the given side of 0 (side = +1 or -1)."""
-    s = spec.T - t
-    lo = 1e-12 * np.sqrt(spec.T)
-    hi = np.sqrt(s)
+def g_cdf(spec: ProblemSpec, t):
+    """P(last zero <= t) for 0 < t < T, in closed form; vectorized over t.
 
-    def f(a):
-        return _gain_H_raw(spec.mu, s, side * a)
+    With a = mu sqrt(t), b = mu sqrt(T) and rho = sqrt(t/T) the law is
 
-    tries = 0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        tries += 1
-        if tries > 200:
-            raise RuntimeError(
-                f"failed to bracket H root at t={t} (side {side:+d}); "
-                "H should reach 1 for large |x|")
-    root = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
-    return side * root
+        Phi2(a, b; rho) - Phi2(-a, b; -rho) + Phi2(-a, -b; rho)
+            - Phi2(a, -b; -rho).
 
+    Writing each bivariate normal CDF Phi2 with Owen's T function, the Phi
+    terms cancel, the constants add up to 1, every T term in b vanishes
+    (a - rho b = 0), and the four T terms in a are +-T(+-a, +-q) with
+    q = sqrt((T - t)/t).  T is even in its first argument and odd in its
+    second, so they add up to -4 T(a, q):
 
-def density_f(spec: ProblemSpec, s, b):
-    """Transition density of the drifted motion: N(mu*s, s) evaluated at b."""
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("density_f requires s > 0")
-    out = np.exp(-0.5 * (b - spec.mu * s) ** 2 / s) / np.sqrt(2.0 * np.pi * s)
-    return float(out) if out.ndim == 0 else out
+        P(g <= t) = 1 - 4 T(mu sqrt(t), sqrt((T - t)/t)).
 
-
-def g_cdf(spec: ProblemSpec, t) -> float:
-    """P(last zero <= t), 0 < t < T.
-
-    The conditional probability of no further zero given the state x at
-    time t equals (H(t, x) + 1)/2; integrating it against the marginal
-    density of the state gives the unconditional law.  The x-integral runs
-    over [mu t - 12 sqrt(t), mu t + 12 sqrt(t)], split at 0, with adaptive
-    Gauss-Kronrod refinement.
+    At mu = 0, T(0, q) = arctan(q)/(2 pi) gives the arcsine law
+    (2/pi) arcsin sqrt(t/T); the formula needs no branch as mu -> 0.
+    Returns a float for scalar t.
     """
-    t = float(t)
-    if not 0.0 < t < spec.T:
+    t = np.asarray(t, dtype=float)
+    if not np.all((t > 0.0) & (t < spec.T)):
         raise ValueError("g_cdf requires 0 < t < T")
-    from scipy.integrate import quad
-
-    s = spec.T - t
-
-    def integrand(x):
-        return 0.5 * (_gain_H_raw(spec.mu, s, x) + 1.0) \
-            * np.exp(-0.5 * (x - spec.mu * t) ** 2 / t) / np.sqrt(2.0 * np.pi * t)
-
-    lo = spec.mu * t - 12.0 * np.sqrt(t)
-    hi = spec.mu * t + 12.0 * np.sqrt(t)
-    total = 0.0
-    for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
-        if b > a:
-            val, _ = quad(integrand, a, b, epsabs=1e-11, epsrel=1e-11, limit=200)
-            total += val
-    return float(min(max(total, 0.0), 1.0))
+    out = np.clip(1.0 - 4.0 * owens_t(spec.mu * np.sqrt(t),
+                                      np.sqrt(spec.T - t) / np.sqrt(t)),
+                  0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_g(spec: ProblemSpec) -> float:

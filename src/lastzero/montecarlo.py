@@ -30,6 +30,9 @@ from ._pool import _available_cpus
 
 MAX_STORED_PATHS = 10_000
 
+# Paths per reduction chunk (at most 8e6 path values, see ``_stream``).
+_CHUNK = 1000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -138,34 +141,14 @@ def _last_zeros(times, w, u_bridge, u_place, bridge_on: bool) -> np.ndarray:
     return np.where(has, g, 0.0)
 
 
-def last_zero_of_path(path, spec: ProblemSpec, cfg: SimConfig,
-                      rng: np.random.Generator | None = None) -> float:
-    """Last detected zero of one discretized path (grid of cfg.n_steps).
-
-    Bridge Bernoullis (if enabled) come from `rng`; the default is a fixed
-    side-channel substream of cfg.seed, kept away from path substreams.
-    """
-    path = np.asarray(path, dtype=float)
-    if path.shape != (cfg.n_steps + 1,):
-        raise ValueError("path length must equal cfg.n_steps + 1")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([cfg.seed, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)))
-    times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-    u_bridge = rng.random((1, cfg.n_steps))
-    u_place = rng.random(1)
-    return float(_last_zeros(times, path[np.newaxis, :], u_bridge, u_place,
-                             cfg.bridge_correction)[0])
-
-
-def _stream(spec: ProblemSpec, cfg: SimConfig, rules, chunk: int):
+def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
     """Yield (start, g, [tau per rule]) for each chunk of paths, in order.
 
     Chunks hold at most 8e6 path values.  Blocks of chunk / (2 * workers)
     paths keep the workers within half a chunk; numpy's draws and array
     arithmetic release the interpreter lock, so the blocks run in parallel.
     """
-    chunk = max(1, min(chunk, int(8_000_000 // (cfg.n_steps + 1))))
+    chunk = max(1, min(_CHUNK, int(8_000_000 // (cfg.n_steps + 1))))
     workers = _available_cpus()
     block = -(-chunk // (2 * workers))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
@@ -184,10 +167,9 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules, chunk: int):
                    [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
 
 
-def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig,
-                       chunk: int = 1000) -> np.ndarray:
+def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig) -> np.ndarray:
     """Stream the ensemble and return the n_paths last-zero times."""
-    return np.concatenate([g for _, g, _ in _stream(spec, cfg, [], chunk)])
+    return np.concatenate([g for _, g, _ in _stream(spec, cfg, [])])
 
 
 # -- stopping rules -------------------------------------------------------
@@ -250,21 +232,26 @@ class FixedTimeRule(StoppingRule):
 def parse_policy(text: str, spec: ProblemSpec,
                  bp: BoundaryPair | None = None) -> StoppingRule:
     """Parse CLI policy strings: optimal | fixed_time:C | sqrt_rule:Z |
-    scaled_optimal:F."""
+    scaled_optimal:F.  Parameters must be finite: with inf or NaN a rule's
+    terminal column need not stop, and ``taus`` would then read t = 0."""
     kind, _, arg = text.partition(":")
-    if kind in ("optimal", "scaled_optimal"):
-        if bp is None:
-            raise ValueError(f"policy {kind!r} needs boundaries")
-        return OptimalRule(bp, factor=1.0 if kind == "optimal" else float(arg))
+    if kind not in ("optimal", "scaled_optimal", "sqrt_rule", "fixed_time"):
+        raise ValueError(f"unknown policy name {text!r}")
+    if kind == "optimal" and arg:
+        raise ValueError(f"policy 'optimal' takes no parameter, got {text!r}")
+    value = 1.0 if kind == "optimal" else float(arg)
+    if not np.isfinite(value):
+        raise ValueError(f"policy parameter must be finite, got {text!r}")
     if kind == "sqrt_rule":
-        return SqrtRule(float(arg), spec.T)
+        return SqrtRule(value, spec.T)
     if kind == "fixed_time":
-        return FixedTimeRule(float(arg), spec.T)
-    raise ValueError(f"unknown policy name {text!r}")
+        return FixedTimeRule(value, spec.T)
+    if bp is None:
+        raise ValueError(f"policy {kind!r} needs boundaries")
+    return OptimalRule(bp, factor=value)
 
 
 def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
-                      chunk: int = 1000,
                       records: np.ndarray | None = None) -> list[PolicyReport]:
     """One streamed ensemble pass scoring every rule on the same paths.
 
@@ -275,7 +262,7 @@ def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
         raise ValueError("records need a rule and one row per path")
     sums = np.zeros(len(rules))
     sq = np.zeros(len(rules))
-    for start, g, taus in _stream(spec, cfg, rules, chunk):
+    for start, g, taus in _stream(spec, cfg, rules):
         for j, tau in enumerate(taus):
             err = np.abs(g - tau)
             sums[j] += err.sum()
@@ -296,9 +283,9 @@ def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
 
 
 def evaluate_policy(spec: ProblemSpec, rule: StoppingRule,
-                    cfg: SimConfig, chunk: int = 1000,
+                    cfg: SimConfig,
                     records: np.ndarray | None = None) -> PolicyReport:
-    return evaluate_policies(spec, [rule], cfg, chunk, records)[0]
+    return evaluate_policies(spec, [rule], cfg, records)[0]
 
 
 PER_PATH_DTYPE = np.dtype([("path_id", np.int64), ("g", float),
@@ -306,7 +293,7 @@ PER_PATH_DTYPE = np.dtype([("path_id", np.int64), ("g", float),
 
 
 def per_path_records(spec: ProblemSpec, rule: StoppingRule,
-                     cfg: SimConfig, chunk: int = 1000) -> np.ndarray:
+                     cfg: SimConfig) -> np.ndarray:
     """Per-path (path_id, g, tau, |g - tau|) table for small runs.
 
     The rows come from the very pass evaluate_policy makes with this cfg.
@@ -318,7 +305,7 @@ def per_path_records(spec: ProblemSpec, rule: StoppingRule,
             f"n_paths={cfg.n_paths} exceeds the {MAX_STORED_PATHS}-path "
             "per-path dump guard; dumps are for small runs")
     out = np.empty(cfg.n_paths, dtype=PER_PATH_DTYPE)
-    evaluate_policy(spec, rule, cfg, chunk=chunk, records=out)
+    evaluate_policy(spec, rule, cfg, records=out)
     return out
 
 

@@ -15,6 +15,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 24, 28, 46
+_TITLE = "optimal stopping boundaries"
 
 
 def _fmt(v: float) -> str:
@@ -28,8 +29,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
     return np.round(raw, decimals)
 
 
-def render_boundaries_svg(pairs, title: str = "optimal stopping boundaries",
-                          manifest_hash: str | None = None) -> str:
+def render_boundaries_svg(pairs, manifest_hash: str | None = None) -> str:
     """Render BoundaryPair-like objects (spec, grid, b_minus, b_plus) to SVG.
 
     Each element of ``pairs`` must expose .spec.mu, .spec.T, .grid,
@@ -62,7 +62,7 @@ def render_boundaries_svg(pairs, title: str = "optimal stopping boundaries",
         out.append(f"<!-- manifest_hash={manifest_hash} -->")
     out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     out.append(f'<text x="{_W / 2:.0f}" y="18" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="14">{title}</text>')
+               f'font-family="sans-serif" font-size="14">{_TITLE}</text>')
 
     # axes and ticks
     ax = (f'M {sx(0):.2f} {sy(y_lo):.2f} V {sy(y_hi):.2f} '
@@ -114,9 +114,7 @@ def render_boundaries_svg(pairs, title: str = "optimal stopping boundaries",
     return "\n".join(out) + "\n"
 
 
-def save_boundaries_svg(pairs, path, title="optimal stopping boundaries",
-                        manifest_hash=None) -> None:
-    svg = render_boundaries_svg(pairs, title=title,
-                                manifest_hash=manifest_hash)
+def save_boundaries_svg(pairs, path, manifest_hash=None) -> None:
+    svg = render_boundaries_svg(pairs, manifest_hash=manifest_hash)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

@@ -1,4 +1,4 @@
-"""Value function from solved boundaries, V*, policy, and smooth-fit checks.
+"""Value function from solved boundaries, V*, and smooth-fit checks.
 
 With boundaries (b-, b+) in hand, the value of the transformed stopping
 problem is the lag integral of the kernel over the continuation window,
@@ -69,14 +69,6 @@ class ValueSurface:
                 for j, x in enumerate(self.x_grid):
                     w.writerow([f"{t:.17g}", f"{x:.17g}",
                                 f"{self.values[i, j]:.17g}"])
-
-
-def should_stop(bp: BoundaryPair, t: float, x: float) -> bool:
-    """Membership in the (closed) stopping set: x <= b-(t) or x >= b+(t)."""
-    if not -1e-12 <= t <= bp.spec.T * (1 + 1e-12):
-        raise ValueError("t outside [0, T]")
-    zm, zp = bp.interpolate(t)
-    return bool(x <= zm or x >= zp)
 
 
 def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,

@@ -7,9 +7,11 @@ oracles are run once via ``PYTHONPATH=src python3 tests/oracles.py`` and
 their (estimate, standard error) pairs are frozen into the test modules
 together with the generating seed and sample size.
 
-The quadrature references at the end (adaptive scalar kernel, untiled lag
-integral, nested-quad E g) reuse the package's gain function H and lag
-rule: they check how the package integrates, not what it integrates.
+The references at the end (scalar Brent root of H, adaptive scalar kernel,
+untiled lag integral, quadrature law of g and nested-quad E g) reuse the
+package's gain function H and lag rule: they check how the package solves
+and integrates, not what it integrates.  The four-term bivariate-normal law
+of g checks the algebra that collapses it to one Owen's T value.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import ndtr, owens_t
 
-from lastzero.closed_forms import (ProblemSpec, _gain_H_raw, _h_root, g_cdf,
-                                   std_normal_cdf)
+from lastzero.closed_forms import ProblemSpec, _gain_H_raw, g_cdf
 from lastzero.kernel import (_CLIP, LagRule, _gauss_unit, lag_integral_batch,
                              lag_rule)
 
@@ -155,8 +158,29 @@ def central_difference(f, x, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature references for the kernel, its lag integral and E g
+# References for the zero curves of H, the kernel, its lag integral and g
 # ---------------------------------------------------------------------------
+
+def h_root(spec: ProblemSpec, t: float, side: int) -> float:
+    """Root of H(t, .) on the given side of 0 (side = +1 or -1), by Brent."""
+    s = spec.T - t
+    lo = 1e-12 * np.sqrt(spec.T)
+    hi = np.sqrt(s)
+
+    def f(a):
+        return _gain_H_raw(spec.mu, s, side * a)
+
+    tries = 0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+        tries += 1
+        if tries > 200:
+            raise RuntimeError(
+                f"failed to bracket H root at t={t} (side {side:+d}); "
+                "H should reach 1 for large |x|")
+    root = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
+    return side * root
+
 
 @dataclass(frozen=True)
 class KernelQuery:
@@ -219,10 +243,10 @@ def kernel_K(spec: ProblemSpec, q: KernelQuery, eps_k: float = 1e-9) -> float:
     center = q.x + spec.mu * q.s
     if spec.T - (q.t + q.s) <= 1e-14 * spec.T:
         # terminal limit: H(T, y) = 1 a.e.
-        return float(std_normal_cdf((q.z_plus - center) / sq)
-                     - std_normal_cdf((q.z_minus - center) / sq))
+        return float(ndtr((q.z_plus - center) / sq)
+                     - ndtr((q.z_minus - center) / sq))
     t_plus_s = q.t + q.s
-    extra = (_h_root(spec, t_plus_s, -1), _h_root(spec, t_plus_s, +1))
+    extra = (h_root(spec, t_plus_s, -1), h_root(spec, t_plus_s, +1))
     n = 32
     prev = _inner_kernel_panels(spec, t_plus_s, q.x, q.s,
                                 q.z_minus, q.z_plus, n, extra)
@@ -297,8 +321,68 @@ def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,
                                     n_gl=n_gl)[0])
 
 
+def g_cdf_quad(spec: ProblemSpec, t: float) -> float:
+    """P(last zero <= t), 0 < t < T, by adaptive quadrature.
+
+    The conditional probability of no further zero given the state x at
+    time t equals (H(t, x) + 1)/2; integrating it against the marginal
+    density of the state gives the unconditional law.  The x-integral runs
+    over [mu t - 12 sqrt(t), mu t + 12 sqrt(t)], split at 0, with adaptive
+    Gauss-Kronrod refinement.
+    """
+    from scipy.integrate import quad
+
+    t = float(t)
+    if not 0.0 < t < spec.T:
+        raise ValueError("g_cdf_quad requires 0 < t < T")
+    s = spec.T - t
+
+    def integrand(x):
+        return 0.5 * (_gain_H_raw(spec.mu, s, x) + 1.0) \
+            * np.exp(-0.5 * (x - spec.mu * t) ** 2 / t) / np.sqrt(2.0 * np.pi * t)
+
+    lo = spec.mu * t - 12.0 * np.sqrt(t)
+    hi = spec.mu * t + 12.0 * np.sqrt(t)
+    total = 0.0
+    for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+        if b > a:
+            val, _ = quad(integrand, a, b, epsabs=1e-11, epsrel=1e-11, limit=200)
+            total += val
+    return float(min(max(total, 0.0), 1.0))
+
+
+def bvn_cdf(h, k, rho):
+    """Phi2(h, k; rho) = P(X <= h, Y <= k), corr(X, Y) = rho, via Owen's T.
+
+    Phi2 = (Phi(h) + Phi(k))/2 - T(h, a_h) - T(k, a_k) - beta with
+    a_h = (k - rho h)/(h sqrt(1 - rho^2)), a_k likewise, and beta = 1/2
+    when h k < 0, else 0; h and k must be nonzero and |rho| < 1.
+    """
+    h, k = float(h), float(k)
+    if h == 0.0 or k == 0.0 or not abs(rho) < 1.0:
+        raise ValueError("bvn_cdf needs nonzero h, k and |rho| < 1")
+    r = np.sqrt(1.0 - rho * rho)
+    beta = 0.5 if h * k < 0.0 else 0.0
+    return float(0.5 * (ndtr(h) + ndtr(k))
+                 - owens_t(h, (k - rho * h) / (h * r))
+                 - owens_t(k, (h - rho * k) / (k * r)) - beta)
+
+
+def g_cdf_bvn(spec: ProblemSpec, t: float) -> float:
+    """P(last zero <= t) as the four-term bivariate-normal formula.
+
+    Phi2(a, b; rho) - Phi2(-a, b; -rho) + Phi2(-a, -b; rho) - Phi2(a, -b; -rho)
+    with a = mu sqrt(t), b = mu sqrt(T), rho = sqrt(t/T); mu must be nonzero.
+    """
+    a, b = spec.mu * np.sqrt(t), spec.mu * np.sqrt(spec.T)
+    rho = np.sqrt(t / spec.T)
+    return (bvn_cdf(a, b, rho) - bvn_cdf(-a, b, -rho)
+            + bvn_cdf(-a, -b, rho) - bvn_cdf(a, -b, -rho))
+
+
 def mean_g_quad(spec: ProblemSpec) -> float:
-    """E g = integral of P(g > t) over [0, T] by nested adaptive quadrature."""
+    """E g = integral of P(g > t) over [0, T] by adaptive quadrature of the
+    closed-form law ``g_cdf``: a check independent of the closed-form mean."""
     from scipy.integrate import quad
 
     val, _ = quad(lambda t: 1.0 - g_cdf(spec, t), 0.0, spec.T,

@@ -140,6 +140,28 @@ class TestSolvedBoundaries:
         solve_boundaries(ProblemSpec(mu=0.5, T=1.0), SolverConfig(n_steps=n))
         assert len(calls) <= 7 * n
 
+    @pytest.mark.parametrize("nu, n_steps", [(3.5574741713461897, 5),
+                                             (-3.191689469140158, 4),
+                                             (0.9605753653207767, 2)])
+    def test_bisection_fallback_certifies(self, monkeypatch, nu, n_steps):
+        # coarse grids where a quasi-Newton step exceeds the step limit: the
+        # bracketing bisection takes over and the result still certifies
+        calls = []
+        real = boundaries_module._bracket_root
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boundaries_module, "_bracket_root", counting)
+        spec = ProblemSpec(mu=nu, T=1.0)
+        cfg = SolverConfig(n_steps=n_steps)
+        bp = solve_boundaries(spec, cfg)
+        assert len(calls) >= 1
+        assert np.max(np.abs(bp.residuals)) / spec.T <= cfg.tol_res
+        cert = boundary_residuals(spec, bp, bp.grid)
+        assert np.max(np.abs(cert)) / spec.T <= 1e-5
+
     def test_grid_refinement_converges(self):
         spec = ProblemSpec(mu=0.5, T=1.0)
         b0 = {}

@@ -3,7 +3,8 @@
 Each command runs in-process through ``main(argv)`` on small problem sizes;
 outputs land in per-session temporary directories.  Checks cover the files
 written, the manifest hash cross-references, stdout contracts, and the
-documented exit codes (0 ok, 2 usage, 4 I/O, 5 schema).
+documented exit codes (0 ok, 2 usage, 3 non-convergence or too coarse a
+lattice, 4 I/O, 5 schema).
 """
 
 import json
@@ -204,6 +205,25 @@ class TestSimulate:
         assert exc.value.code == EXIT_USAGE
         assert "teleport" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", [
+        "scaled_optimal:inf", "scaled_optimal:nan", "sqrt_rule:inf",
+        "sqrt_rule:nan", "fixed_time:nan", "fixed_time:-inf"])
+    def test_non_finite_policy_usage_error(self, solved_dir, capsys,
+                                           monkeypatch, policy):
+        # inf * 0 and NaN comparisons leave the terminal column without a
+        # stop, which scored such rules as stopping at t = 0; they must be
+        # refused before any path is drawn
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_draw_chunk",
+                            lambda *a: drawn.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--boundaries",
+                  str(solved_dir / "boundaries.json"), "--paths", "50",
+                  "--steps", "20", "--policy", policy])
+        assert exc.value.code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert drawn == []
+
     def test_negative_paths_usage_error(self, solved_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--boundaries",
@@ -267,6 +287,16 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text())
         assert written["manifest_hash"] == manifest["manifest_hash"]
         assert written["sup_norm"] == doc["sup_norm"]
+
+
+    def test_coarse_lattice_exit_code(self, tmp_path, capsys):
+        # a lattice too coarse to resolve the boundaries is a documented
+        # failure (exit 3), not a traceback
+        rc = main(["compare", "--mu", "0", "--horizon", "1",
+                   "--n-steps", "20", "--lattice", "2x2"])
+        assert rc == EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lattice" in err
 
 
 class TestPlot:

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from lastzero import (
     ProblemSpec,
@@ -126,14 +127,12 @@ class TestKernelK:
     def test_terminal_limit_is_window_probability(self):
         # At t + s = T the gain H is 1 a.e., so K is the window mass of
         # the Gaussian transition kernel.
-        from lastzero import std_normal_cdf
-
         spec = ProblemSpec(mu=0.9, T=1.0)
         t, s = 0.4, 0.6
         z_minus, z_plus = -0.2, 1.5
         center = 0.1 + spec.mu * s
-        expect = (std_normal_cdf((z_plus - center) / np.sqrt(s))
-                  - std_normal_cdf((z_minus - center) / np.sqrt(s)))
+        expect = (ndtr((z_plus - center) / np.sqrt(s))
+                  - ndtr((z_minus - center) / np.sqrt(s)))
         val = kernel_K(spec, KernelQuery(t, 0.1, s, z_minus, z_plus))
         npt.assert_allclose(val, expect, rtol=1e-13)
 

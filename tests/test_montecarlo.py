@@ -23,7 +23,6 @@ from lastzero import (
     collect_last_zeros,
     evaluate_policies,
     evaluate_policy,
-    last_zero_of_path,
     mean_g,
     parse_policy,
     per_path_records,
@@ -93,36 +92,31 @@ class TestSimulatePaths:
         assert abs(bt.var(ddof=1) - T) <= 3 * se_var
 
 
+def _last_zero(path):
+    """Detected last zero of one hand-built path on [0, 1], no bridge."""
+    w = np.asarray(path, dtype=float)[np.newaxis, :]
+    n = w.shape[1] - 1
+    return float(_last_zeros(np.linspace(0.0, 1.0, n + 1), w,
+                             np.zeros((1, n)), np.zeros(1),
+                             bridge_on=False)[0])
+
+
 class TestLastZeroDetection:
     spec = ProblemSpec(mu=0.0, T=1.0)
 
     def test_no_return_gives_zero(self):
         # A path that leaves 0 and never produces a crossing or an exact
         # zero afterwards has no detected zero: g = 0 by convention.
-        cfg = SimConfig(n_paths=1, n_steps=4, seed=0,
-                        bridge_correction=False)
-        path = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        assert last_zero_of_path(path, self.spec, cfg) == 0.0
+        assert _last_zero([0.0, 1.0, 1.0, 1.0, 1.0]) == 0.0
 
     def test_sign_change_interpolated(self):
-        cfg = SimConfig(n_paths=1, n_steps=4, seed=0,
-                        bridge_correction=False)
-        path = np.array([0.0, 0.5, -0.5, 0.25, 0.25])
         # last sign change on [0.5, 0.75]: crossing of the chord at
         # 0.5 + 0.25 * 0.5/0.75 = 2/3
-        g = last_zero_of_path(path, self.spec, cfg)
+        g = _last_zero([0.0, 0.5, -0.5, 0.25, 0.25])
         npt.assert_allclose(g, 2.0 / 3.0, rtol=1e-15)
 
     def test_exact_grid_zero(self):
-        cfg = SimConfig(n_paths=1, n_steps=4, seed=0,
-                        bridge_correction=False)
-        path = np.array([0.0, 0.5, 0.0, 0.5, 0.5])
-        assert last_zero_of_path(path, self.spec, cfg) == 0.5
-
-    def test_wrong_length_raises(self):
-        cfg = SimConfig(n_paths=1, n_steps=4, seed=0)
-        with pytest.raises(ValueError):
-            last_zero_of_path(np.zeros(4), self.spec, cfg)
+        assert _last_zero([0.0, 0.5, 0.0, 0.5, 0.5]) == 0.5
 
     def test_values_in_range(self):
         cfg = SimConfig(n_paths=2000, n_steps=100, seed=77)
@@ -131,10 +125,12 @@ class TestLastZeroDetection:
         assert g.min() >= 0.0
         assert g.max() <= 1.0
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         cfg = SimConfig(n_paths=1500, n_steps=60, seed=42)
-        a = collect_last_zeros(self.spec, cfg, chunk=97)
-        b = collect_last_zeros(self.spec, cfg, chunk=1500)
+        monkeypatch.setattr(mc_module, "_CHUNK", 97)
+        a = collect_last_zeros(self.spec, cfg)
+        monkeypatch.setattr(mc_module, "_CHUNK", 1500)
+        b = collect_last_zeros(self.spec, cfg)
         npt.assert_array_equal(a, b)
 
     def test_bridge_reduces_missed_zeros(self):
@@ -232,6 +228,10 @@ class TestStoppingRules:
             parse_policy("banana", spec, bp)
         with pytest.raises(ValueError):
             parse_policy("fixed_time:abc", spec, bp)
+        with pytest.raises(ValueError, match="no parameter"):
+            parse_policy("optimal:2", spec, bp)
+        with pytest.raises(ValueError, match="finite"):
+            parse_policy("scaled_optimal:inf", spec, bp)
 
 
 class TestEvaluatePolicies:
@@ -262,12 +262,12 @@ class TestEvaluatePolicies:
         assert a.estimate == b.estimate
         assert a.std_error == b.std_error
 
-    def test_chunking_stable(self):
+    def test_chunking_stable(self, monkeypatch):
         cfg = SimConfig(n_paths=1200, n_steps=64, seed=21)
-        a = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg,
-                            chunk=1200)
-        b = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg,
-                            chunk=111)
+        monkeypatch.setattr(mc_module, "_CHUNK", 1200)
+        a = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
+        monkeypatch.setattr(mc_module, "_CHUNK", 111)
+        b = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
         npt.assert_allclose(a.estimate, b.estimate, rtol=1e-12)
 
     def test_optimal_beats_fixed_time(self, boundaries_for):
@@ -339,10 +339,12 @@ class TestPerPathDump:
         rep = evaluate_policy(self.spec, rule, cfg)
         npt.assert_allclose(rec["abs_error"].mean(), rep.estimate, rtol=1e-12)
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         rule = FixedTimeRule(0.3, 1.0)
-        a = per_path_records(self.spec, rule, self._cfg(), chunk=7)
-        b = per_path_records(self.spec, rule, self._cfg(), chunk=1000)
+        monkeypatch.setattr(mc_module, "_CHUNK", 7)
+        a = per_path_records(self.spec, rule, self._cfg())
+        monkeypatch.setattr(mc_module, "_CHUNK", 1000)
+        b = per_path_records(self.spec, rule, self._cfg())
         npt.assert_array_equal(a, b)
 
     def test_storage_guard(self):
@@ -380,15 +382,14 @@ class TestThreadedStream:
         rules = [OptimalRule(_sqrt_pair(self.spec)), SqrtRule(1.0, 1.0)]
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc_module, "_CHUNK", 300)
             if workers is not None:
                 mp.setattr(mc_module, "_available_cpus", lambda: workers)
             sys.setswitchinterval(1e-6)
             try:
-                return (collect_last_zeros(self.spec, self.cfg, chunk=300),
-                        evaluate_policies(self.spec, rules, self.cfg,
-                                          chunk=300),
-                        per_path_records(self.spec, rules[0], self.cfg,
-                                         chunk=300))
+                return (collect_last_zeros(self.spec, self.cfg),
+                        evaluate_policies(self.spec, rules, self.cfg),
+                        per_path_records(self.spec, rules[0], self.cfg))
             finally:
                 sys.setswitchinterval(interval)
 

@@ -14,12 +14,12 @@ import numpy.testing as npt
 import pytest
 
 from lastzero import (
+    OptimalRule,
     ProblemSpec,
     ValueSurface,
     build_value_surface,
     mean_g,
     optimal_value_Vstar,
-    should_stop,
     smooth_fit_diagnostic,
     value_at,
 )
@@ -33,6 +33,12 @@ import lastzero.value as value_module
 VSTAR_MU0 = 0.23848268
 VSTAR_MU1 = 0.19278790
 V00_MU0 = -0.26151732
+
+
+def should_stop(bp, t, x):
+    """Membership in the closed stopping set, read off the optimal rule."""
+    mask = OptimalRule(bp).stop_mask(np.array([t]), np.array([[x]]))
+    return bool(mask[0, 0])
 
 
 class TestShouldStop:
