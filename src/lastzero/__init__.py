@@ -23,7 +23,7 @@ from .bellman import (LatticeSpec, bellman_solve, oracle_compare,
 from .montecarlo import (SimConfig, PathEnsemble, PolicyReport,
                          simulate_paths, evaluate_policy,
                          evaluate_policies, collect_last_zeros, parse_policy,
-                         per_path_records, save_per_path_csv,
+                         save_per_path_csv,
                          OptimalRule, SqrtRule, FixedTimeRule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

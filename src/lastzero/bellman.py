@@ -86,7 +86,7 @@ def _extract_row(x: np.ndarray, c_row: np.ndarray):
     """Zero crossings of the continuation value: (b_minus, b_plus)."""
     neg = np.flatnonzero(c_row < 0.0)
     if neg.size == 0:
-        raise LatticeTooCoarseError("no continuation cells in a row")
+        raise LatticeTooCoarseError("no continuation cells in a lattice row")
     i_lo, i_hi = neg[0], neg[-1]
     if i_lo == 0 or i_hi == x.size - 1:
         raise LatticeTooCoarseError("continuation region touches the "
@@ -128,7 +128,7 @@ def bellman_solve(spec: ProblemSpec, lat: LatticeSpec = LatticeSpec()):
                 float(np.max(-np.diff(bm), initial=0.0)))
     if worst > dx + 1e-12:
         raise LatticeTooCoarseError(
-            f"extracted boundaries non-monotone by {worst:.3e} > one cell "
+            f"lattice boundaries non-monotone by {worst:.3e} > one cell "
             f"({dx:.3e})")
     for k in range(lat.n_t - 1, -1, -1):
         bm[k] = min(bm[k], bm[k + 1])

@@ -28,7 +28,6 @@ succeeds depends on nu and ``n_steps`` alone.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from .closed_forms import ProblemSpec, h_curves
 from .kernel import lag_rule, lag_integral_batch
+from ._shared import write_csv, write_json
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
 
@@ -43,6 +43,12 @@ JSON_SCHEMA = "lastzero.boundaries.v1"
 # the normalized problem (nu, 1), where the boundaries are O(1).
 _FD_H = 1e-7
 _STEP_LIMIT = 0.25
+
+# Iterations of one step's quasi-Newton solve; bracket doublings and
+# bisections of its fallback root search.
+MAX_ITER = 200
+_MAX_EXPAND = 60
+_MAX_BISECT = 80
 
 
 class NonConvergenceError(RuntimeError):
@@ -70,15 +76,16 @@ class InvariantViolationError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     n_steps: int = 400
-    max_iter: int = 200
-    tol_b: float = 1e-7
     tol_res: float = 1e-6
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.max_iter < 1:
-            raise ValueError("n_steps and max_iter must be positive")
-        if min(self.tol_b, self.tol_res) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.n_steps < 1 or self.tol_res <= 0.0:
+            raise ValueError("n_steps and tol_res must be positive")
+
+    @property
+    def tol_b(self) -> float:
+        """Step tolerance, relative to sqrt(T), derived from ``tol_res``."""
+        return min(1e-7, self.tol_res / 10.0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class BoundaryPair:
         }
         if config is not None:
             out["config"] = {
-                "n_steps": config.n_steps, "max_iter": config.max_iter,
+                "n_steps": config.n_steps, "max_iter": MAX_ITER,
                 "tol_b": config.tol_b, "tol_res": config.tol_res,
             }
         return out
@@ -159,12 +166,12 @@ class BoundaryPair:
         doc = self.to_json_dict(config)
         if manifest_hash is not None:
             doc["manifest_hash"] = manifest_hash
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(path, doc)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BoundaryPair":
+        if not isinstance(doc, dict):
+            raise SchemaError("boundary JSON must be an object")
         if doc.get("schema") != JSON_SCHEMA:
             raise SchemaError(
                 f"unknown boundary schema {doc.get('schema')!r}; "
@@ -184,29 +191,23 @@ class BoundaryPair:
 
     @classmethod
     def load_json(cls, path) -> "BoundaryPair":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"not a boundary JSON file: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise SchemaError("boundary JSON must be an object")
-        return cls.from_json_dict(doc)
+        """Read a boundary file; malformed content raises
+        :class:`SchemaError` naming ``path``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json_dict(json.load(fh))
+        except ValueError as exc:   # also undecodable bytes and bad JSON
+            raise SchemaError(f"{path}: {exc}") from exc
 
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
         hc = h_curves(self.spec, self.grid)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if manifest_hash is not None:
-                fh.write(f"# manifest_hash={manifest_hash}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "b_minus", "b_plus", "h_minus", "h_plus",
-                             "residual_minus", "residual_plus"])
-            for k in range(self.grid.size):
-                writer.writerow([f"{v:.17g}" for v in
-                                 (self.grid[k], self.b_minus[k],
-                                  self.b_plus[k], hc.h_minus[k],
-                                  hc.h_plus[k], self.residuals[k, 0],
-                                  self.residuals[k, 1])])
+        cols = (self.grid, self.b_minus, self.b_plus, hc.h_minus, hc.h_plus,
+                self.residuals[:, 0], self.residuals[:, 1])
+        write_csv(path,
+                  ["t", "b_minus", "b_plus", "h_minus", "h_plus",
+                   "residual_minus", "residual_plus"],
+                  ([f"{v:.17g}" for v in row] for row in zip(*cols)),
+                  {"manifest_hash": manifest_hash})
 
 
 class SchemaError(ValueError):
@@ -233,8 +234,7 @@ def _window_arrays(t_k, beta_m, beta_p, grid, bm, bp, k, s_nodes):
     return zm, zp
 
 
-def _bracket_root(f, start, direction, scale, tol, max_expand=60,
-                  max_bisect=80):
+def _bracket_root(f, start, direction, scale, tol):
     """Find a root of f by expanding outward from `start`, then bisecting.
 
     `direction` is +-1; the bracket grows geometrically from a width
@@ -247,7 +247,7 @@ def _bracket_root(f, start, direction, scale, tol, max_expand=60,
         return a
     width = max(0.05 * scale, 4.0 * tol)
     b = a
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         b = b + direction * width
         fb = f(b)
         if fa * fb <= 0.0:
@@ -255,7 +255,7 @@ def _bracket_root(f, start, direction, scale, tol, max_expand=60,
         width *= 2.0
     else:
         raise RuntimeError("no sign change while bracketing boundary root")
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (a + b)
         fm = f(mid)
         if fa * fm <= 0.0:
@@ -322,7 +322,7 @@ def solve_boundaries(spec: ProblemSpec,
         r = residuals(beta_m, beta_p)
         jac = jacobian(beta_m, beta_p, r)
         converged = False
-        for _ in range(cfg.max_iter):
+        for _ in range(MAX_ITER):
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
@@ -391,8 +391,11 @@ def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair,
 
     Uses an independent quadrature (twice the solver's node counts) and the
     solved pair's own interpolant for the windows, so the result certifies
-    the returned object rather than the solver's internals.
+    the returned object rather than the solver's internals.  Raises
+    ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
+    if spec != bp.spec:
+        raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty((times.size, 2))
     for i, t in enumerate(times):

@@ -9,7 +9,8 @@ and wall-time fields, which stay outside the hash.
 
 Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence (or a lattice
 too coarse to resolve the boundaries), 4 I/O error, 5 schema mismatch in an
-input file.
+input file.  Commands raise; ``main`` alone maps each failure class to its
+exit code, through ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -26,21 +27,33 @@ import numpy as np
 
 from . import __version__
 from .closed_forms import ProblemSpec, mean_g
-from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
-                         NonConvergenceError, InvariantViolationError,
-                         SchemaError)
+from .boundaries import (MAX_ITER, BoundaryPair, SolverConfig,
+                         solve_boundaries, NonConvergenceError,
+                         InvariantViolationError, SchemaError)
 from .bellman import (LatticeSpec, LatticeTooCoarseError, bellman_solve,
                       oracle_compare)
 from .value import build_value_surface, value_at
 from .montecarlo import (MAX_STORED_PATHS, PER_PATH_DTYPE, SimConfig,
                          parse_policy, evaluate_policy, save_per_path_csv)
 from .plotting import save_boundaries_svg
+from ._shared import write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 EXIT_SCHEMA = 5
+
+# Failure class -> exit code; the first match wins, so SchemaError comes
+# before ValueError, its base class.
+_EXIT_CODES = (
+    (SchemaError, EXIT_SCHEMA),
+    (OSError, EXIT_IO),
+    (NonConvergenceError, EXIT_NONCONVERGENCE),
+    (InvariantViolationError, EXIT_NONCONVERGENCE),
+    (LatticeTooCoarseError, EXIT_NONCONVERGENCE),
+    (ValueError, EXIT_USAGE),
+)
 
 
 def _canonical_hash(doc: dict) -> str:
@@ -55,31 +68,19 @@ def _manifest_core(command: str, spec: dict, config: dict,
     return core, _canonical_hash(core)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def _write_outputs(manifest_path: str, core: dict, manifest_hash: str,
-                   t0: float, *writers) -> int:
-    """Run each output writer, then write the manifest; I/O errors exit 4.
+                   t0: float, *writers) -> None:
+    """Run each output writer, then write the manifest.
 
     The manifest's timestamp and wall time (since ``t0``) stay outside the
     hash.
     """
-    doc = dict(core)
-    doc["manifest_hash"] = manifest_hash
-    try:
-        for write in writers:
-            write()
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        doc["wall_time_s"] = round(time.monotonic() - t0, 3)
-        _write_json(manifest_path, doc)
-    except OSError as exc:
-        print(f"error: writing outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    for write in writers:
+        write()
+    write_json(manifest_path, dict(
+        core, manifest_hash=manifest_hash,
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        wall_time_s=round(time.monotonic() - t0, 3)))
 
 
 def _positive(parser: argparse.ArgumentParser, name: str, value: float):
@@ -88,52 +89,27 @@ def _positive(parser: argparse.ArgumentParser, name: str, value: float):
     return value
 
 
-def _load_boundaries(path: str) -> BoundaryPair:
-    try:
-        return BoundaryPair.load_json(path)
-    except SchemaError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_SCHEMA)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-
-
-def _ensure_outdir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-
-
 def cmd_solve(parser, args) -> int:
     _positive(parser, "--horizon", args.horizon)
     _positive(parser, "--tol", args.tol)
     t0 = time.monotonic()
     spec = ProblemSpec(mu=args.mu, T=args.horizon)
-    cfg = SolverConfig(n_steps=args.n_steps, tol_res=args.tol,
-                       tol_b=min(1e-7, args.tol / 10.0))
-    try:
-        bp = solve_boundaries(spec, cfg)
-    except (NonConvergenceError, InvariantViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    _ensure_outdir(args.out)
+    cfg = SolverConfig(n_steps=args.n_steps, tol_res=args.tol)
+    bp = solve_boundaries(spec, cfg)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "boundaries.csv")
     json_path = os.path.join(args.out, "boundaries.json")
     core, h = _manifest_core(
         "solve", {"mu": spec.mu, "T": spec.T},
         {"n_steps": cfg.n_steps, "tol_res": cfg.tol_res, "tol_b": cfg.tol_b,
-         "max_iter": cfg.max_iter},
+         "max_iter": MAX_ITER},
         ["boundaries.csv", "boundaries.json"])
-    rc = _write_outputs(
+    _write_outputs(
         os.path.join(args.out, "manifest.json"), core, h, t0,
         lambda: bp.save_csv(csv_path, manifest_hash=h),
         lambda: bp.save_json(json_path, config=cfg, manifest_hash=h))
-    if rc == EXIT_OK:
-        print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
-    return rc
+    print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
+    return EXIT_OK
 
 
 def _parse_grid(parser, text: str) -> tuple[int, int]:
@@ -149,7 +125,7 @@ def _parse_grid(parser, text: str) -> tuple[int, int]:
 
 def cmd_value(parser, args) -> int:
     t0 = time.monotonic()
-    bp = _load_boundaries(args.boundaries)
+    bp = BoundaryPair.load_json(args.boundaries)
     n_t, n_x = _parse_grid(parser, args.grid)
     spec = bp.spec
     surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
@@ -158,12 +134,12 @@ def cmd_value(parser, args) -> int:
     print(f"V(0,0) = {v00:.10g}")
     print(f"V* = {vstar:.10g}")
     if args.out:
-        _ensure_outdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         core, h = _manifest_core(
             "value", {"mu": spec.mu, "T": spec.T},
             {"grid": args.grid, "boundaries": os.path.basename(args.boundaries)},
             ["surface.csv"])
-        return _write_outputs(
+        _write_outputs(
             os.path.join(args.out, "manifest.json"), core, h, t0,
             lambda: surface.save_csv(os.path.join(args.out, "surface.csv"),
                                      manifest_hash=h))
@@ -173,7 +149,7 @@ def cmd_value(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     _positive(parser, "--paths", args.paths)
     t0 = time.monotonic()
-    bp = _load_boundaries(args.boundaries)
+    bp = BoundaryPair.load_json(args.boundaries)
     spec = bp.spec
     try:
         cfg = SimConfig(n_paths=args.paths, n_steps=args.steps,
@@ -206,8 +182,9 @@ def cmd_simulate(parser, args) -> int:
         if args.dump:
             save_per_path_csv(args.dump, records, manifest_hash=h)
 
-    return _write_outputs((args.out or args.dump) + ".manifest.json", core,
-                          h, t0, write)
+    _write_outputs((args.out or args.dump) + ".manifest.json", core, h, t0,
+                   write)
+    return EXIT_OK
 
 
 def cmd_compare(parser, args) -> int:
@@ -215,47 +192,38 @@ def cmd_compare(parser, args) -> int:
     t0 = time.monotonic()
     spec = ProblemSpec(mu=args.mu, T=args.horizon)
     n_t, n_x = _parse_grid(parser, args.lattice)
-    try:
-        bp_int = solve_boundaries(spec, SolverConfig(n_steps=args.n_steps))
-        _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
-    except (NonConvergenceError, InvariantViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except LatticeTooCoarseError as exc:
-        print(f"error: lattice {args.lattice} is too coarse: {exc}",
-              file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    bp_int = solve_boundaries(spec, SolverConfig(n_steps=args.n_steps))
+    _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
     rep = oracle_compare(bp_int, bp_bell)
     doc = rep.to_json_dict()
     doc["spec"] = {"mu": spec.mu, "T": spec.T}
     print(json.dumps(doc))
     if args.out:
-        _ensure_outdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         core, h = _manifest_core(
             "compare", doc["spec"],
             {"n_steps": args.n_steps, "lattice": args.lattice},
             ["compare.json"])
         doc["manifest_hash"] = h
-        return _write_outputs(
+        _write_outputs(
             os.path.join(args.out, "manifest.json"), core, h, t0,
-            lambda: _write_json(os.path.join(args.out, "compare.json"), doc))
+            lambda: write_json(os.path.join(args.out, "compare.json"), doc))
     return EXIT_OK
 
 
 def cmd_plot(parser, args) -> int:
     t0 = time.monotonic()
-    pairs = [_load_boundaries(p) for p in args.boundaries]
+    pairs = [BoundaryPair.load_json(p) for p in args.boundaries]
     core, h = _manifest_core(
         "plot",
         {"mus": [p.spec.mu for p in pairs], "T": pairs[0].spec.T},
         {"inputs": [os.path.basename(p) for p in args.boundaries]},
         [os.path.basename(args.out)])
-    rc = _write_outputs(
+    _write_outputs(
         args.out + ".manifest.json", core, h, t0,
         lambda: save_boundaries_svg(pairs, args.out, manifest_hash=h))
-    if rc == EXIT_OK:
-        print(f"wrote {args.out}")
-    return rc
+    print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,10 +282,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](parser, args)
-    except ValueError as exc:
-        # bad numeric domain reaching a library constructor
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

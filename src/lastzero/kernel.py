@@ -109,10 +109,6 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     sq = np.sqrt(s)
     zm = np.asarray(z_minus, dtype=float)
     zp = np.asarray(z_plus, dtype=float)
-    if zm.ndim == 1:
-        zm = zm[np.newaxis, :]
-    if zp.ndim == 1:
-        zp = zp[np.newaxis, :]
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
     a = np.maximum((zm - center) / sq, -_CLIP)
     c = np.minimum((zp - center) / sq, _CLIP)

@@ -18,7 +18,6 @@ workers, and bit-reproducible on one platform.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .closed_forms import ProblemSpec
 from .boundaries import BoundaryPair
-from ._pool import _available_cpus
+from ._shared import _available_cpus, write_csv
 
 MAX_STORED_PATHS = 10_000
 
@@ -222,9 +221,6 @@ class FixedTimeRule(StoppingRule):
         self.c = float(np.clip(c, 0.0, T))
         self.name = f"fixed_time:{c:g}"
 
-    def stop_mask(self, times, w):
-        return np.broadcast_to(times >= self.c, w.shape)
-
     def taus(self, times, w):
         return np.full(w.shape[0], self.c)
 
@@ -292,32 +288,11 @@ PER_PATH_DTYPE = np.dtype([("path_id", np.int64), ("g", float),
                            ("tau", float), ("abs_error", float)])
 
 
-def per_path_records(spec: ProblemSpec, rule: StoppingRule,
-                     cfg: SimConfig) -> np.ndarray:
-    """Per-path (path_id, g, tau, |g - tau|) table for small runs.
-
-    The rows come from the very pass evaluate_policy makes with this cfg.
-    Guarded by MAX_STORED_PATHS: the dump is a diagnostic artifact, not a
-    bulk format; large runs go through the streaming estimators.
-    """
-    if cfg.n_paths > MAX_STORED_PATHS:
-        raise ValueError(
-            f"n_paths={cfg.n_paths} exceeds the {MAX_STORED_PATHS}-path "
-            "per-path dump guard; dumps are for small runs")
-    out = np.empty(cfg.n_paths, dtype=PER_PATH_DTYPE)
-    evaluate_policy(spec, rule, cfg, records=out)
-    return out
-
-
 def save_per_path_csv(path, records: np.ndarray,
                       manifest_hash: str | None = None) -> None:
-    """Write a per_path_records table as CSV (path_id, g, tau, abs_error)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if manifest_hash is not None:
-            fh.write(f"# manifest_hash={manifest_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path_id", "g", "tau", "abs_error"])
-        for rec in records:
-            writer.writerow([int(rec["path_id"])]
-                            + [f"{float(rec[k]):.17g}"
-                               for k in ("g", "tau", "abs_error")])
+    """Write per-path rows (PER_PATH_DTYPE, as ``evaluate_policies`` fills
+    them) as CSV: path_id, g, tau, abs_error."""
+    write_csv(path, PER_PATH_DTYPE.names,
+              ((i, f"{g:.17g}", f"{tau:.17g}", f"{err:.17g}")
+               for i, g, tau, err in records.tolist()),
+              {"manifest_hash": manifest_hash})

@@ -16,7 +16,6 @@ order, so the result does not depend on the thread count.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 from .closed_forms import ProblemSpec, mean_g
 from .kernel import lag_rule, lag_integral_batch
 from .boundaries import BoundaryPair
-from ._pool import _available_cpus
+from ._shared import _available_cpus, write_csv
 
 _SOURCES = ("integral_formula", "bellman")
 
@@ -59,16 +58,13 @@ class ValueSurface:
 
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
         """Long-format dump: one (t, x, V) row per cell."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if manifest_hash is not None:
-                fh.write(f"# manifest_hash={manifest_hash}\n")
-            fh.write(f"# source={self.source}\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t", "x", "V"])
-            for i, t in enumerate(self.t_grid):
-                for j, x in enumerate(self.x_grid):
-                    w.writerow([f"{t:.17g}", f"{x:.17g}",
-                                f"{self.values[i, j]:.17g}"])
+        ts = [f"{t:.17g}" for t in self.t_grid]
+        xs = [f"{x:.17g}" for x in self.x_grid]
+        write_csv(path, ["t", "x", "V"],
+                  ((t, x, f"{v:.17g}")
+                   for t, row in zip(ts, self.values)
+                   for x, v in zip(xs, row)),
+                  {"manifest_hash": manifest_hash, "source": self.source})
 
 
 def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
@@ -78,7 +74,10 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
     With ``clip_stop=False`` the lag integral is evaluated verbatim even on
     the stopping set (used by diagnostics that difference V across the
     boundary; there the formula's residual matters, not the policy's 0).
+    Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
+    if spec != bp.spec:
+        raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape)
     if t >= spec.T * (1 - 1e-15):

@@ -17,7 +17,7 @@ PUBLIC = [
     "evaluate_policy", "g_cdf", "gain_H", "h_curves", "kernel",
     "lag_integral_batch", "lag_rule", "mean_g", "montecarlo",
     "optimal_value_Vstar", "oracle_compare", "parse_policy",
-    "per_path_records", "save_per_path_csv", "simulate_paths",
+    "save_per_path_csv", "simulate_paths",
     "smooth_fit_diagnostic", "solve_boundaries", "value", "value_at",
     "value_row",
 ]

@@ -30,7 +30,7 @@ from lastzero.boundaries import sqrt_time_grid
 import lastzero.boundaries as boundaries_module
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
-# solution itself, as a solve at tol_res=1e-11, tol_b=1e-13 gives it (the
+# solution itself, as a solve at tol_res=1e-11 gives it (the
 # path-independence test below ties default solves to such tight ones).
 # Independent checks come from the residual certificate below and the
 # lattice cross-validation in the acceptance suite.
@@ -59,11 +59,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(n_steps=0)
         with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tol_b=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(tol_res=-1.0)
+
+    def test_step_tolerance_derived(self):
+        assert SolverConfig().tol_b == 1e-7
+        assert SolverConfig(tol_res=1e-5).tol_b == 1e-7
+        assert SolverConfig(tol_res=1e-11).tol_b == 1e-12
 
 
 class TestSolvedBoundaries:
@@ -120,8 +121,8 @@ class TestSolvedBoundaries:
         # the discrete solution itself, whatever the iteration path.
         spec = ProblemSpec(mu=mu, T=1.0)
         loose = solve_boundaries(spec, SolverConfig(n_steps=80))
-        tight = solve_boundaries(spec, SolverConfig(n_steps=80, tol_res=1e-11,
-                                                    tol_b=1e-13))
+        tight = solve_boundaries(spec, SolverConfig(n_steps=80,
+                                                    tol_res=1e-11))
         npt.assert_allclose(loose.b_minus, tight.b_minus, atol=1e-6, rtol=0)
         npt.assert_allclose(loose.b_plus, tight.b_plus, atol=1e-6, rtol=0)
 
@@ -298,10 +299,10 @@ class TestContainerValidation:
 
 
 class TestNonConvergence:
-    def test_iteration_exhaustion_raises(self):
+    def test_iteration_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(boundaries_module, "MAX_ITER", 1)
         spec = ProblemSpec(mu=0.0, T=1.0)
-        cfg = SolverConfig(n_steps=12, max_iter=1, tol_res=1e-14,
-                           tol_b=1e-14)
+        cfg = SolverConfig(n_steps=12, tol_res=1e-14)
         with pytest.raises(NonConvergenceError) as exc:
             solve_boundaries(spec, cfg)
         assert exc.value.step >= 0

@@ -8,8 +8,11 @@ lattice, 4 I/O, 5 schema).
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,16 +131,23 @@ class TestValue:
         assert exc.value.code == EXIT_USAGE
 
     def test_missing_file_io_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["value", "--boundaries", str(tmp_path / "nope.json")])
-        assert exc.value.code == EXIT_IO
+        rc = main(["value", "--boundaries", str(tmp_path / "nope.json")])
+        assert rc == EXIT_IO
 
     def test_wrong_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "lastzero.surface.v1"}))
-        with pytest.raises(SystemExit) as exc:
-            main(["value", "--boundaries", str(bad)])
-        assert exc.value.code == EXIT_SCHEMA
+        rc = main(["value", "--boundaries", str(bad)])
+        assert rc == EXIT_SCHEMA
+
+    def test_non_utf8_file_schema_error(self, tmp_path, capsys):
+        # undecodable bytes are a malformed input file, not a usage error
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe\x00\x81garbage")
+        rc = main(["value", "--boundaries", str(bad)])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
 
     def _rewritten(self, solved_dir, tmp_path, edit):
         doc = json.loads((solved_dir / "boundaries.json").read_text())
@@ -149,9 +159,8 @@ class TestValue:
     def test_missing_key_schema_error(self, solved_dir, tmp_path, capsys):
         path = self._rewritten(solved_dir, tmp_path,
                                lambda doc: doc.pop("b_plus"))
-        with pytest.raises(SystemExit) as exc:
-            main(["value", "--boundaries", str(path), "--grid", "4x5"])
-        assert exc.value.code == EXIT_SCHEMA
+        rc = main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert rc == EXIT_SCHEMA
         assert "b_plus" in capsys.readouterr().err
 
     def test_nan_boundary_schema_error(self, solved_dir, tmp_path, capsys):
@@ -159,9 +168,8 @@ class TestValue:
             doc["b_minus"][3] = float("nan")
 
         path = self._rewritten(solved_dir, tmp_path, poison)
-        with pytest.raises(SystemExit) as exc:
-            main(["value", "--boundaries", str(path), "--grid", "4x5"])
-        assert exc.value.code == EXIT_SCHEMA
+        rc = main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert rc == EXIT_SCHEMA
         assert "finite" in capsys.readouterr().err
 
 
@@ -350,6 +358,38 @@ class TestPlot:
                    str(solved_dir / "boundaries.json"),
                    "--out", "/nonexistent/dir/a.svg"])
         assert rc == EXIT_IO
+
+
+class TestProcessExitCodes:
+    """The exit code a shell sees, from a real ``python -m lastzero.cli``."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", EXIT_OK), ("usage", EXIT_USAGE),
+        ("coarse_lattice", EXIT_NONCONVERGENCE), ("missing_file", EXIT_IO),
+        ("schema", EXIT_SCHEMA)])
+    def test_exit_code(self, tmp_path, case, code):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": "lastzero.surface.v1"}))
+        argv = {
+            "ok": ["solve", "--mu", "0.4", "--horizon", "1", "--n-steps",
+                   "10", "--out", str(tmp_path / "out")],
+            "usage": ["solve", "--mu", "0", "--horizon", "-1"],
+            "coarse_lattice": ["compare", "--mu", "0", "--horizon", "1",
+                               "--n-steps", "20", "--lattice", "2x2"],
+            "missing_file": ["value", "--boundaries",
+                             str(tmp_path / "nope.json")],
+            "schema": ["value", "--boundaries", str(bad)],
+        }[case]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "lastzero.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == code, proc.stderr
+        assert ("error:" in proc.stderr) == (code != EXIT_OK)
 
 
 class TestConsoleScript:

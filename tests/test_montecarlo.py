@@ -25,12 +25,18 @@ from lastzero import (
     evaluate_policy,
     mean_g,
     parse_policy,
-    per_path_records,
     save_per_path_csv,
     simulate_paths,
 )
 from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
 import lastzero.montecarlo as mc_module
+
+
+def _dump_rows(spec, rule, cfg):
+    """Per-path rows of the one pass that scores ``rule``."""
+    rec = np.empty(cfg.n_paths, mc_module.PER_PATH_DTYPE)
+    evaluate_policy(spec, rule, cfg, records=rec)
+    return rec
 
 
 def _sqrt_pair(spec):
@@ -322,8 +328,7 @@ class TestPerPathDump:
         return SimConfig(**base)
 
     def test_fields_and_ranges(self):
-        rec = per_path_records(self.spec, FixedTimeRule(0.3, 1.0),
-                               self._cfg())
+        rec = _dump_rows(self.spec, FixedTimeRule(0.3, 1.0), self._cfg())
         assert rec.dtype.names == ("path_id", "g", "tau", "abs_error")
         npt.assert_array_equal(rec["path_id"], np.arange(200))
         assert np.all((rec["g"] >= 0.0) & (rec["g"] <= 1.0))
@@ -335,27 +340,22 @@ class TestPerPathDump:
         # the dump walks the very paths the streaming estimator averaged
         rule = FixedTimeRule(0.3, 1.0)
         cfg = self._cfg(n_paths=1500)
-        rec = per_path_records(self.spec, rule, cfg)
+        rec = _dump_rows(self.spec, rule, cfg)
         rep = evaluate_policy(self.spec, rule, cfg)
         npt.assert_allclose(rec["abs_error"].mean(), rep.estimate, rtol=1e-12)
 
     def test_chunk_invariance(self, monkeypatch):
         rule = FixedTimeRule(0.3, 1.0)
         monkeypatch.setattr(mc_module, "_CHUNK", 7)
-        a = per_path_records(self.spec, rule, self._cfg())
+        a = _dump_rows(self.spec, rule, self._cfg())
         monkeypatch.setattr(mc_module, "_CHUNK", 1000)
-        b = per_path_records(self.spec, rule, self._cfg())
+        b = _dump_rows(self.spec, rule, self._cfg())
         npt.assert_array_equal(a, b)
-
-    def test_storage_guard(self):
-        cfg = SimConfig(n_paths=MAX_STORED_PATHS + 1, n_steps=2, seed=1)
-        with pytest.raises(ValueError, match="guard"):
-            per_path_records(self.spec, FixedTimeRule(0.3, 1.0), cfg)
 
     def test_csv_roundtrip(self, tmp_path):
         rule = FixedTimeRule(0.3, 1.0)
         cfg = self._cfg(n_paths=37)
-        rec = per_path_records(self.spec, rule, cfg)
+        rec = _dump_rows(self.spec, rule, cfg)
         out = tmp_path / "per_path.csv"
         save_per_path_csv(out, rec, manifest_hash="ab" * 32)
         lines = out.read_text().splitlines()
@@ -389,7 +389,7 @@ class TestThreadedStream:
             try:
                 return (collect_last_zeros(self.spec, self.cfg),
                         evaluate_policies(self.spec, rules, self.cfg),
-                        per_path_records(self.spec, rules[0], self.cfg))
+                        _dump_rows(self.spec, rules[0], self.cfg))
             finally:
                 sys.setswitchinterval(interval)
 
@@ -422,8 +422,7 @@ class TestThreadedStream:
         rec = np.empty(self.cfg.n_paths, mc_module.PER_PATH_DTYPE)
         rep = evaluate_policy(self.spec, rule, self.cfg, records=rec)
         assert rep == evaluate_policy(self.spec, rule, self.cfg)
-        assert np.array_equal(rec, per_path_records(self.spec, rule,
-                                                    self.cfg))
+        assert np.array_equal(rec, _dump_rows(self.spec, rule, self.cfg))
         with pytest.raises(ValueError, match="one row per path"):
             evaluate_policy(self.spec, rule, self.cfg, records=rec[:-1])
         with pytest.raises(ValueError, match="a rule"):
@@ -467,7 +466,7 @@ class TestRegressionPins:
 
     def test_per_path_digest(self):
         spec = ProblemSpec(mu=0.3, T=1.0)
-        rec = per_path_records(spec, OptimalRule(_sqrt_pair(spec), 0.8),
-                               SimConfig(n_paths=700, n_steps=200, seed=5))
+        rec = _dump_rows(spec, OptimalRule(_sqrt_pair(spec), 0.8),
+                         SimConfig(n_paths=700, n_steps=200, seed=5))
         assert hashlib.sha256(rec.tobytes()).hexdigest() == (
             "f1af856fa8a5ecbdbc5ca16a945d9519d28e22af786281bd23fa7dfd464c2613")

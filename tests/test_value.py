@@ -14,13 +14,17 @@ import numpy.testing as npt
 import pytest
 
 from lastzero import (
+    BoundaryPair,
     OptimalRule,
     ProblemSpec,
+    SolverConfig,
     ValueSurface,
+    boundary_residuals,
     build_value_surface,
     mean_g,
     optimal_value_Vstar,
     smooth_fit_diagnostic,
+    solve_boundaries,
     value_at,
 )
 from lastzero.value import default_x_grid, value_row
@@ -118,6 +122,70 @@ class TestValueFunction:
         left = value_row(bp.spec, bp, 0.3, -xs)
         right = value_row(bp.spec, bp, 0.3, xs)
         npt.assert_allclose(left, right, atol=1e-12, rtol=0)
+
+
+class TestSpecMismatch:
+    # Every evaluator reads the problem from ``spec`` and the windows from
+    # ``bp``; a pair solved for another problem gave wrong numbers silently
+    # (a (0.7, 1.5) pair read with mu = -0.7: V(0,0) -0.1712, not -0.3221).
+    @pytest.mark.parametrize("call", [
+        lambda spec, bp: value_row(spec, bp, 0.2, np.array([0.0])),
+        lambda spec, bp: value_at(spec, bp, 0.0, 0.0),
+        lambda spec, bp: build_value_surface(spec, bp, n_t=3, n_x=4),
+        lambda spec, bp: optimal_value_Vstar(spec, bp),
+        lambda spec, bp: smooth_fit_diagnostic(spec, bp, [0.3]),
+        lambda spec, bp: boundary_residuals(spec, bp, [0.0]),
+    ], ids=["value_row", "value_at", "build_value_surface",
+            "optimal_value_Vstar", "smooth_fit_diagnostic",
+            "boundary_residuals"])
+    @pytest.mark.parametrize("mu, T", [(0.7, 1.0), (0.0, 0.5)])
+    def test_raises(self, boundaries_for, call, mu, T):
+        bp = boundaries_for(0.0)
+        with pytest.raises(ValueError, match="does not match"):
+            call(ProblemSpec(mu=mu, T=T), bp)
+
+
+def _rescaled(bp, T):
+    """The pair of (mu / sqrt(T), T) that Brownian scaling maps from bp."""
+    root = np.sqrt(T)
+    return BoundaryPair(spec=ProblemSpec(mu=bp.spec.mu / root, T=T),
+                        grid=bp.grid * T, b_minus=bp.b_minus * root,
+                        b_plus=bp.b_plus * root)
+
+
+class TestInvariants:
+    """Brownian scaling and the drift flip, on pairs built from one solve."""
+
+    XS = np.linspace(-1.8, 1.8, 19)       # both boundaries and beyond
+    US = (0.0, 0.3, 0.77, 0.95)           # times as fractions of T
+
+    @pytest.fixture(scope="class")
+    def unit_pair(self):
+        return solve_boundaries(ProblemSpec(mu=0.7, T=1.0),
+                                SolverConfig(n_steps=60))
+
+    @pytest.mark.parametrize("T", [0.3, 2.5])
+    def test_brownian_scaling(self, unit_pair, T):
+        # V(t, x; mu, T) = T V(t/T, x/sqrt(T); mu sqrt(T), 1)
+        bp = _rescaled(unit_pair, T)
+        for u in self.US:
+            unit = value_row(unit_pair.spec, unit_pair, u, self.XS)
+            scaled = value_row(bp.spec, bp, u * T, self.XS * np.sqrt(T))
+            assert np.any(unit < 0.0)
+            assert np.max(np.abs(scaled - T * unit)) <= 1e-13 * T
+
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    def test_drift_flip(self, unit_pair, T):
+        # -B^mu is B^(-mu) with the same zeros: V(t, x; mu) = V(t, -x; -mu)
+        bp = _rescaled(unit_pair, T)
+        flipped = BoundaryPair(spec=ProblemSpec(mu=-bp.spec.mu, T=T),
+                               grid=bp.grid, b_minus=-bp.b_plus,
+                               b_plus=-bp.b_minus)
+        xs = self.XS * np.sqrt(T)
+        for u in self.US:
+            v = value_row(bp.spec, bp, u * T, xs)
+            v_flip = value_row(flipped.spec, flipped, u * T, -xs)
+            assert np.max(np.abs(v - v_flip)) <= 1e-13 * T
 
 
 class TestOptimalValue:
