@@ -1,11 +1,30 @@
-"""Helpers shared by several modules: the worker count of the thread pools
-in ``value`` and ``montecarlo``, and the one CSV and JSON artifact layout."""
+"""Helpers shared by several modules: the one thread pool of the process,
+and the one CSV and JSON artifact layout.
+
+Work fans out through ``map_in_order`` only.  A fan-out runs on the calling
+thread plus at most ``workers() - 1`` threads of one lazily built,
+process-wide pool with one worker per CPU the process may use; the caller
+runs the first item itself and then, like the pool threads, claims items
+no thread has started.  On a pool thread, or on a caller busy with its own
+share of a fan-out, a nested fan-out runs inline, so pools never nest and
+no more threads compute than there are CPUs.  The kernel fans out its lag
+columns, ``value`` its rows and ``montecarlo`` its path blocks; each item
+does the same arithmetic on whichever thread runs it, so no output depends
+on the worker count.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
+
+# ``inline`` is set for good on pool threads and for the duration of a
+# caller's own share of a fan-out.
+_thread_state = threading.local()
 
 
 def _available_cpus() -> int:
@@ -14,6 +33,62 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def workers() -> int:
+    """Threads one fan-out may compute on: one per available CPU."""
+    return _available_cpus()
+
+
+def _mark_inline() -> None:
+    _thread_state.inline = True
+
+
+@lru_cache(maxsize=None)
+def _pool(n_workers: int) -> ThreadPoolExecutor:
+    """The process's pool for a worker count (cached, so tests may vary it)."""
+    return ThreadPoolExecutor(max_workers=n_workers,
+                              thread_name_prefix="lastzero",
+                              initializer=_mark_inline)
+
+
+def map_in_order(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed on up to ``workers()``
+    threads; runs inline with one item or when already inside a fan-out."""
+    items = list(items)
+    n_workers = workers()
+    n_threads = min(n_workers, len(items))
+    if n_threads <= 1 or getattr(_thread_state, "inline", False):
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    unclaimed = iter(range(1, len(items)))   # item 0 is the caller's
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def claim():
+        with lock:
+            return next(unclaimed, None)
+
+    def drain(i):
+        try:
+            while i is not None and not failed.is_set():
+                results[i] = fn(items[i])
+                i = claim()
+        except BaseException:
+            failed.set()
+            raise
+
+    helpers = [_pool(n_workers).submit(lambda: drain(claim()))
+               for _ in range(n_threads - 1)]
+    _thread_state.inline = True
+    try:
+        drain(0)
+    finally:
+        _thread_state.inline = False
+        wait(helpers)
+    for helper in helpers:
+        helper.result()                 # re-raises a helper's error
+    return results
 
 
 def write_csv(path, header, rows, comments: dict) -> None:

@@ -79,7 +79,7 @@ class SolverConfig:
     tol_res: float = 1e-6
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.tol_res <= 0.0:
+        if self.n_steps < 1 or not self.tol_res > 0.0:  # NaN included
             raise ValueError("n_steps and tol_res must be positive")
 
     @property

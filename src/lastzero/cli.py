@@ -84,7 +84,7 @@ def _write_outputs(manifest_path: str, core: dict, manifest_hash: str,
 
 
 def _positive(parser: argparse.ArgumentParser, name: str, value: float):
-    if value <= 0:
+    if not value > 0:                   # NaN is not positive either
         parser.error(f"{name} must be positive, got {value:g}")
     return value
 
@@ -216,7 +216,7 @@ def cmd_plot(parser, args) -> int:
     pairs = [BoundaryPair.load_json(p) for p in args.boundaries]
     core, h = _manifest_core(
         "plot",
-        {"mus": [p.spec.mu for p in pairs], "T": pairs[0].spec.T},
+        {"mus": [p.spec.mu for p in pairs], "Ts": [p.spec.T for p in pairs]},
         {"inputs": [os.path.basename(p) for p in args.boundaries]},
         [os.path.basename(args.out)])
     _write_outputs(

@@ -14,9 +14,13 @@ where H has a square-root derivative blow-up), restoring smooth integrands.
 
 Inner integrals are computed in the standardized variable
 xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
-lags are always resolved; panels are split at the image of y = 0.  Wide
-batches are evaluated in tiles of lag nodes, so the (point, lag, node)
-temporaries stay near a fixed size whatever the batch width.
+lags are always resolved; panels are split at the image of y = 0.  The lag
+nodes are split into one contiguous share per worker of the process's
+thread pool (``_shared.map_in_order``; inline when the call already runs
+inside a fan-out), and each share walks its nodes in tiles, so at most
+2^16 H points are in flight across all threads whatever the batch width.
+Every (point, lag) entry gets the same arithmetic on whichever share and
+tile it lands, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _shared
 from .closed_forms import ProblemSpec, _gain_H_raw
 
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# H evaluations per lag tile: bounds each (point, lag, node) temporary at
-# 512 KB; a solver call (2 points x 128 lags x 64 nodes) fits in one tile.
+# H evaluations in flight across all workers: bounds the (point, lag, node)
+# temporaries at 512 KB per array in total; on two workers a solver call
+# (2 points x 128 lags x 64 nodes) is one tile per share.
 _TILE_H_POINTS = 2 ** 16
 
 
@@ -97,10 +103,11 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
 
     The inner integral per (x, s-node) uses two Gauss-Legendre panels in the
     standardized variable, split at the image of the kink y = 0; empty or
-    clipped-away windows contribute exactly 0.  Lag nodes are processed in
-    tiles of about ``_TILE_H_POINTS`` H evaluations; every (x, s-node) entry
-    is reduced over the same Gauss-Legendre axis whatever the tiling, so the
-    result does not depend on the batch width.
+    clipped-away windows contribute exactly 0.  Lag nodes are split into one
+    contiguous share per worker, each processed in tiles of about
+    ``_TILE_H_POINTS / workers`` H evaluations; every (x, s-node) entry is
+    reduced over the same Gauss-Legendre axis whatever the share or tile, so
+    the result depends neither on the batch width nor on the worker count.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if rule.n == 0:
@@ -117,17 +124,25 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
     r, w = _gauss_unit(n_gl)
     out = np.zeros((xs.size, rule.n))
-    tile = max(1, _TILE_H_POINTS // (xs.size * n_gl))
-    for j in range(0, rule.n, tile):
-        cols = slice(j, j + tile)
-        center_t = center[:, cols, np.newaxis]
-        sq_t = sq[:, cols, np.newaxis]
-        s_rem_t = s_rem[:, cols, np.newaxis]
-        for lo, hi in ((a[:, cols], mid[:, cols]), (mid[:, cols], c[:, cols])):
-            width = hi - lo                            # (B, tile)
-            xi = lo[..., np.newaxis] + width[..., np.newaxis] * r  # (B, tile, n_gl)
-            y = center_t + sq_t * xi
-            h = _gain_H_raw(spec.mu, s_rem_t, y)
-            phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-            out[:, cols] += width * np.einsum("bsg,g->bs", h * phi, w)
+    n_workers = _shared.workers()
+    tile = max(1, _TILE_H_POINTS // (n_workers * xs.size * n_gl))
+
+    def share(bounds):
+        for j in range(bounds[0], bounds[1], tile):
+            cols = slice(j, min(j + tile, bounds[1]))
+            center_t = center[:, cols, np.newaxis]
+            sq_t = sq[:, cols, np.newaxis]
+            s_rem_t = s_rem[:, cols, np.newaxis]
+            for lo, hi in ((a[:, cols], mid[:, cols]),
+                           (mid[:, cols], c[:, cols])):
+                width = hi - lo                        # (B, tile)
+                xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
+                y = center_t + sq_t * xi               # (B, tile, n_gl)
+                h = _gain_H_raw(spec.mu, s_rem_t, y)
+                phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
+                out[:, cols] += width * np.einsum("bsg,g->bs", h * phi, w)
+
+    edges = [rule.n * k // n_workers for k in range(n_workers + 1)]
+    _shared.map_in_order(share, [(lo, hi) for lo, hi
+                                 in zip(edges[:-1], edges[1:]) if lo < hi])
     return out @ rule.weights

@@ -11,21 +11,20 @@ random numbers).
 
 Randomness is counter-based and splittable: path i of a run seeded s draws
 from Philox keyed (s, i).  Blocks of paths are drawn, scanned and stopped on
-threads, one per CPU the process may use, and reduced in whole chunks in
-path order, so results are independent of chunking and of the number of
-workers, and bit-reproducible on one platform.
+the process's one thread pool (``_shared.map_in_order``), and reduced in
+whole chunks in path order, so results are independent of chunking and of
+the number of workers, and bit-reproducible on one platform.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import ProblemSpec
 from .boundaries import BoundaryPair
-from ._shared import _available_cpus, write_csv
+from ._shared import map_in_order, workers, write_csv
 
 MAX_STORED_PATHS = 10_000
 
@@ -148,22 +147,21 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
     arithmetic release the interpreter lock, so the blocks run in parallel.
     """
     chunk = max(1, min(_CHUNK, int(8_000_000 // (cfg.n_steps + 1))))
-    workers = _available_cpus()
-    block = -(-chunk // (2 * workers))
+    block = -(-chunk // (2 * workers()))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
 
-    def run(start, stop):
+    def run(bounds):
+        start, stop = bounds
         w, u_bridge, u_place = _draw_chunk(spec, cfg, start, stop - start)
         g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction)
         return g, [rule.taus(times, w) for rule in rules]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, cfg.n_paths, chunk):
-            stop = min(start + chunk, cfg.n_paths)
-            edges = [*range(start, stop, block), stop]
-            parts = list(pool.map(run, edges[:-1], edges[1:]))
-            yield (start, np.concatenate([g for g, _ in parts]),
-                   [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
+    for start in range(0, cfg.n_paths, chunk):
+        stop = min(start + chunk, cfg.n_paths)
+        edges = [*range(start, stop, block), stop]
+        parts = map_in_order(run, zip(edges[:-1], edges[1:]))
+        yield (start, np.concatenate([g for g, _ in parts]),
+               [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
 
 
 def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig) -> np.ndarray:

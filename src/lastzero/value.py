@@ -9,14 +9,14 @@ zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}.  The optimal
 expected prediction error is V* = V(0,0) + E g.
 
 A surface's rows are independent lag integrals; ``build_value_surface``
-runs them on threads, one per CPU the process may use (the kernel's numpy
-and scipy ufuncs release the interpreter lock), and assembles them in grid
-order, so the result does not depend on the thread count.
+fans them out over the process's one thread pool (``_shared.map_in_order``;
+the kernel's numpy and scipy ufuncs release the interpreter lock), where
+each row's kernel calls run inline on the row's thread, and assembles them
+in grid order, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .closed_forms import ProblemSpec, mean_g
 from .kernel import lag_rule, lag_integral_batch
 from .boundaries import BoundaryPair
-from ._shared import _available_cpus, write_csv
+from ._shared import map_in_order, write_csv
 
 _SOURCES = ("integral_formula", "bellman")
 
@@ -119,15 +119,9 @@ def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,
     t_grid = np.linspace(0.0, spec.T, n_t)
     x_grid = default_x_grid(bp, n_x)
 
-    def row(t):
-        return value_row(spec, bp, t, x_grid)
-
-    vals = np.zeros((t_grid.size, x_grid.size))
-    with ThreadPoolExecutor(max_workers=_available_cpus()) as ex:
-        for i, v in enumerate(ex.map(row, t_grid)):
-            vals[i] = v
+    rows = map_in_order(lambda t: value_row(spec, bp, t, x_grid), t_grid)
     # quadrature noise must not leak above zero
-    vals = np.minimum(vals, 0.0)
+    vals = np.minimum(np.stack(rows), 0.0)
     return ValueSurface(spec=spec, t_grid=t_grid, x_grid=x_grid, values=vals,
                         source="integral_formula")
 

@@ -7,6 +7,7 @@ equations with an independent, finer quadrature.
 """
 
 import json
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +28,7 @@ from lastzero import (
 )
 from lastzero.boundaries import sqrt_time_grid
 
+import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
@@ -60,6 +62,10 @@ class TestSolverConfig:
             SolverConfig(n_steps=0)
         with pytest.raises(ValueError):
             SolverConfig(tol_res=-1.0)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(tol_res=float("nan"))
 
     def test_step_tolerance_derived(self):
         assert SolverConfig().tol_b == 1e-7
@@ -181,6 +187,32 @@ class TestSolvedBoundaries:
         times = np.sort(rng.uniform(0.0, 0.97, 20))
         res = boundary_residuals(bp.spec, bp, times)
         assert np.max(np.abs(res)) <= 1e-5
+
+
+class TestWorkerCountInvariance:
+    """The solver's kernel calls fan their lags out over the thread pool."""
+
+    @staticmethod
+    def _solve_and_certify(nu, workers):
+        spec = ProblemSpec(mu=nu, T=1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shared_module, "_available_cpus", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                bp = solve_boundaries(spec, SolverConfig(n_steps=60))
+                cert = boundary_residuals(spec, bp, bp.grid[::6])
+            finally:
+                sys.setswitchinterval(interval)
+        return bp, cert
+
+    @pytest.mark.parametrize("nu", [0.0, 0.8])
+    def test_one_worker_equals_eight(self, nu):
+        one, cert_one = self._solve_and_certify(nu, 1)
+        eight, cert_eight = self._solve_and_certify(nu, 8)
+        for name in ("b_minus", "b_plus", "residuals"):
+            npt.assert_array_equal(getattr(one, name), getattr(eight, name))
+        npt.assert_array_equal(cert_one, cert_eight)
 
 
 class TestBrownianScaling:

@@ -79,6 +79,15 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "--horizon" in capsys.readouterr().err
 
+    def test_nan_tolerance_usage_error(self, tmp_path, capsys):
+        # NaN passes a "<= 0" test; it must be refused before any solve
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--mu", "0", "--horizon", "1", "--n-steps", "20",
+                  "--tol", "nan", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--tol must be positive, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failure_depends_on_nu_only(self, tmp_path, capsys):
         # (-50, 1) and (-5, 100) share nu = mu*sqrt(T) = -50: the same
         # normalized problem fails with the same normalized clamp
@@ -343,6 +352,32 @@ class TestPlot:
                               .read_text())
         assert manifest["command"] == "plot"
         assert manifest["manifest_hash"] in svg
+
+    def test_manifest_names_every_horizon(self, solved_dir, tmp_path,
+                                          capsys):
+        # a T = 1 and a T = 2 file: the manifest must not claim T = 1 only
+        two_dir = tmp_path / "two"
+        rc = main(["solve", "--mu", "0.4", "--horizon", "2.0",
+                   "--n-steps", "40", "--out", str(two_dir)])
+        assert rc == EXIT_OK
+        one = str(solved_dir / "boundaries.json")
+        manifests = {}
+        for name, files in (("single", [one, one]),
+                            ("mixed", [one, str(two_dir / "boundaries.json")])):
+            svg_path = tmp_path / name / "boundaries.svg"
+            svg_path.parent.mkdir()
+            rc = main(["plot", "--boundaries", *files,
+                       "--out", str(svg_path)])
+            assert rc == EXIT_OK
+            manifests[name] = json.loads(
+                (svg_path.parent / "boundaries.svg.manifest.json").read_text())
+        capsys.readouterr()
+        assert manifests["mixed"]["spec"] == {"mus": [0.4, 0.4],
+                                              "Ts": [1.0, 2.0]}
+        assert manifests["single"]["spec"] == {"mus": [0.4, 0.4],
+                                               "Ts": [1.0, 1.0]}
+        assert (manifests["mixed"]["manifest_hash"]
+                != manifests["single"]["manifest_hash"])
 
     def test_empty_boundary_list_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,8 @@ defining expectation, and (d) its own untiled form, bit for bit.  The
 scalar kernel and the untiled form live in ``oracles.py``.
 """
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,7 @@ from lastzero import (
     lag_integral_batch,
     lag_rule,
 )
+import lastzero._shared as shared_module
 from oracles import (
     KernelQuery,
     integrate_K_over_lag,
@@ -291,3 +294,29 @@ class TestLagTiling:
             tracemalloc.stop()
         # one untiled call peaks near 40 MB at this batch width
         assert peak <= 8e6
+
+
+class TestLagWorkers:
+    """Lag shares run on the process's thread pool; no bit may depend on it."""
+
+    inputs = TestLagTiling()
+
+    @pytest.mark.parametrize("workers", [1, None, 8])
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    def test_equals_untiled(self, monkeypatch, n_points, window, workers):
+        # None: one worker per available CPU; 8: more workers than cores,
+        # switching threads as often as possible
+        spec, t = self.inputs.spec, self.inputs.t
+        rule, xs, zm, zp = self.inputs._inputs(n_points, window)
+        if workers is not None:
+            monkeypatch.setattr(shared_module, "_available_cpus",
+                                lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = lag_integral_batch(spec, t, xs, zm, zp, rule)
+        finally:
+            sys.setswitchinterval(interval)
+        whole = lag_integral_batch_untiled(spec, t, xs, zm, zp, rule)
+        assert np.array_equal(shared, whole)

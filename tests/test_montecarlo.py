@@ -29,6 +29,7 @@ from lastzero import (
     simulate_paths,
 )
 from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
+import lastzero._shared as shared_module
 import lastzero.montecarlo as mc_module
 
 
@@ -384,7 +385,8 @@ class TestThreadedStream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc_module, "_CHUNK", 300)
             if workers is not None:
-                mp.setattr(mc_module, "_available_cpus", lambda: workers)
+                mp.setattr(shared_module, "_available_cpus",
+                           lambda: workers)
             sys.setswitchinterval(1e-6)
             try:
                 return (collect_last_zeros(self.spec, self.cfg),

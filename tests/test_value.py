@@ -29,6 +29,7 @@ from lastzero import (
 )
 from lastzero.value import default_x_grid, value_row
 
+import lastzero._shared as shared_module
 import lastzero.value as value_module
 
 # Regression anchors at solver defaults (n_steps=400, T=1).  E g comes from
@@ -232,7 +233,7 @@ class TestValueSurface:
         # must come back bit for bit as the serial rows, in grid order
         bp = boundaries_for(1.0)
         if workers is not None:
-            monkeypatch.setattr(value_module, "_available_cpus",
+            monkeypatch.setattr(shared_module, "_available_cpus",
                                 lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
