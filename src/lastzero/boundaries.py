@@ -9,11 +9,11 @@ where K is the stopping kernel (see :mod:`~lastzero.kernel`).  The sweep
 runs backward from T on a grid uniform in v = sqrt(T - t), which matches the
 square-root shape of the boundaries near the horizon.  Each step solves the
 2-d nonlinear system by quasi-Newton iteration (one finite-difference
-Jacobian, then Broyden updates) from a warm start extrapolated in v,
-safeguarded by bracketing bisection.  It stops only once a taken step is
-within ``tol_b`` and the residuals are within ``tol_res``: smooth fit makes
-the residual nearly flat in x, so a small residual alone leaves the answer
-far from the discrete solution.
+Jacobian, then Broyden updates) from a warm start extrapolated in v, with
+every step cut back to a fixed maximum length.  It stops only once a taken
+step is within ``tol_b`` and the residuals are within ``tol_res``: smooth
+fit makes the residual nearly flat in x, so a small residual alone leaves
+the answer far from the discrete solution.
 
 By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
 
@@ -44,11 +44,8 @@ JSON_SCHEMA = "lastzero.boundaries.v1"
 _FD_H = 1e-7
 _STEP_LIMIT = 0.25
 
-# Iterations of one step's quasi-Newton solve; bracket doublings and
-# bisections of its fallback root search.
+# Iterations of one step's quasi-Newton solve.
 MAX_ITER = 200
-_MAX_EXPAND = 60
-_MAX_BISECT = 80
 
 
 class NonConvergenceError(RuntimeError):
@@ -234,39 +231,6 @@ def _window_arrays(t_k, beta_m, beta_p, grid, bm, bp, k, s_nodes):
     return zm, zp
 
 
-def _bracket_root(f, start, direction, scale, tol):
-    """Find a root of f by expanding outward from `start`, then bisecting.
-
-    `direction` is +-1; the bracket grows geometrically from a width
-    proportional to `scale`.  Returns the midpoint once the bracket is
-    narrower than `tol`; raises if no sign change is found.
-    """
-    a = start
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    width = max(0.05 * scale, 4.0 * tol)
-    b = a
-    for _ in range(_MAX_EXPAND):
-        b = b + direction * width
-        fb = f(b)
-        if fa * fb <= 0.0:
-            break
-        width *= 2.0
-    else:
-        raise RuntimeError("no sign change while bracketing boundary root")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if abs(b - a) <= tol:
-            break
-    return 0.5 * (a + b)
-
-
 def solve_boundaries(spec: ProblemSpec,
                      cfg: SolverConfig = SolverConfig()) -> BoundaryPair:
     """Sweep k = n-1 .. 0 solving the two coupled equations at each node.
@@ -277,19 +241,26 @@ def solve_boundaries(spec: ProblemSpec,
     linearly in v = sqrt(T - t) from the two previous nodes and clipped
     into the h±-class, one finite-difference 2x2 Jacobian, then
     quasi-Newton steps with Broyden updates (the FD Jacobian is refreshed
-    whenever a step fails to halve the residual) and a bracketing bisection
-    fallback whenever a step misbehaves.  A step ends once a taken update
-    moves each boundary by at most ``tol_b`` and leaves both residuals
-    within ``tol_res`` (in the normalized problem).
-    Raises :class:`NonConvergenceError` on iteration exhaustion and
-    :class:`InvariantViolationError` if the final monotonicity clamp moves
-    any value by more than 10*tol_b.
+    whenever a step fails to halve the residual), each step scaled back to
+    the step limit in its longest component (Dennis & Schnabel 1996, ch. 6)
+    and clipped into the h±-class.  A node ends once a taken step moves
+    each boundary by at most ``tol_b`` and leaves both residuals within
+    ``tol_res`` (in the normalized problem).
+    Raises :class:`NonConvergenceError` on iteration exhaustion or a
+    singular Jacobian, and :class:`InvariantViolationError` if the h±
+    curves cannot be bracketed or the final monotonicity clamp moves any
+    value by more than 10*tol_b.
     """
     n = cfg.n_steps
     root_T = np.sqrt(spec.T)
     unit = ProblemSpec(mu=spec.mu * root_T, T=1.0)
     grid = sqrt_time_grid(1.0, n)
-    hc = h_curves(unit, grid)
+    try:
+        hc = h_curves(unit, grid)
+    except RuntimeError as exc:
+        raise InvariantViolationError(
+            f"the zero curves h± of H cannot be bracketed for nu = "
+            f"mu*sqrt(T) = {unit.mu:.6g} with n_steps = {n}") from exc
     bm = np.zeros(n + 1)
     bp = np.zeros(n + 1)
     res = np.full((n + 1, 2), np.nan)
@@ -325,27 +296,13 @@ def solve_boundaries(spec: ProblemSpec,
         for _ in range(MAX_ITER):
             try:
                 step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                step = np.array([np.inf, np.inf])
-            if not np.all(np.isfinite(step)) \
-                    or np.max(np.abs(step)) > _STEP_LIMIT:
-                # quasi-Newton unusable: bisect each coordinate outward from
-                # the h±-class edge, where the admissible root must lie.
-                scale = np.sqrt(1.0 - t_k)
-                try:
-                    beta_m = _bracket_root(
-                        lambda v: residuals(v, beta_p)[0],
-                        hc.h_minus[k], -1.0, scale, cfg.tol_b)
-                    beta_p = _bracket_root(
-                        lambda v: residuals(beta_m, v)[1],
-                        hc.h_plus[k], +1.0, scale, cfg.tol_b)
-                except RuntimeError:
-                    raise NonConvergenceError(k, t_k,
-                                              float(np.max(np.abs(r))),
-                                              unit.mu, n)
-                r = residuals(beta_m, beta_p)
-                jac = jacobian(beta_m, beta_p, r)
-                continue
+            except np.linalg.LinAlgError:   # singular Jacobian
+                break
+            longest = np.max(np.abs(step))
+            if not np.isfinite(longest):
+                break
+            if longest > _STEP_LIMIT:
+                step *= _STEP_LIMIT / longest
             beta_m_new = min(beta_m + step[0], hc.h_minus[k])
             beta_p_new = max(beta_p + step[1], hc.h_plus[k])
             taken = np.array([beta_m_new - beta_m, beta_p_new - beta_p])

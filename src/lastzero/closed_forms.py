@@ -18,6 +18,7 @@ numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class ProblemSpec:
             raise ValueError(f"drift mu must be finite, got {self.mu}")
         if not np.isfinite(self.T) or self.T <= 0.0:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+        if not math.isfinite(float(self.mu) * math.sqrt(self.T)):
+            raise ValueError(f"nu = mu*sqrt(T) overflows for mu = {self.mu} "
+                             f"and T = {self.T}")
 
 
 @dataclass(frozen=True)

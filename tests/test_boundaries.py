@@ -111,14 +111,19 @@ class TestSolvedBoundaries:
         bp = boundaries_for(0.0)
         assert abs(bp.b_plus[0] - B_PLUS_0_MU0) <= 1e-6
 
-    def test_drift_flip_mirrors_boundaries(self):
+    @pytest.mark.parametrize("mu", [0.8, 3.0, 10.0, 20.0])
+    def test_drift_flip_mirrors_boundaries(self, mu):
+        # b±(t; -mu) = -b∓(t; mu), out to large drifts where one boundary
+        # is thin; the +mu solve also certifies at every 20th node
         cfg = SolverConfig(n_steps=80)
-        bp_pos = solve_boundaries(ProblemSpec(mu=0.8, T=1.0), cfg)
-        bp_neg = solve_boundaries(ProblemSpec(mu=-0.8, T=1.0), cfg)
+        bp_pos = solve_boundaries(ProblemSpec(mu=mu, T=1.0), cfg)
+        bp_neg = solve_boundaries(ProblemSpec(mu=-mu, T=1.0), cfg)
         npt.assert_allclose(bp_pos.b_plus, -bp_neg.b_minus, atol=1e-9,
                             rtol=0)
         npt.assert_allclose(bp_pos.b_minus, -bp_neg.b_plus, atol=1e-9,
                             rtol=0)
+        cert = boundary_residuals(bp_pos.spec, bp_pos, bp_pos.grid[::20])
+        assert np.max(np.abs(cert)) / bp_pos.spec.T <= 1e-5
 
     @pytest.mark.parametrize("mu", [0.0, 0.8])
     def test_path_independent_of_tolerance(self, mu):
@@ -150,21 +155,31 @@ class TestSolvedBoundaries:
     @pytest.mark.parametrize("nu, n_steps", [(3.5574741713461897, 5),
                                              (-3.191689469140158, 4),
                                              (0.9605753653207767, 2)])
-    def test_bisection_fallback_certifies(self, monkeypatch, nu, n_steps):
+    def test_step_limit_certifies(self, monkeypatch, nu, n_steps):
         # coarse grids where a quasi-Newton step exceeds the step limit: the
-        # bracketing bisection takes over and the result still certifies
-        calls = []
-        real = boundaries_module._bracket_root
+        # step is cut back to the limit, and the solve stays cheap and still
+        # certifies
+        calls, long_steps = [], []
+        real_kernel = boundaries_module.lag_integral_batch
+        real_solve = np.linalg.solve
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(boundaries_module, "_bracket_root", counting)
+        def recording(a, b):
+            step = real_solve(a, b)
+            long_steps.append(np.max(np.abs(step))
+                              > boundaries_module._STEP_LIMIT)
+            return step
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
+        monkeypatch.setattr(np.linalg, "solve", recording)
         spec = ProblemSpec(mu=nu, T=1.0)
         cfg = SolverConfig(n_steps=n_steps)
         bp = solve_boundaries(spec, cfg)
-        assert len(calls) >= 1
+        assert any(long_steps)
+        assert len(calls) <= 15 * n_steps
         assert np.max(np.abs(bp.residuals)) / spec.T <= cfg.tol_res
         cert = boundary_residuals(spec, bp, bp.grid)
         assert np.max(np.abs(cert)) / spec.T <= 1e-5
@@ -234,7 +249,7 @@ class TestBrownianScaling:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(nu=st.floats(-10.0, 10.0), log10_T=st.floats(-4.0, 2.0),
-           n_steps=st.integers(8, 24))
+           n_steps=st.integers(2, 24))
     def test_certified_or_documented_failure(self, nu, log10_T, n_steps):
         # every finite (mu, T) either solves with residuals small relative
         # to T or raises one of the two documented errors; the returned
@@ -339,6 +354,30 @@ class TestNonConvergence:
             solve_boundaries(spec, cfg)
         assert exc.value.step >= 0
         assert 0.0 <= exc.value.t <= 1.0
+
+    @pytest.mark.parametrize("failure", ["singular", "nan"])
+    def test_unusable_step_raises_at_once(self, monkeypatch, failure):
+        # a singular Jacobian or a non-finite step ends the node's
+        # iterations after its start residual and FD Jacobian
+        calls = []
+        real = boundaries_module.lag_integral_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        def unusable(a, b):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(2, np.nan)
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
+        monkeypatch.setattr(np.linalg, "solve", unusable)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_boundaries(ProblemSpec(mu=0.0, T=1.0),
+                             SolverConfig(n_steps=12))
+        assert exc.value.step == 11
+        assert len(calls) == 3
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,28 @@ class TestSolve:
         assert errors[0] == errors[1]
         assert "clamp of 5.647e-05" in errors[0]
         assert "nu = mu*sqrt(T) = -50 with n_steps = 50" in errors[0]
+
+    def test_unbracketable_h_curves_nonconvergence(self, tmp_path, capsys):
+        # at nu = 1e60 the zero curves of H cannot be bracketed: a
+        # documented failure naming nu and n_steps, not a traceback
+        rc = main(["solve", "--mu", "1e60", "--horizon", "1", "--n-steps",
+                   "20", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert "nu = mu*sqrt(T) = 1e+60 with n_steps = 20" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_nu_usage_error(self, tmp_path, capsys):
+        # a finite mu and T whose nu = mu*sqrt(T) overflows are refused as
+        # such, without a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--mu", "1e308", "--horizon", "1e10",
+                       "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "nu = mu*sqrt(T) overflows" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
