@@ -15,6 +15,7 @@ on the worker count.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import os
@@ -78,7 +79,10 @@ def map_in_order(fn, items) -> list:
             failed.set()
             raise
 
-    helpers = [_pool(n_workers).submit(lambda: drain(claim()))
+    # each helper runs in a copy of the caller's context, so settings such
+    # as ``np.errstate`` hold on every thread of the fan-out
+    helpers = [_pool(n_workers).submit(contextvars.copy_context().run,
+                                       lambda: drain(claim()))
                for _ in range(n_threads - 1)]
     _thread_state.inline = True
     try:

@@ -8,12 +8,12 @@ b- <= h- and b+ >= h+, solving
 where K is the stopping kernel (see :mod:`~lastzero.kernel`).  The sweep
 runs backward from T on a grid uniform in v = sqrt(T - t), which matches the
 square-root shape of the boundaries near the horizon.  Each step solves the
-2-d nonlinear system by quasi-Newton iteration (one finite-difference
-Jacobian, then Broyden updates) from a warm start extrapolated in v, with
-every step cut back to a fixed maximum length.  It stops only once a taken
-step is within ``tol_b`` and the residuals are within ``tol_res``: smooth
-fit makes the residual nearly flat in x, so a small residual alone leaves
-the answer far from the discrete solution.
+2-d nonlinear system from a warm start extrapolated in v by Newton's method
+with the exact Jacobian of the discrete equations, which comes from the
+residual's kernel pass; every step is cut back to a fixed maximum length.
+It stops only once a taken step is within ``tol_b`` and the residuals are
+within ``tol_res``: smooth fit makes the residual nearly flat in x, so a
+small residual alone leaves the answer far from the discrete solution.
 
 By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
 
@@ -39,29 +39,30 @@ from ._shared import write_csv, write_json
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
 
-# Finite-difference step and quasi-Newton step limit, both in the units of
-# the normalized problem (nu, 1), where the boundaries are O(1).
-_FD_H = 1e-7
+# Newton step limit, in the units of the normalized problem (nu, 1), where
+# the boundaries are O(1).
 _STEP_LIMIT = 0.25
 
-# Iterations of one step's quasi-Newton solve.
+# Iterations of one step's Newton solve.
 MAX_ITER = 200
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when a per-step solve exhausts its iteration budget.
+    """Raised when a per-step solve ends without converging.
 
-    ``t`` and ``residual`` are those of the normalized problem: t/T and
-    residual/T.
+    ``cause`` says why: the iteration budget ran out, or the residual or
+    its Jacobian was non-finite, or the Jacobian singular.  ``t`` and
+    ``residual`` are those of the normalized problem: t/T and residual/T.
     """
 
     def __init__(self, step: int, t: float, residual: float, nu: float,
-                 n_steps: int):
+                 n_steps: int, cause: str = "iteration budget exhausted"):
         self.step = step
         self.t = t
         self.residual = residual
+        self.cause = cause
         super().__init__(
-            f"boundary solve stalled at step {step} (t/T={t:.6g}), "
+            f"boundary solve stalled at step {step} (t/T={t:.6g}): {cause}, "
             f"residual/T {residual:.3e}, for nu = mu*sqrt(T) = {nu:.6g} "
             f"with n_steps = {n_steps}")
 
@@ -231,6 +232,22 @@ def _window_arrays(t_k, beta_m, beta_p, grid, bm, bp, k, s_nodes):
     return zm, zp
 
 
+def _newton_step(r, jac):
+    """``(step, None)`` with the Newton step -jac^-1 r, or ``(None, cause)``
+    naming why the iterate admits none."""
+    if not np.all(np.isfinite(r)):
+        return None, "non-finite residual"
+    if not np.all(np.isfinite(jac)):
+        return None, "non-finite Jacobian"
+    try:
+        step = np.linalg.solve(jac, -r)
+    except np.linalg.LinAlgError:
+        return None, "singular Jacobian"
+    if not np.all(np.isfinite(step)):
+        return None, "singular Jacobian"
+    return step, None
+
+
 def solve_boundaries(spec: ProblemSpec,
                      cfg: SolverConfig = SolverConfig()) -> BoundaryPair:
     """Sweep k = n-1 .. 0 solving the two coupled equations at each node.
@@ -239,90 +256,83 @@ def solve_boundaries(spec: ProblemSpec,
     returns its solution rescaled to ``spec``: grid times T, boundaries
     times sqrt(T), residuals times T.  Per step: warm start extrapolated
     linearly in v = sqrt(T - t) from the two previous nodes and clipped
-    into the h±-class, one finite-difference 2x2 Jacobian, then
-    quasi-Newton steps with Broyden updates (the FD Jacobian is refreshed
-    whenever a step fails to halve the residual), each step scaled back to
-    the step limit in its longest component (Dennis & Schnabel 1996, ch. 6)
-    and clipped into the h±-class.  A node ends once a taken step moves
-    each boundary by at most ``tol_b`` and leaves both residuals within
-    ``tol_res`` (in the normalized problem).
-    Raises :class:`NonConvergenceError` on iteration exhaustion or a
-    singular Jacobian, and :class:`InvariantViolationError` if the h±
-    curves cannot be bracketed or the final monotonicity clamp moves any
-    value by more than 10*tol_b.
+    into the h±-class, then Newton steps with the exact Jacobian of the
+    discrete equations, from the residual's kernel pass (one kernel call
+    per iterate gives both), each step scaled back to the step limit in
+    its longest component (Dennis & Schnabel 1996, ch. 5-6) and clipped
+    into the h±-class.  A node ends once a taken step moves each boundary
+    by at most ``tol_b`` and leaves both residuals within ``tol_res`` (in
+    the normalized problem).
+    Raises :class:`NonConvergenceError` on iteration exhaustion, a
+    non-finite residual or Jacobian, or a singular Jacobian, and
+    :class:`InvariantViolationError` if the h± curves cannot be bracketed
+    or the final monotonicity clamp moves any value by more than 10*tol_b.
     """
     n = cfg.n_steps
     root_T = np.sqrt(spec.T)
     unit = ProblemSpec(mu=spec.mu * root_T, T=1.0)
     grid = sqrt_time_grid(1.0, n)
-    try:
-        hc = h_curves(unit, grid)
-    except RuntimeError as exc:
-        raise InvariantViolationError(
-            f"the zero curves h± of H cannot be bracketed for nu = "
-            f"mu*sqrt(T) = {unit.mu:.6g} with n_steps = {n}") from exc
-    bm = np.zeros(n + 1)
-    bp = np.zeros(n + 1)
-    res = np.full((n + 1, 2), np.nan)
-    res[n] = 0.0
+    # H overflows harmlessly far out, and a non-finite residual or
+    # Jacobian ends the node with a NonConvergenceError naming it, so
+    # numpy's floating-point warnings are off for the sweep
+    with np.errstate(all="ignore"):
+        try:
+            hc = h_curves(unit, grid)
+        except RuntimeError as exc:
+            raise InvariantViolationError(
+                f"the zero curves h± of H cannot be bracketed for nu = "
+                f"mu*sqrt(T) = {unit.mu:.6g} with n_steps = {n}") from exc
+        bm = np.zeros(n + 1)
+        bp = np.zeros(n + 1)
+        res = np.full((n + 1, 2), np.nan)
+        res[n] = 0.0
 
-    for k in range(n - 1, -1, -1):
-        t_k = grid[k]
-        rule = lag_rule(1.0 - t_k)
+        for k in range(n - 1, -1, -1):
+            t_k = grid[k]
+            rule = lag_rule(1.0 - t_k)
+            # weight of the iterate's knot in the window edges per lag node
+            knot_weights = np.interp(t_k + rule.nodes, grid[k:k + 2],
+                                     [1.0, 0.0])
 
-        def residuals(b_m, b_p):
-            zm, zp = _window_arrays(t_k, b_m, b_p, grid, bm, bp, k,
-                                    rule.nodes)
-            return lag_integral_batch(unit, t_k, np.array([b_m, b_p]),
-                                      zm, zp, rule)
+            def newton_system(b_m, b_p):
+                zm, zp = _window_arrays(t_k, b_m, b_p, grid, bm, bp, k,
+                                        rule.nodes)
+                r, d_x, d_beta = lag_integral_batch(
+                    unit, t_k, np.array([b_m, b_p]), zm, zp, rule,
+                    knot_weights=knot_weights)
+                return r, d_beta + np.diag(d_x)
 
-        def jacobian(b_m, b_p, r):
-            # one-sided outward FD columns (stay inside the h±-class)
-            r_m = residuals(b_m - _FD_H, b_p)
-            r_p = residuals(b_m, b_p + _FD_H)
-            return np.column_stack([(r - r_m) / _FD_H, (r_p - r) / _FD_H])
-
-        # the grid is uniform in v, so linear extrapolation in v is 2b1 - b2
-        if k + 2 <= n:
-            beta_m = 2.0 * bm[k + 1] - bm[k + 2]
-            beta_p = 2.0 * bp[k + 1] - bp[k + 2]
-        else:
-            beta_m, beta_p = bm[k + 1], bp[k + 1]
-        beta_m = min(beta_m, hc.h_minus[k])
-        beta_p = max(beta_p, hc.h_plus[k])
-        r = residuals(beta_m, beta_p)
-        jac = jacobian(beta_m, beta_p, r)
-        converged = False
-        for _ in range(MAX_ITER):
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:   # singular Jacobian
-                break
-            longest = np.max(np.abs(step))
-            if not np.isfinite(longest):
-                break
-            if longest > _STEP_LIMIT:
-                step *= _STEP_LIMIT / longest
-            beta_m_new = min(beta_m + step[0], hc.h_minus[k])
-            beta_p_new = max(beta_p + step[1], hc.h_plus[k])
-            taken = np.array([beta_m_new - beta_m, beta_p_new - beta_p])
-            beta_m, beta_p = beta_m_new, beta_p_new
-            r_old, r = r, residuals(beta_m, beta_p)
-            r_max = np.max(np.abs(r))
-            if np.max(np.abs(taken)) <= cfg.tol_b and r_max <= cfg.tol_res:
-                converged = True
-                break
-            if r_max > 0.5 * np.max(np.abs(r_old)):
-                jac = jacobian(beta_m, beta_p, r)
+            # the grid is uniform in v: linear extrapolation is 2b1 - b2
+            if k + 2 <= n:
+                beta_m = 2.0 * bm[k + 1] - bm[k + 2]
+                beta_p = 2.0 * bp[k + 1] - bp[k + 2]
             else:
-                # Broyden's rank-one secant update
-                jac = jac + np.outer(r - r_old - jac @ taken, taken) \
-                    / (taken @ taken)
-        if not converged:
-            raise NonConvergenceError(k, t_k, float(np.max(np.abs(r))),
-                                      unit.mu, n)
-        bm[k], bp[k] = beta_m, beta_p
-        res[k] = r
+                beta_m, beta_p = bm[k + 1], bp[k + 1]
+            beta_m = min(beta_m, hc.h_minus[k])
+            beta_p = max(beta_p, hc.h_plus[k])
+            r, jac = newton_system(beta_m, beta_p)
+            for _ in range(MAX_ITER):
+                step, cause = _newton_step(r, jac)
+                if step is None:
+                    break
+                longest = np.max(np.abs(step))
+                if longest > _STEP_LIMIT:
+                    step *= _STEP_LIMIT / longest
+                beta_m_new = min(beta_m + step[0], hc.h_minus[k])
+                beta_p_new = max(beta_p + step[1], hc.h_plus[k])
+                taken = max(abs(beta_m_new - beta_m),
+                            abs(beta_p_new - beta_p))
+                beta_m, beta_p = beta_m_new, beta_p_new
+                r, jac = newton_system(beta_m, beta_p)
+                if taken <= cfg.tol_b and np.max(np.abs(r)) <= cfg.tol_res:
+                    break
+            else:
+                cause = "iteration budget exhausted"
+            if cause is not None:
+                raise NonConvergenceError(k, t_k, float(np.max(np.abs(r))),
+                                          unit.mu, n, cause)
+            bm[k], bp[k] = beta_m, beta_p
+            res[k] = r
 
     # enforce monotonicity exactly; large clamps signal a grid problem
     clamp = 0.0

@@ -20,7 +20,10 @@ thread pool (``_shared.map_in_order``; inline when the call already runs
 inside a fan-out), and each share walks its nodes in tiles, so at most
 2^16 H points are in flight across all threads whatever the batch width.
 Every (point, lag) entry gets the same arithmetic on whichever share and
-tile it lands, so no result depends on the worker count.
+tile it lands, so no result depends on the worker count.  On request the
+same pass also gives the integral's derivatives in the evaluation point and
+in the knot values of the window edges: the boundary solver's exact
+Jacobian.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
 
 
 def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
-                       rule: LagRule, n_gl: int = 64) -> np.ndarray:
+                       rule: LagRule, n_gl: int = 64, knot_weights=None):
     """Vectorized int_0^{L} K(t, x, s, z-(s), z+(s)) ds for a batch of x.
 
     Parameters
@@ -100,6 +103,12 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         Window edges at each lag node (optionally per evaluation point).
     rule : LagRule
         Lag nodes/weights from ``lag_rule(T - t, .)``.
+    knot_weights : array (n_s,), optional
+        lambda_s = dz-(s)/dbeta- = dz+(s)/dbeta+: how each window edge
+        moves with one knot value beta± of its interpolant.  When given,
+        the call returns ``(values, d_x, d_beta)`` instead of ``values``:
+        ``d_x`` (B,) holds each value's derivative in its own evaluation
+        point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
     The inner integral per (x, s-node) uses two Gauss-Legendre panels in the
     standardized variable, split at the image of the kink y = 0; empty or
@@ -108,10 +117,17 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     ``_TILE_H_POINTS / workers`` H evaluations; every (x, s-node) entry is
     reduced over the same Gauss-Legendre axis whatever the share or tile, so
     the result depends neither on the batch width nor on the worker count.
+
+    The derivatives are those of the inner integral in closed form.  In x
+    it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
+    reduction of the H values the integral itself uses.  In an edge it is
+    ±H(t+s, z±(s)) phi(xi±)/sqrt(s) where the edge is not clipped and the
+    window not empty, one H value per edge, point and lag node with
+    lambda_s != 0.  The values are bit-identical with and without
+    ``knot_weights``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if rule.n == 0:
-        return np.zeros(xs.shape)
+    with_jacobian = knot_weights is not None
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)
     sq = np.sqrt(s)
     zm = np.asarray(z_minus, dtype=float)
@@ -123,7 +139,9 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     mid = np.clip(-center / sq, a, c)
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
     r, w = _gauss_unit(n_gl)
+    wr = w * r
     out = np.zeros((xs.size, rule.n))
+    moment = np.zeros((xs.size, rule.n)) if with_jacobian else None
     n_workers = _shared.workers()
     tile = max(1, _TILE_H_POINTS // (n_workers * xs.size * n_gl))
 
@@ -140,9 +158,30 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                 y = center_t + sq_t * xi               # (B, tile, n_gl)
                 h = _gain_H_raw(spec.mu, s_rem_t, y)
                 phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-                out[:, cols] += width * np.einsum("bsg,g->bs", h * phi, w)
+                h_phi = h * phi
+                mass = np.einsum("bsg,g->bs", h_phi, w)
+                out[:, cols] += width * mass
+                if with_jacobian:
+                    # int H xi phi over the panel, xi = lo + width r
+                    moment[:, cols] += width * (
+                        lo * mass + width * np.einsum("bsg,g->bs", h_phi, wr))
 
     edges = [rule.n * k // n_workers for k in range(n_workers + 1)]
     _shared.map_in_order(share, [(lo, hi) for lo, hi
                                  in zip(edges[:-1], edges[1:]) if lo < hi])
-    return out @ rule.weights
+    values = out @ rule.weights
+    if not with_jacobian:
+        return values
+    d_x = moment @ (rule.weights / sq[0])
+    # edge terms, sides stacked first, on the lag nodes that see the knots
+    at = np.flatnonzero(knot_weights)
+    a_at, c_at = a[:, at], c[:, at]
+    xi_edge = np.stack([a_at, c_at])                   # (2, B, n_at)
+    z_edge = np.stack([np.broadcast_to(z, center.shape)[:, at]
+                       for z in (zm, zp)])
+    free = np.stack([a_at > -_CLIP, c_at < _CLIP]) & (c_at > a_at)
+    dens = _gain_H_raw(spec.mu, s_rem[:, at], z_edge) \
+        * np.exp(-0.5 * xi_edge * xi_edge) * (1.0 / np.sqrt(2.0 * np.pi))
+    lag_w = rule.weights[at] * np.asarray(knot_weights)[at] / sq[0, at]
+    d_beta = np.where(free, dens, 0.0) @ lag_w         # (2, B)
+    return values, d_x, np.column_stack([-d_beta[0], d_beta[1]])

@@ -31,6 +31,8 @@ from lastzero.boundaries import sqrt_time_grid
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
 # path-independence test below ties default solves to such tight ones).
@@ -137,9 +139,8 @@ class TestSolvedBoundaries:
         npt.assert_allclose(loose.b_minus, tight.b_minus, atol=1e-6, rtol=0)
         npt.assert_allclose(loose.b_plus, tight.b_plus, atol=1e-6, rtol=0)
 
-    def test_kernel_calls_per_step(self, monkeypatch):
-        # one residual evaluation, one FD Jacobian (two calls) and a few
-        # quasi-Newton steps per node; about 5.75 calls per step here
+    @staticmethod
+    def _count_kernel_calls(monkeypatch, nu, n_steps):
         calls = []
         real = boundaries_module.lag_integral_batch
 
@@ -148,16 +149,29 @@ class TestSolvedBoundaries:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
+        solve_boundaries(ProblemSpec(mu=nu, T=1.0),
+                         SolverConfig(n_steps=n_steps))
+        return len(calls)
+
+    def test_kernel_calls_per_step(self, monkeypatch):
+        # each call gives the residual and its exact Jacobian: the start
+        # point plus one call per Newton step, about 3.7 per step here
         n = 80
-        solve_boundaries(ProblemSpec(mu=0.5, T=1.0), SolverConfig(n_steps=n))
-        assert len(calls) <= 7 * n
+        assert self._count_kernel_calls(monkeypatch, 0.5, n) <= 5 * n
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, -2.0])
+    def test_kernel_calls_per_step_fine_grid(self, monkeypatch, nu):
+        # warm starts on the default grid are good enough for about two
+        # Newton steps per node
+        n = 400
+        assert self._count_kernel_calls(monkeypatch, nu, n) <= 3.5 * n
 
     @pytest.mark.parametrize("nu, n_steps", [(3.5574741713461897, 5),
                                              (-3.191689469140158, 4),
                                              (0.9605753653207767, 2)])
     def test_step_limit_certifies(self, monkeypatch, nu, n_steps):
-        # coarse grids where a quasi-Newton step exceeds the step limit: the
-        # step is cut back to the limit, and the solve stays cheap and still
+        # coarse grids where a Newton step exceeds the step limit: the step
+        # is cut back to the limit, and the solve stays cheap and still
         # certifies
         calls, long_steps = [], []
         real_kernel = boundaries_module.lag_integral_batch
@@ -179,7 +193,7 @@ class TestSolvedBoundaries:
         cfg = SolverConfig(n_steps=n_steps)
         bp = solve_boundaries(spec, cfg)
         assert any(long_steps)
-        assert len(calls) <= 15 * n_steps
+        assert len(calls) <= 8 * n_steps
         assert np.max(np.abs(bp.residuals)) / spec.T <= cfg.tol_res
         cert = boundary_residuals(spec, bp, bp.grid)
         assert np.max(np.abs(cert)) / spec.T <= 1e-5
@@ -354,11 +368,13 @@ class TestNonConvergence:
             solve_boundaries(spec, cfg)
         assert exc.value.step >= 0
         assert 0.0 <= exc.value.t <= 1.0
+        assert exc.value.cause == "iteration budget exhausted"
 
     @pytest.mark.parametrize("failure", ["singular", "nan"])
     def test_unusable_step_raises_at_once(self, monkeypatch, failure):
         # a singular Jacobian or a non-finite step ends the node's
-        # iterations after its start residual and FD Jacobian
+        # iterations after the one call that gave its start residual and
+        # Jacobian
         calls = []
         real = boundaries_module.lag_integral_batch
 
@@ -377,7 +393,26 @@ class TestNonConvergence:
             solve_boundaries(ProblemSpec(mu=0.0, T=1.0),
                              SolverConfig(n_steps=12))
         assert exc.value.step == 11
-        assert len(calls) == 3
+        assert exc.value.cause == "singular Jacobian"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("part", ["residual", "Jacobian"])
+    def test_non_finite_system_names_cause(self, monkeypatch, part):
+        real = boundaries_module.lag_integral_batch
+
+        def poisoned(*args, **kwargs):
+            r, d_x, d_beta = real(*args, **kwargs)
+            if part == "residual":
+                return np.full_like(r, np.nan), d_x, d_beta
+            return r, d_x, np.full_like(d_beta, np.inf)
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch", poisoned)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_boundaries(ProblemSpec(mu=0.3, T=1.0),
+                             SolverConfig(n_steps=12))
+        assert exc.value.step == 11
+        assert exc.value.cause == f"non-finite {part}"
+        assert f"non-finite {part}" in str(exc.value)
 
 
 class TestSerialization:

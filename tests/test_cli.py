@@ -440,14 +440,34 @@ class TestProcessExitCodes:
                              str(tmp_path / "nope.json")],
             "schema": ["value", "--boundaries", str(bad)],
         }[case]
+        proc = self._run(argv)
+        assert proc.returncode == code, proc.stderr
+        assert ("error:" in proc.stderr) == (code != EXIT_OK)
+
+    @pytest.mark.parametrize("mu, horizon", [("1e30", "1"),
+                                             ("1e200", "1e200")])
+    def test_extreme_drift_stalls_with_one_error_line(self, tmp_path, mu,
+                                                      horizon):
+        # H overflows far out: no numpy warning may reach stderr, only the
+        # non-convergence error naming its cause, nu and n_steps
+        proc = self._run(["solve", "--mu", mu, "--horizon", horizon,
+                          "--n-steps", "20", "--out", str(tmp_path / "o")])
+        assert proc.returncode == EXIT_NONCONVERGENCE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: boundary solve stalled")
+        assert any(cause in lines[0] for cause in (
+            "singular Jacobian", "non-finite residual", "non-finite Jacobian"))
+        assert "nu = mu*sqrt(T) = " in lines[0]
+        assert "n_steps = 20" in lines[0]
+
+    def _run(self, argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(self.SRC), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "lastzero.cli", *argv],
+        return subprocess.run([sys.executable, "-m", "lastzero.cli", *argv],
                               capture_output=True, text=True, timeout=120,
                               env=env)
-        assert proc.returncode == code, proc.stderr
-        assert ("error:" in proc.stderr) == (code != EXIT_OK)
 
 
 class TestConsoleScript:

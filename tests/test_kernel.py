@@ -31,6 +31,9 @@ from oracles import (
 )
 
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def _h_at(spec, time):
     pair = h_curves(spec, np.array([0.0, time]))
     return float(pair.h_minus[-1]), float(pair.h_plus[-1])
@@ -295,6 +298,85 @@ class TestLagTiling:
         # one untiled call peaks near 40 MB at this batch width
         assert peak <= 8e6
 
+    def test_peak_memory_bounded_with_jacobian(self):
+        import tracemalloc
+
+        rule, xs, zm, zp = self._inputs(64, "straddles_zero")
+        knot_weights = _knot_weights(self.t, 0.1, rule)
+        lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
+                           knot_weights=knot_weights)    # warm caches
+        tracemalloc.start()
+        try:
+            lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
+                               knot_weights=knot_weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
+def _knot_weights(t, cell, rule):
+    """Weight of the knot at t in a linear interpolant with its next knot
+    at t + cell, at each lag node: the solver's first grid cell."""
+    return np.interp(t + rule.nodes, [t, t + cell], [1.0, 0.0])
+
+
+class TestLagJacobian:
+    """``knot_weights``: closed-form derivatives of the lag integral."""
+
+    t, t_knot = 0.3, 0.42
+    h = 1e-6
+
+    def _window(self, rule, beta, clipped):
+        # edges interpolate knots at t (beta±), t_knot and T, as in the
+        # solver; far out (clipped at every lag) when ``clipped``
+        u = self.t + rule.nodes
+        knots = [self.t, self.t_knot, 1.0]
+        far = 40.0 if clipped else 0.0
+        zm = np.interp(u, knots, [beta[0], -0.7 - far, -far])
+        zp = np.interp(u, knots, [beta[1], 0.8 + far, far])
+        return zm, zp
+
+    @pytest.mark.parametrize("clipped", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 0.7, -0.7])
+    def test_matches_central_differences(self, mu, clipped):
+        spec = ProblemSpec(mu=mu, T=1.0)
+        rule = lag_rule(spec.T - self.t)
+        beta = np.array([-40.3, 40.6] if clipped else [-0.8, 0.9])
+        xs = np.array([-0.5, 0.6] if clipped else beta)
+
+        def values(xs, beta):
+            return lag_integral_batch(spec, self.t, xs,
+                                      *self._window(rule, beta, clipped),
+                                      rule)
+
+        r, d_x, d_beta = lag_integral_batch(
+            spec, self.t, xs, *self._window(rule, beta, clipped), rule,
+            knot_weights=_knot_weights(self.t, self.t_knot - self.t, rule))
+        assert np.array_equal(r, values(xs, beta))
+        step = self.h * np.eye(2)
+        fd_x = np.array([(values(xs + e, beta) - values(xs - e, beta))[i]
+                         for i, e in enumerate(step)]) / (2.0 * self.h)
+        fd_beta = np.column_stack([values(xs, beta + e) - values(xs, beta - e)
+                                   for e in step]) / (2.0 * self.h)
+        assert d_x.shape == (2,) and d_beta.shape == (2, 2)
+        npt.assert_allclose(d_x, fd_x, rtol=1e-5, atol=0)
+        if clipped:
+            # edges beyond 10 sd at every lag: the values ignore them
+            assert np.all(fd_beta == 0.0) and np.all(d_beta == 0.0)
+        else:
+            # the first cell's edges move with beta±
+            assert np.all(np.abs(np.diag(d_beta)) > 1e-3)
+            scale = np.max(np.abs(fd_beta))
+            assert np.max(np.abs(d_beta - fd_beta)) <= 1e-5 * scale
+
+    def test_empty_rule(self):
+        r, d_x, d_beta = lag_integral_batch(
+            ProblemSpec(mu=0.0, T=1.0), 1.0, [0.1, 0.2], [], [],
+            lag_rule(0.0), knot_weights=np.empty(0))
+        assert np.all(r == 0.0) and np.all(d_x == 0.0)
+        assert d_beta.shape == (2, 2) and np.all(d_beta == 0.0)
+
 
 class TestLagWorkers:
     """Lag shares run on the process's thread pool; no bit may depend on it."""
@@ -320,3 +402,31 @@ class TestLagWorkers:
             sys.setswitchinterval(interval)
         whole = lag_integral_batch_untiled(spec, t, xs, zm, zp, rule)
         assert np.array_equal(shared, whole)
+
+    @pytest.mark.parametrize("workers", [None, 8])
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [2, 64])
+    def test_jacobian_equals_one_worker(self, monkeypatch, n_points, window,
+                                        workers):
+        spec, t = self.inputs.spec, self.inputs.t
+        rule, xs, zm, zp = self.inputs._inputs(n_points, window)
+        knot_weights = _knot_weights(t, 0.1, rule)
+
+        def run():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                return lag_integral_batch(spec, t, xs, zm, zp, rule,
+                                          knot_weights=knot_weights)
+            finally:
+                sys.setswitchinterval(interval)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(shared_module, "_available_cpus", lambda: 1)
+            one = run()
+        if workers is not None:
+            monkeypatch.setattr(shared_module, "_available_cpus",
+                                lambda: workers)
+        other = run()
+        for got, want in zip(other, one):
+            assert np.array_equal(got, want)

@@ -36,6 +36,21 @@ def test_caller_runs_first_item(cpus):
     assert seen[0] is threading.current_thread()
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+def test_items_run_in_callers_errstate(cpus, workers):
+    # numpy's error settings live in the caller's context; every thread of
+    # the fan-out must see them, and the caller's own state is restored
+    import numpy as np
+
+    cpus(workers)
+    outside = np.geterr()
+    with np.errstate(all="ignore"):
+        seen = map_in_order(lambda _: np.geterr()["over"], range(16))
+    assert seen == ["ignore"] * 16
+    assert np.geterr() == outside
+    assert map_in_order(lambda _: np.geterr(), range(4)) == [outside] * 4
+
+
 # Every pool thread runs a task that fans out; had the fan-out queued work on
 # the pool, each thread would wait on work only a thread of the pool can do.
 # A deadlock leaves the pool's threads blocked, and they would also block
