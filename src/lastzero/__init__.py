@@ -16,8 +16,7 @@ from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          boundary_residuals, NonConvergenceError,
                          InvariantViolationError, SchemaError)
 from .value import (ValueSurface, value_at, value_row, build_value_surface,
-                    optimal_value_Vstar, smooth_fit_diagnostic,
-                    SmoothFitReport)
+                    optimal_value_Vstar)
 from .bellman import (LatticeSpec, bellman_solve, oracle_compare,
                       OracleCompareReport, LatticeTooCoarseError)
 from .montecarlo import (SimConfig, PathEnsemble, PolicyReport,

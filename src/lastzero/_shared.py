@@ -28,17 +28,13 @@ from functools import lru_cache
 _thread_state = threading.local()
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where supported)."""
+def workers() -> int:
+    """Threads one fan-out may compute on: one per CPU this process may run
+    on (its affinity mask where supported)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def workers() -> int:
-    """Threads one fan-out may compute on: one per available CPU."""
-    return _available_cpus()
 
 
 def _mark_inline() -> None:

@@ -130,9 +130,8 @@ def bellman_solve(spec: ProblemSpec, lat: LatticeSpec = LatticeSpec()):
         raise LatticeTooCoarseError(
             f"lattice boundaries non-monotone by {worst:.3e} > one cell "
             f"({dx:.3e})")
-    for k in range(lat.n_t - 1, -1, -1):
-        bm[k] = min(bm[k], bm[k + 1])
-        bp[k] = max(bp[k], bp[k + 1])
+    bm = np.minimum.accumulate(bm[::-1])[::-1]
+    bp = np.maximum.accumulate(bp[::-1])[::-1]
 
     surface = ValueSurface(spec=spec, t_grid=t_grid, x_grid=x, values=values,
                            source="bellman")

@@ -118,11 +118,14 @@ class BoundaryPair:
             raise ValueError("residuals must have shape (len(grid), 2)")
         if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be ascending with >= 2 points")
-        if abs(grid[0]) > 1e-12 or abs(grid[-1] - self.spec.T) > 1e-12:
+        # tolerances scale with the problem: times with T, b± with sqrt(T)
+        T = self.spec.T
+        if abs(grid[0]) > 1e-12 * T or abs(grid[-1] - T) > 1e-12 * T:
             raise ValueError("grid must span [0, T]")
         if bm[-1] != 0.0 or bp[-1] != 0.0:
             raise ValueError("terminal condition b±(T) = 0 violated")
-        if np.any(np.diff(bm) < -1e-12) or np.any(np.diff(bp) > 1e-12):
+        tol_b = 1e-12 * np.sqrt(T)
+        if np.any(np.diff(bm) < -tol_b) or np.any(np.diff(bp) > tol_b):
             raise ValueError("monotonicity of b± violated")
         if np.any(bm > 0.0) or np.any(bp < 0.0):
             raise ValueError("sign pattern b- <= 0 <= b+ violated")
@@ -335,12 +338,10 @@ def solve_boundaries(spec: ProblemSpec,
             res[k] = r
 
     # enforce monotonicity exactly; large clamps signal a grid problem
-    clamp = 0.0
-    for k in range(n - 1, -1, -1):
-        bm_c = min(bm[k], bm[k + 1])
-        bp_c = max(bp[k], bp[k + 1])
-        clamp = max(clamp, abs(bm_c - bm[k]), abs(bp_c - bp[k]))
-        bm[k], bp[k] = bm_c, bp_c
+    bm_c = np.minimum.accumulate(bm[::-1])[::-1]
+    bp_c = np.maximum.accumulate(bp[::-1])[::-1]
+    clamp = max(np.max(bm - bm_c), np.max(bp_c - bp))
+    bm, bp = bm_c, bp_c
     if clamp > 10.0 * cfg.tol_b:
         raise InvariantViolationError(
             f"monotonicity clamp of {clamp:.3e} (relative to sqrt(T)) "

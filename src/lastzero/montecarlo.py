@@ -24,7 +24,8 @@ import numpy as np
 
 from .closed_forms import ProblemSpec
 from .boundaries import BoundaryPair
-from ._shared import map_in_order, workers, write_csv
+from . import _shared
+from ._shared import write_csv
 
 MAX_STORED_PATHS = 10_000
 
@@ -147,7 +148,7 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
     arithmetic release the interpreter lock, so the blocks run in parallel.
     """
     chunk = max(1, min(_CHUNK, int(8_000_000 // (cfg.n_steps + 1))))
-    block = -(-chunk // (2 * workers()))
+    block = -(-chunk // (2 * _shared.workers()))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
 
     def run(bounds):
@@ -159,7 +160,7 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
     for start in range(0, cfg.n_paths, chunk):
         stop = min(start + chunk, cfg.n_paths)
         edges = [*range(start, stop, block), stop]
-        parts = map_in_order(run, zip(edges[:-1], edges[1:]))
+        parts = _shared.map_in_order(run, zip(edges[:-1], edges[1:]))
         yield (start, np.concatenate([g for g, _ in parts]),
                [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
 

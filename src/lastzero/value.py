@@ -1,12 +1,14 @@
-"""Value function from solved boundaries, V*, and smooth-fit checks.
+"""Value function from solved boundaries and V*.
 
 With boundaries (b-, b+) in hand, the value of the transformed stopping
 problem is the lag integral of the kernel over the continuation window,
 
     V(t, x) = int_0^{T-t} K(t, x, s, b-(t+s), b+(t+s)) ds,
 
-zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}.  The optimal
-expected prediction error is V* = V(0,0) + E g.
+zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}, evaluated with
+the kernel's 128-node lag rule.  The optimal expected prediction error is
+V* = V(0,0) + E g.  Smooth fit (V_x continuous across b±) is a property
+the tests check, with their own finer raw evaluation.
 
 A surface's rows are independent lag integrals; ``build_value_surface``
 fans them out over the process's one thread pool (``_shared.map_in_order``;
@@ -67,13 +69,9 @@ class ValueSurface:
                   {"manifest_hash": manifest_hash, "source": self.source})
 
 
-def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
-              n_lag: int = 128, clip_stop: bool = True) -> np.ndarray:
+def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
     """V(t, x) for an array of x at one time, exact 0 on the stopping set.
 
-    With ``clip_stop=False`` the lag integral is evaluated verbatim even on
-    the stopping set (used by diagnostics that difference V across the
-    boundary; there the formula's residual matters, not the policy's 0).
     Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
     if spec != bp.spec:
@@ -82,14 +80,11 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs,
     out = np.zeros(xs.shape)
     if t >= spec.T * (1 - 1e-15):
         return out
-    if clip_stop:
-        zm_t, zp_t = bp.interpolate(t)
-        idx = np.flatnonzero((xs > zm_t) & (xs < zp_t))
-    else:
-        idx = np.arange(xs.size)
+    zm_t, zp_t = bp.interpolate(t)
+    idx = np.flatnonzero((xs > zm_t) & (xs < zp_t))
     if idx.size == 0:
         return out
-    rule = lag_rule(spec.T - t, n_lag)
+    rule = lag_rule(spec.T - t)
     zm, zp = bp.interpolate(t + rule.nodes)
     for lo in range(0, idx.size, _CHUNK):
         sel = idx[lo:lo + _CHUNK]
@@ -124,58 +119,3 @@ def build_value_surface(spec: ProblemSpec, bp: BoundaryPair, n_t: int = 100,
     vals = np.minimum(np.stack(rows), 0.0)
     return ValueSurface(spec=spec, t_grid=t_grid, x_grid=x_grid, values=vals,
                         source="integral_formula")
-
-
-@dataclass(frozen=True)
-class SmoothFitReport:
-    """One-sided derivative gaps |V_x(inner) - V_x(outer)| at both boundaries.
-
-    gaps_minus/gaps_plus have shape (len(t_samples), len(eps)); the outer
-    derivative vanishes identically (V = 0 on D), so each gap is just the
-    magnitude of the inner one-sided slope, which smooth fit sends to 0.
-    """
-
-    t_samples: np.ndarray
-    eps: np.ndarray
-    gaps_minus: np.ndarray
-    gaps_plus: np.ndarray
-
-    def decreasing_fraction(self) -> float:
-        """Fraction of (t, boundary) samples with monotonically shrinking gap."""
-        both = np.vstack([self.gaps_minus, self.gaps_plus])
-        dec = np.all(np.diff(both, axis=1) <= 0.0, axis=1)
-        return float(np.mean(dec))
-
-    def final_gap_max(self) -> float:
-        return float(max(self.gaps_minus[:, -1].max(),
-                         self.gaps_plus[:, -1].max()))
-
-
-def smooth_fit_diagnostic(spec: ProblemSpec, bp: BoundaryPair, t_samples,
-                          eps_factors=(1e-2, 1e-3, 1e-4)) -> SmoothFitReport:
-    """Estimate V_x just inside b±(t) at shrinking offsets eps*sqrt(T).
-
-    The outer one-sided derivative is exactly 0 (V vanishes on the stopping
-    set), so the gap at step eps is the inner central-difference slope
-    |V(t, b±) - V(t, b± ∓ 2 eps)| / (2 eps), centered one step inside.  Both
-    samples come from the raw integral formula (no stopping-set clipping):
-    its small residual at the discrete boundary is common to both and
-    cancels, instead of being amplified by 1/eps.  Smooth fit sends the
-    sequence to 0 as eps shrinks.  The lag rule has 192 nodes, finer than
-    the surface's 128.
-    """
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if np.any(t_samples <= 0.0) or np.any(t_samples >= spec.T):
-        raise ValueError("t_samples must be interior to (0, T)")
-    eps = np.asarray(eps_factors, dtype=float) * np.sqrt(spec.T)
-    gm = np.empty((t_samples.size, eps.size))
-    gp = np.empty((t_samples.size, eps.size))
-    ne = eps.size
-    for i, t in enumerate(t_samples):
-        zm, zp = bp.interpolate(t)
-        xs = np.concatenate([[zm, zp], zm + 2.0 * eps, zp - 2.0 * eps])
-        v = value_row(spec, bp, t, xs, n_lag=192, clip_stop=False)
-        gm[i] = np.abs(v[2:2 + ne] - v[0]) / (2.0 * eps)
-        gp[i] = np.abs(v[1] - v[2 + ne:]) / (2.0 * eps)
-    return SmoothFitReport(t_samples=t_samples, eps=eps, gaps_minus=gm,
-                           gaps_plus=gp)

@@ -11,7 +11,9 @@ The references at the end (scalar Brent root of H, adaptive scalar kernel,
 untiled lag integral, quadrature law of g and nested-quad E g) reuse the
 package's gain function H and lag rule: they check how the package solves
 and integrates, not what it integrates.  The four-term bivariate-normal law
-of g checks the algebra that collapses it to one Owen's T value.
+of g checks the algebra that collapses it to one Owen's T value.  The
+smooth-fit diagnostic, last, differences the package's own raw lag integral
+across the solved boundaries.
 """
 
 from __future__ import annotations
@@ -388,6 +390,75 @@ def mean_g_quad(spec: ProblemSpec) -> float:
     val, _ = quad(lambda t: 1.0 - g_cdf(spec, t), 0.0, spec.T,
                   epsabs=1e-9, epsrel=1e-9, limit=200)
     return float(val)
+
+
+# ---------------------------------------------------------------------------
+# Smooth fit: V_x continuous across the solved boundaries
+# ---------------------------------------------------------------------------
+
+def raw_value_row(bp, t: float, xs, n_lag: int = 128) -> np.ndarray:
+    """The lag integral of V(t, x) for ``bp``'s problem, evaluated verbatim
+    at every x: no exact 0 on the stopping set, so the formula's residual
+    there shows.  One kernel call on ``lag_rule(T - t, n_lag)``."""
+    rule = lag_rule(bp.spec.T - t, n_lag)
+    zm, zp = bp.interpolate(t + rule.nodes)
+    return lag_integral_batch(bp.spec, t, np.asarray(xs, dtype=float), zm,
+                              zp, rule)
+
+
+@dataclass(frozen=True)
+class SmoothFitReport:
+    """One-sided derivative gaps |V_x(inner) - V_x(outer)| at both boundaries.
+
+    gaps_minus/gaps_plus have shape (len(t_samples), len(eps)); the outer
+    derivative vanishes identically (V = 0 on D), so each gap is just the
+    magnitude of the inner one-sided slope, which smooth fit sends to 0.
+    """
+
+    t_samples: np.ndarray
+    eps: np.ndarray
+    gaps_minus: np.ndarray
+    gaps_plus: np.ndarray
+
+    def decreasing_fraction(self) -> float:
+        """Fraction of (t, boundary) samples with monotonically shrinking gap."""
+        both = np.vstack([self.gaps_minus, self.gaps_plus])
+        dec = np.all(np.diff(both, axis=1) <= 0.0, axis=1)
+        return float(np.mean(dec))
+
+    def final_gap_max(self) -> float:
+        return float(max(self.gaps_minus[:, -1].max(),
+                         self.gaps_plus[:, -1].max()))
+
+
+def smooth_fit_diagnostic(bp, t_samples,
+                          eps_factors=(1e-2, 1e-3, 1e-4)) -> SmoothFitReport:
+    """Estimate V_x just inside b±(t) at shrinking offsets eps*sqrt(T).
+
+    The outer one-sided derivative is exactly 0 (V vanishes on the stopping
+    set), so the gap at step eps is the inner central-difference slope
+    |V(t, b±) - V(t, b± ∓ 2 eps)| / (2 eps), centered one step inside.  Both
+    samples come from ``raw_value_row``: the formula's small residual at the
+    discrete boundary is common to both and cancels, instead of being
+    amplified by 1/eps.  Smooth fit sends the sequence to 0 as eps shrinks.
+    The lag rule has 192 nodes, finer than the value surface's 128.
+    """
+    T = bp.spec.T
+    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
+    if np.any(t_samples <= 0.0) or np.any(t_samples >= T):
+        raise ValueError("t_samples must be interior to (0, T)")
+    eps = np.asarray(eps_factors, dtype=float) * np.sqrt(T)
+    gm = np.empty((t_samples.size, eps.size))
+    gp = np.empty((t_samples.size, eps.size))
+    ne = eps.size
+    for i, t in enumerate(t_samples):
+        zm, zp = bp.interpolate(t)
+        xs = np.concatenate([[zm, zp], zm + 2.0 * eps, zp - 2.0 * eps])
+        v = raw_value_row(bp, t, xs, n_lag=192)
+        gm[i] = np.abs(v[2:2 + ne] - v[0]) / (2.0 * eps)
+        gp[i] = np.abs(v[1] - v[2 + ne:]) / (2.0 * eps)
+    return SmoothFitReport(t_samples=t_samples, eps=eps, gaps_minus=gm,
+                           gaps_plus=gp)
 
 
 if __name__ == "__main__":

@@ -28,11 +28,11 @@ from lastzero import (
     h_curves,
     mean_g,
     optimal_value_Vstar,
-    smooth_fit_diagnostic,
     oracle_compare,
     value_at,
 )
 from lastzero.cli import main as cli_main
+from oracles import smooth_fit_diagnostic
 
 DRIFTS = (-1.0, 0.0, 1.0)
 T = 1.0
@@ -220,7 +220,7 @@ def test_criterion_8_smooth_fit(boundaries_for, capsys):
     t_samples = np.linspace(0.05, 0.9, 20)
     for mu in DRIFTS:
         bp = boundaries_for(mu)
-        rep = smooth_fit_diagnostic(bp.spec, bp, t_samples)
+        rep = smooth_fit_diagnostic(bp, t_samples)
         frac = rep.decreasing_fraction()
         final = rep.final_gap_max()
         ok &= frac >= 0.9 and final <= 1e-2

@@ -10,16 +10,14 @@ PUBLIC = [
     "BoundaryPair", "FixedTimeRule", "HCurvePair", "InvariantViolationError",
     "LagRule", "LatticeSpec", "LatticeTooCoarseError", "NonConvergenceError",
     "OptimalRule", "OracleCompareReport", "PathEnsemble", "PolicyReport",
-    "ProblemSpec", "SchemaError", "SimConfig", "SmoothFitReport",
-    "SolverConfig", "SqrtRule", "ValueSurface", "bellman", "bellman_solve",
-    "boundaries", "boundary_residuals", "build_value_surface",
-    "closed_forms", "collect_last_zeros", "evaluate_policies",
-    "evaluate_policy", "g_cdf", "gain_H", "h_curves", "kernel",
-    "lag_integral_batch", "lag_rule", "mean_g", "montecarlo",
-    "optimal_value_Vstar", "oracle_compare", "parse_policy",
-    "save_per_path_csv", "simulate_paths",
-    "smooth_fit_diagnostic", "solve_boundaries", "value", "value_at",
-    "value_row",
+    "ProblemSpec", "SchemaError", "SimConfig", "SolverConfig", "SqrtRule",
+    "ValueSurface", "bellman", "bellman_solve", "boundaries",
+    "boundary_residuals", "build_value_surface", "closed_forms",
+    "collect_last_zeros", "evaluate_policies", "evaluate_policy", "g_cdf",
+    "gain_H", "h_curves", "kernel", "lag_integral_batch", "lag_rule",
+    "mean_g", "montecarlo", "optimal_value_Vstar", "oracle_compare",
+    "parse_policy", "save_per_path_csv", "simulate_paths",
+    "solve_boundaries", "value", "value_at", "value_row",
 ]
 
 

@@ -225,7 +225,7 @@ class TestWorkerCountInvariance:
     def _solve_and_certify(nu, workers):
         spec = ProblemSpec(mu=nu, T=1.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shared_module, "_available_cpus", lambda: workers)
+            mp.setattr(shared_module, "workers", lambda: workers)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -352,6 +352,36 @@ class TestContainerValidation:
                          grid=np.array([0.0, 0.7, 0.6, 1.0]),
                          b_minus=np.array([-1.0, -0.5, -0.4, 0.0]),
                          b_plus=np.array([1.0, 0.5, 0.4, 0.0]))
+
+    # The tolerances scale with the problem: grid ends with T, steps of b±
+    # with sqrt(T).  Absolute ones accepted a wrong pair at a tiny horizon
+    # and refused a rounding-level one at a large horizon.
+    @staticmethod
+    def _scaled(T, grid, bm, bp):
+        return BoundaryPair(spec=ProblemSpec(mu=0.0, T=T), grid=grid,
+                            b_minus=np.array(bm), b_plus=np.array(bp))
+
+    def test_rejects_grid_ending_at_twice_a_tiny_horizon(self):
+        # ends at 2T, so b+(T) = 5e-8 = sqrt(T) / 2 instead of 0
+        T = 1e-14
+        with pytest.raises(ValueError, match="span"):
+            self._scaled(T, np.array([0.0, T, 2.0 * T]),
+                         [-1e-7, -5e-8, 0.0], [1e-7, 5e-8, 0.0])
+
+    def test_rejects_rising_b_plus_on_a_tiny_horizon(self):
+        # a rise of 1e-13 is 1e-6 sqrt(T) at T = 1e-14
+        T = 1e-14
+        with pytest.raises(ValueError, match="monotonicity"):
+            self._scaled(T, np.array([0.0, 0.5 * T, T]),
+                         [-1e-7, -5e-8, 0.0], [1e-7, 1e-7 + 1e-13, 0.0])
+
+    def test_accepts_rounding_on_a_large_horizon(self):
+        # one ulp past T = 1e8, and a rise of 1e-9 = 1e-13 sqrt(T)
+        T = 1e8
+        grid = np.array([0.0, 0.5 * T, np.nextafter(T, 2.0 * T)])
+        pair = self._scaled(T, grid, [-1e4, -5e3, 0.0],
+                            [1e4, 1e4 + 1e-9, 0.0])
+        assert pair.grid.size == 3
 
     def test_arrays_read_only(self, boundaries_for):
         bp = boundaries_for(0.0)

@@ -204,6 +204,22 @@ class TestValue:
         assert rc == EXIT_SCHEMA
         assert "finite" in capsys.readouterr().err
 
+    def test_grid_past_a_tiny_horizon_schema_error(self, solved_dir, tmp_path,
+                                                   capsys):
+        # at T = 1e-14 a grid ending at 2T is 1e-14 past T: within an
+        # absolute 1e-12, but a wrong pair, since b±(T) is then not 0
+        def shrink(doc):
+            T = 1e-14
+            doc["spec"]["T"] = T
+            doc["grid"] = [2.0 * T * t for t in doc["grid"]]
+            doc["b_minus"] = [1e-7 * b for b in doc["b_minus"]]
+            doc["b_plus"] = [1e-7 * b for b in doc["b_plus"]]
+
+        path = self._rewritten(solved_dir, tmp_path, shrink)
+        rc = main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert rc == EXIT_SCHEMA
+        assert "span" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _run(self, solved_dir, capsys, *extra):

@@ -392,8 +392,7 @@ class TestLagWorkers:
         spec, t = self.inputs.spec, self.inputs.t
         rule, xs, zm, zp = self.inputs._inputs(n_points, window)
         if workers is not None:
-            monkeypatch.setattr(shared_module, "_available_cpus",
-                                lambda: workers)
+            monkeypatch.setattr(shared_module, "workers", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -422,11 +421,10 @@ class TestLagWorkers:
                 sys.setswitchinterval(interval)
 
         with monkeypatch.context() as mp:
-            mp.setattr(shared_module, "_available_cpus", lambda: 1)
+            mp.setattr(shared_module, "workers", lambda: 1)
             one = run()
         if workers is not None:
-            monkeypatch.setattr(shared_module, "_available_cpus",
-                                lambda: workers)
+            monkeypatch.setattr(shared_module, "workers", lambda: workers)
         other = run()
         for got, want in zip(other, one):
             assert np.array_equal(got, want)

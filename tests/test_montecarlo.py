@@ -385,8 +385,7 @@ class TestThreadedStream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc_module, "_CHUNK", 300)
             if workers is not None:
-                mp.setattr(shared_module, "_available_cpus",
-                           lambda: workers)
+                mp.setattr(shared_module, "workers", lambda: workers)
             sys.setswitchinterval(1e-6)
             try:
                 return (collect_last_zeros(self.spec, self.cfg),

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def cpus(monkeypatch):
     def set_workers(n):
-        monkeypatch.setattr(shared_module, "_available_cpus", lambda: n)
+        monkeypatch.setattr(shared_module, "workers", lambda: n)
     return set_workers
 
 
@@ -61,7 +61,7 @@ import concurrent.futures, os, sys, threading
 import lastzero._shared as shared
 
 workers = int(sys.argv[1])
-shared._available_cpus = lambda: workers
+shared.workers = lambda: workers
 
 
 def task():

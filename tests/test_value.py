@@ -23,11 +23,11 @@ from lastzero import (
     build_value_surface,
     mean_g,
     optimal_value_Vstar,
-    smooth_fit_diagnostic,
     solve_boundaries,
     value_at,
 )
 from lastzero.value import default_x_grid, value_row
+from oracles import raw_value_row, smooth_fit_diagnostic
 
 import lastzero._shared as shared_module
 import lastzero.value as value_module
@@ -95,12 +95,12 @@ class TestValueFunction:
 
     def test_raw_formula_vanishes_on_boundary(self, boundaries_for):
         # The boundary equations say exactly this; re-check through the
-        # value evaluator (clip_stop=False) at knots and between them.
+        # value formula's own kernel call, unclipped, at knots and between
+        # them.
         bp = boundaries_for(0.0)
         for t in (bp.grid[50], 0.31, 0.5 * (bp.grid[200] + bp.grid[201])):
             zm, zp = bp.interpolate(float(t))
-            raw = value_row(bp.spec, bp, float(t), np.array([zm, zp]),
-                            clip_stop=False)
+            raw = raw_value_row(bp, float(t), np.array([zm, zp]))
             assert np.max(np.abs(raw)) <= 2e-6
 
     def test_chunk_invariance(self, boundaries_for, monkeypatch):
@@ -134,11 +134,9 @@ class TestSpecMismatch:
         lambda spec, bp: value_at(spec, bp, 0.0, 0.0),
         lambda spec, bp: build_value_surface(spec, bp, n_t=3, n_x=4),
         lambda spec, bp: optimal_value_Vstar(spec, bp),
-        lambda spec, bp: smooth_fit_diagnostic(spec, bp, [0.3]),
         lambda spec, bp: boundary_residuals(spec, bp, [0.0]),
     ], ids=["value_row", "value_at", "build_value_surface",
-            "optimal_value_Vstar", "smooth_fit_diagnostic",
-            "boundary_residuals"])
+            "optimal_value_Vstar", "boundary_residuals"])
     @pytest.mark.parametrize("mu, T", [(0.7, 1.0), (0.0, 0.5)])
     def test_raises(self, boundaries_for, call, mu, T):
         bp = boundaries_for(0.0)
@@ -233,8 +231,7 @@ class TestValueSurface:
         # must come back bit for bit as the serial rows, in grid order
         bp = boundaries_for(1.0)
         if workers is not None:
-            monkeypatch.setattr(shared_module, "_available_cpus",
-                                lambda: workers)
+            monkeypatch.setattr(shared_module, "workers", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -297,7 +294,7 @@ class TestValueSurface:
 class TestSmoothFit:
     def test_gaps_shrink(self, boundaries_for):
         bp = boundaries_for(0.0)
-        report = smooth_fit_diagnostic(bp.spec, bp, t_samples=[0.2, 0.5],
+        report = smooth_fit_diagnostic(bp, t_samples=[0.2, 0.5],
                                        eps_factors=(1e-2, 1e-3))
         assert report.gaps_minus.shape == (2, 2)
         assert report.gaps_plus.shape == (2, 2)
@@ -307,7 +304,7 @@ class TestSmoothFit:
 
     def test_report_summaries(self, boundaries_for):
         bp = boundaries_for(0.0)
-        report = smooth_fit_diagnostic(bp.spec, bp, t_samples=[0.35],
+        report = smooth_fit_diagnostic(bp, t_samples=[0.35],
                                        eps_factors=(1e-2, 1e-3, 1e-4))
         assert 0.0 <= report.decreasing_fraction() <= 1.0
         assert report.final_gap_max() <= 1e-2
