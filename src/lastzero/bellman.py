@@ -115,13 +115,12 @@ def bellman_solve(spec: ProblemSpec, lat: LatticeSpec = LatticeSpec()):
     values = np.zeros((lat.n_t + 1, lat.n_x))
     bm = np.zeros(lat.n_t + 1)
     bp = np.zeros(lat.n_t + 1)
-    v = values[lat.n_t]
     for k in range(lat.n_t - 1, -1, -1):
         h_row = _gain_H_raw(spec.mu, spec.T - t_grid[k], x)
-        c = dt * h_row + _shift_expectation(v, m0, J, pm, pz, pp)
+        c = dt * h_row + _shift_expectation(values[k + 1], m0, J, pm, pz,
+                                            pp)
         bm[k], bp[k] = _extract_row(x, c)
-        v = np.minimum(c, 0.0)
-        values[k] = v
+        np.minimum(c, 0.0, out=values[k])
 
     # monotone up to one interpolation cell, then clamp exactly
     worst = max(float(np.max(np.diff(bp), initial=0.0)),

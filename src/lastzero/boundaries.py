@@ -7,13 +7,14 @@ b- <= h- and b+ >= h+, solving
 
 where K is the stopping kernel (see :mod:`~lastzero.kernel`).  The sweep
 runs backward from T on a grid uniform in v = sqrt(T - t), which matches the
-square-root shape of the boundaries near the horizon.  Each step solves the
-2-d nonlinear system from a warm start extrapolated in v by Newton's method
-with the exact Jacobian of the discrete equations, which comes from the
-residual's kernel pass; every step is cut back to a fixed maximum length.
-It stops only once a taken step is within ``tol_b`` and the residuals are
-within ``tol_res``: smooth fit makes the residual nearly flat in x, so a
-small residual alone leaves the answer far from the discrete solution.
+square-root shape of the boundaries near the horizon.  Its one state is
+the pair's own knot arrays: node k's iterate is knot k, and its windows read
+the pair's interpolant.  Each node runs one Newton loop from a warm start
+extrapolated in v, with the exact Jacobian of the discrete equations from
+the residual's kernel pass and every step cut back to a fixed maximum
+length.  It stops only once a taken step is within ``tol_b`` and the
+residuals within ``tol_res``: smooth fit makes the residual nearly flat in
+x, so a small residual alone leaves the answer far from the discrete one.
 
 By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
 
@@ -136,10 +137,10 @@ class BoundaryPair:
 
     def interpolate(self, t):
         """Monotone piecewise-linear (b-(t), b+(t)); exact at grid nodes."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.spec.T * (1 + 1e-12)):
+        t, T = np.asarray(t, dtype=float), self.spec.T
+        if not np.all((t >= -1e-12 * T) & (t <= T * (1 + 1e-12))):  # NaN fails
             raise ValueError("t outside [0, T]")
-        tc = np.clip(t, 0.0, self.spec.T)
+        tc = np.clip(t, 0.0, T)
         return (np.interp(tc, self.grid, self.b_minus),
                 np.interp(tc, self.grid, self.b_plus))
 
@@ -221,20 +222,6 @@ def sqrt_time_grid(T: float, n_steps: int) -> np.ndarray:
     return T * (1.0 - ((n_steps - k) / n_steps) ** 2)
 
 
-def _window_arrays(t_k, beta_m, beta_p, grid, bm, bp, k, s_nodes):
-    """Boundary values at absolute times t_k + s, self-consistent at t_k.
-
-    Future values come from the solved tail of the grid; inside the first
-    cell the current iterate at t_k is a knot, so the step's equations see
-    exactly the interpolant later used by ``BoundaryPair.interpolate``.
-    """
-    knots_t = np.concatenate([[t_k], grid[k + 1:]])
-    u = t_k + s_nodes
-    zm = np.interp(u, knots_t, np.concatenate([[beta_m], bm[k + 1:]]))
-    zp = np.interp(u, knots_t, np.concatenate([[beta_p], bp[k + 1:]]))
-    return zm, zp
-
-
 def _newton_step(r, jac):
     """``(step, None)`` with the Newton step -jac^-1 r, or ``(None, cause)``
     naming why the iterate admits none."""
@@ -257,15 +244,16 @@ def solve_boundaries(spec: ProblemSpec,
 
     The sweep solves the normalized problem (nu, 1), nu = mu sqrt(T), and
     returns its solution rescaled to ``spec``: grid times T, boundaries
-    times sqrt(T), residuals times T.  Per step: warm start extrapolated
-    linearly in v = sqrt(T - t) from the two previous nodes and clipped
-    into the h±-class, then Newton steps with the exact Jacobian of the
-    discrete equations, from the residual's kernel pass (one kernel call
-    per iterate gives both), each step scaled back to the step limit in
-    its longest component (Dennis & Schnabel 1996, ch. 5-6) and clipped
-    into the h±-class.  A node ends once a taken step moves each boundary
-    by at most ``tol_b`` and leaves both residuals within ``tol_res`` (in
-    the normalized problem).
+    times sqrt(T), residuals times T.  Node k's iterate is the knot
+    (b-[k], b+[k]) of the arrays being filled, so its windows read the
+    interpolant ``BoundaryPair.interpolate`` later gives.  It starts
+    extrapolated linearly in v = sqrt(T - t) from knots k+1, k+2 and
+    clipped into the h±-class; then one loop evaluates the kernel (the
+    residual and its exact Jacobian), stops once the last taken step moved
+    each boundary by at most ``tol_b`` and both residuals are within
+    ``tol_res`` (normalized), and else takes the Newton step scaled back to
+    the step limit in its longest component (Dennis & Schnabel 1996,
+    ch. 5-6) and clipped into the h±-class.
     Raises :class:`NonConvergenceError` on iteration exhaustion, a
     non-finite residual or Jacobian, or a singular Jacobian, and
     :class:`InvariantViolationError` if the h± curves cannot be bracketed
@@ -285,56 +273,38 @@ def solve_boundaries(spec: ProblemSpec,
             raise InvariantViolationError(
                 f"the zero curves h± of H cannot be bracketed for nu = "
                 f"mu*sqrt(T) = {unit.mu:.6g} with n_steps = {n}") from exc
-        bm = np.zeros(n + 1)
-        bp = np.zeros(n + 1)
-        res = np.full((n + 1, 2), np.nan)
-        res[n] = 0.0
+        bm, bp, res = np.zeros(n + 1), np.zeros(n + 1), np.zeros((n + 1, 2))
 
         for k in range(n - 1, -1, -1):
             t_k = grid[k]
             rule = lag_rule(1.0 - t_k)
+            u = t_k + rule.nodes
             # weight of the iterate's knot in the window edges per lag node
-            knot_weights = np.interp(t_k + rule.nodes, grid[k:k + 2],
-                                     [1.0, 0.0])
-
-            def newton_system(b_m, b_p):
-                zm, zp = _window_arrays(t_k, b_m, b_p, grid, bm, bp, k,
-                                        rule.nodes)
+            knot_weights = np.interp(u, grid[k:k + 2], [1.0, 0.0])
+            # uniform in v: extrapolate 2b1 - b2; node n-1 starts at b(T) = 0
+            bm[k] = min(2.0 * bm[k + 1] - bm[min(k + 2, n)], hc.h_minus[k])
+            bp[k] = max(2.0 * bp[k + 1] - bp[min(k + 2, n)], hc.h_plus[k])
+            taken = np.inf
+            for i in range(MAX_ITER + 1):
+                x = np.array([bm[k], bp[k]])
                 r, d_x, d_beta = lag_integral_batch(
-                    unit, t_k, np.array([b_m, b_p]), zm, zp, rule,
-                    knot_weights=knot_weights)
-                return r, d_beta + np.diag(d_x)
-
-            # the grid is uniform in v: linear extrapolation is 2b1 - b2
-            if k + 2 <= n:
-                beta_m = 2.0 * bm[k + 1] - bm[k + 2]
-                beta_p = 2.0 * bp[k + 1] - bp[k + 2]
-            else:
-                beta_m, beta_p = bm[k + 1], bp[k + 1]
-            beta_m = min(beta_m, hc.h_minus[k])
-            beta_p = max(beta_p, hc.h_plus[k])
-            r, jac = newton_system(beta_m, beta_p)
-            for _ in range(MAX_ITER):
-                step, cause = _newton_step(r, jac)
-                if step is None:
+                    unit, t_k, x, np.interp(u, grid, bm),
+                    np.interp(u, grid, bp), rule, knot_weights=knot_weights)
+                if taken <= cfg.tol_b and np.max(np.abs(r)) <= cfg.tol_res:
                     break
+                if i == MAX_ITER:
+                    cause = "iteration budget exhausted"
+                else:
+                    step, cause = _newton_step(r, d_beta + np.diag(d_x))
+                if cause is not None:
+                    raise NonConvergenceError(
+                        k, t_k, float(np.max(np.abs(r))), unit.mu, n, cause)
                 longest = np.max(np.abs(step))
                 if longest > _STEP_LIMIT:
                     step *= _STEP_LIMIT / longest
-                beta_m_new = min(beta_m + step[0], hc.h_minus[k])
-                beta_p_new = max(beta_p + step[1], hc.h_plus[k])
-                taken = max(abs(beta_m_new - beta_m),
-                            abs(beta_p_new - beta_p))
-                beta_m, beta_p = beta_m_new, beta_p_new
-                r, jac = newton_system(beta_m, beta_p)
-                if taken <= cfg.tol_b and np.max(np.abs(r)) <= cfg.tol_res:
-                    break
-            else:
-                cause = "iteration budget exhausted"
-            if cause is not None:
-                raise NonConvergenceError(k, t_k, float(np.max(np.abs(r))),
-                                          unit.mu, n, cause)
-            bm[k], bp[k] = beta_m, beta_p
+                bm[k] = min(x[0] + step[0], hc.h_minus[k])
+                bp[k] = max(x[1] + step[1], hc.h_plus[k])
+                taken = max(abs(bm[k] - x[0]), abs(bp[k] - x[1]))
             res[k] = r
 
     # enforce monotonicity exactly; large clamps signal a grid problem
@@ -347,8 +317,6 @@ def solve_boundaries(spec: ProblemSpec,
             f"monotonicity clamp of {clamp:.3e} (relative to sqrt(T)) "
             f"exceeds 10*tol_b={10 * cfg.tol_b:.3e} for nu = mu*sqrt(T) = "
             f"{unit.mu:.6g} with n_steps = {n}; refine the time grid")
-    if np.any(bm > hc.h_minus + 1e-9) or np.any(bp < hc.h_plus - 1e-9):
-        raise InvariantViolationError("solution left the h±(t) class")
     return BoundaryPair(spec=spec, grid=grid * spec.T, b_minus=bm * root_T,
                         b_plus=bp * root_T, residuals=res * spec.T)
 

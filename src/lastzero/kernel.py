@@ -116,7 +116,9 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     contiguous share per worker, each processed in tiles of about
     ``_TILE_H_POINTS / workers`` H evaluations; every (x, s-node) entry is
     reduced over the same Gauss-Legendre axis whatever the share or tile, so
-    the result depends neither on the batch width nor on the worker count.
+    the result does not depend on the worker count.  The lag sum
+    ``out @ rule.weights`` is a BLAS product whose rounding can change with
+    the batch width, which is why ``value_row`` fixes its batch.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second

@@ -8,6 +8,8 @@ resolution.  Agreement with the integral solver is the acceptance suite's
 criterion; here we only exercise the comparison report machinery.
 """
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -103,6 +105,19 @@ class TestBellmanSolve:
                       [1.0, -1.0, -2.0, -1.0, -0.5]):
             with pytest.raises(LatticeTooCoarseError, match="edge"):
                 _extract_row(x, np.array(c_row))
+
+    def test_regression_digest(self):
+        # exact values and boundaries of a fixed lattice: any change to
+        # the backward sweep moves them
+        surface, pair = bellman_solve(ProblemSpec(mu=0.7, T=1.0),
+                                      LatticeSpec(n_t=200, n_x=201))
+        digests = [hashlib.sha256(a.tobytes()).hexdigest()
+                   for a in (surface.values, pair.b_minus, pair.b_plus)]
+        assert digests == [
+            "901b954dd55d74196af293dc4e2239fc4832d426eb25b9f40c39f52765d8644a",
+            "030cf3f35d4cb06a45d015a99d09420921f143f2489ae25364e1f19c11e7c44a",
+            "9900f854d8e9c2713b344722aee3346dfc995cdd4214b3464d5fde75f9819c08",
+        ]
 
     def test_drift_flip_mirrors(self):
         lat = LatticeSpec(n_t=400, n_x=401)

@@ -6,6 +6,7 @@ by grid-refinement convergence, and by re-evaluating the defining integral
 equations with an independent, finer quadrature.
 """
 
+import hashlib
 import json
 import sys
 
@@ -39,6 +40,20 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 # Independent checks come from the residual certificate below and the
 # lattice cross-validation in the acceptance suite.
 B_PLUS_0_MU0 = 1.12269874
+
+
+def _solve_counting_calls(monkeypatch, spec, n_steps):
+    """``(pair, kernel calls)`` of one solve at ``n_steps``."""
+    calls = []
+    real = boundaries_module.lag_integral_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
+    bp = solve_boundaries(spec, SolverConfig(n_steps=n_steps))
+    return bp, len(calls)
 
 
 class TestSqrtTimeGrid:
@@ -91,10 +106,13 @@ class TestSolvedBoundaries:
         assert np.all(bp.b_minus[:-1] < 0.0)
         assert np.all(bp.b_plus[:-1] > 0.0)
 
-    def test_class_membership(self, boundaries_for):
+    @pytest.mark.parametrize("nu", [-10.0, -3.0, 0.0, 3.0, 10.0])
+    def test_class_membership(self, boundaries_for, nu):
         # Uniqueness class: b- at or below the lower zero-level curve of H,
-        # b+ at or above the upper one.
-        bp = boundaries_for(0.0)
+        # b+ at or above the upper one.  The solver checks no such thing:
+        # every iterate is clipped into the class and the final monotone
+        # projection only lowers b- and raises b+.
+        bp = boundaries_for(nu, n_steps=80)
         hc = h_curves(bp.spec, bp.grid)
         assert np.all(bp.b_minus <= hc.h_minus + 1e-9)
         assert np.all(bp.b_plus >= hc.h_plus - 1e-9)
@@ -141,17 +159,8 @@ class TestSolvedBoundaries:
 
     @staticmethod
     def _count_kernel_calls(monkeypatch, nu, n_steps):
-        calls = []
-        real = boundaries_module.lag_integral_batch
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
-        solve_boundaries(ProblemSpec(mu=nu, T=1.0),
-                         SolverConfig(n_steps=n_steps))
-        return len(calls)
+        return _solve_counting_calls(monkeypatch, ProblemSpec(mu=nu, T=1.0),
+                                     n_steps)[1]
 
     def test_kernel_calls_per_step(self, monkeypatch):
         # each call gives the residual and its exact Jacobian: the start
@@ -216,6 +225,37 @@ class TestSolvedBoundaries:
         times = np.sort(rng.uniform(0.0, 0.97, 20))
         res = boundary_residuals(bp.spec, bp, times)
         assert np.max(np.abs(res)) <= 1e-5
+
+
+class TestRegressionPins:
+    """Exact outputs of fixed solves: any change to the sweep moves them."""
+
+    # (mu, T, n_steps): kernel calls, then sha256 of grid, b_minus, b_plus
+    # and residuals
+    PINS = {
+        (0.8, 1.0, 60): (243, (
+            "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
+            "ed9e91e4868e54805aa5ecd03ce15ca91d4d8d04aa8974706592e51ce22f9ff9",
+            "95d0e01057ae4cbf979d593d9db36f4dd452619d33fd799b94f232a1e6ab1e90",
+            "0f26f0a02223736acdf0c32a5c2cc2e4590e7741fe216826041a26f82bee34ad",
+        )),
+        (-1.5, 2.0, 80): (323, (
+            "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
+            "9bc74c9523c31b480b6678ef1159a1e25aa6d604b44b878d9624bc8a3c06cdb1",
+            "770330844bd6ef56657288c27d050add2e3a396e9272ba99d1b66b4230a65950",
+            "cf672d4e352255a2be1c7882083ba3cc7907aa34c147b97aa5dd1f8e129547c0",
+        )),
+    }
+
+    @pytest.mark.parametrize("key", list(PINS))
+    def test_solve_digest_and_kernel_calls(self, monkeypatch, key):
+        mu, T, n_steps = key
+        bp, n_calls = _solve_counting_calls(
+            monkeypatch, ProblemSpec(mu=mu, T=T), n_steps)
+        digests = tuple(hashlib.sha256(getattr(bp, name).tobytes())
+                        .hexdigest()
+                        for name in ("grid", "b_minus", "b_plus", "residuals"))
+        assert (n_calls, digests) == self.PINS[key]
 
 
 class TestWorkerCountInvariance:
@@ -305,10 +345,18 @@ class TestInterpolation:
 
     def test_domain_errors(self, boundaries_for):
         bp = boundaries_for(0.0)
-        with pytest.raises(ValueError):
-            bp.interpolate(-0.01)
-        with pytest.raises(ValueError):
-            bp.interpolate(1.01)
+        for t in (-0.01, 1.01, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                bp.interpolate(t)
+        # both ends are relative to T: -50 T is far outside at T = 1e-14
+        T = 1e-14
+        tiny = BoundaryPair(spec=ProblemSpec(mu=0.0, T=T),
+                            grid=np.array([0.0, 0.5 * T, T]),
+                            b_minus=np.array([-1e-7, -5e-8, 0.0]),
+                            b_plus=np.array([1e-7, 5e-8, 0.0]))
+        for t in (-50.0 * T, 2.0 * T):
+            with pytest.raises(ValueError, match="outside"):
+                tiny.interpolate(t)
 
 
 class TestContainerValidation:

@@ -114,8 +114,9 @@ class TestValueFunction:
 
     def test_domain_error(self, boundaries_for):
         bp = boundaries_for(0.0)
-        with pytest.raises(ValueError):
-            value_at(bp.spec, bp, -0.1, 0.0)
+        for t in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                value_at(bp.spec, bp, t, 0.0)
 
     def test_zero_drift_symmetry_in_x(self, boundaries_for):
         bp = boundaries_for(0.0)
