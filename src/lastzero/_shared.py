@@ -1,5 +1,6 @@
 """Helpers shared by several modules: the one thread pool of the process,
-and the one CSV and JSON artifact layout.
+per-thread scratch buffers for hot loops, and the one CSV and JSON artifact
+layout.
 
 Work fans out through ``map_in_order`` only.  A fan-out runs on the calling
 thread plus at most ``workers() - 1`` threads of one lazily built,
@@ -11,6 +12,14 @@ no more threads compute than there are CPUs.  The kernel fans out its lag
 columns, ``value`` its rows and ``montecarlo`` its path blocks; each item
 does the same arithmetic on whichever thread runs it, so no output depends
 on the worker count.
+
+A hot loop that would allocate the same large temporaries on every pass
+asks a ``Scratch`` for them instead and writes into them with ufunc
+``out=`` arguments.  A ``Scratch`` holds, per thread, one float64 buffer
+per name; it grows to the largest request and is reused, so a loop's
+steady state faults in no new pages.  The owner of a ``Scratch`` decides
+its lifetime: the kernel keeps one for the process (each thread's buffers
+live as long as the thread), a Monte Carlo stream one per stream.
 """
 
 from __future__ import annotations
@@ -18,10 +27,13 @@ from __future__ import annotations
 import contextvars
 import csv
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
+
+import numpy as np
 
 # ``inline`` is set for good on pool threads and for the duration of a
 # caller's own share of a fan-out.
@@ -89,6 +101,27 @@ def map_in_order(fn, items) -> list:
     for helper in helpers:
         helper.result()                 # re-raises a helper's error
     return results
+
+
+class Scratch(threading.local):
+    """Named float64 work arrays, one set per thread, reused across calls.
+
+    ``array(name, shape)`` returns a C-contiguous view of the calling
+    thread's buffer ``name``, laid out like ``np.empty(shape)``, with
+    undefined contents.  A buffer grows to the largest shape asked of it
+    and is freed with its thread or with this object, whichever goes
+    first.  Two arrays taken under one name on one thread share memory.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 def write_csv(path, header, rows, comments: dict) -> None:

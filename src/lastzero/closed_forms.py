@@ -98,12 +98,32 @@ def _gain_H_raw(mu, s, x):
     """
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    nu = -mu * np.sign(x)
+    shape = np.broadcast_shapes(s.shape, x.shape)
+    return _gain_H_into(mu, s, x, *(np.empty(shape) for _ in range(4)))
+
+
+def _gain_H_into(mu, s, x, out, a, nu, tmp):
+    """``_gain_H_raw`` written into ``out``, with ``a``, ``nu`` and ``tmp``
+    as work arrays; all four have the broadcast shape of s and x and must
+    not overlap them.  Returns ``out``.
+
+    Each element sees the same operations in the same order as the
+    expressions a = |x|, nu = (-mu) sign(x),
+    first = Phi((a - nu s)/sqrt(s)),
+    second = exp((2 nu) a + logPhi(((-a) - nu s)/sqrt(s))) and
+    2 clip(first - second, 0, 1) - 1.
+    """
     rs = np.sqrt(s)
-    first = ndtr((a - nu * s) / rs)
-    second = np.exp(2.0 * nu * a + log_ndtr((-a - nu * s) / rs))
-    return 2.0 * np.clip(first - second, 0.0, 1.0) - 1.0
+    np.abs(x, out=a)
+    np.multiply(-mu, np.sign(x, out=nu), out=nu)
+    np.multiply(nu, s, out=tmp)                    # nu s
+    ndtr(np.divide(np.subtract(a, tmp, out=out), rs, out=out), out=out)
+    np.multiply(np.multiply(2.0, nu, out=nu), a, out=nu)    # (2 nu) a
+    np.subtract(np.negative(a, out=a), tmp, out=a)
+    log_ndtr(np.divide(a, rs, out=a), out=a)
+    np.exp(np.add(nu, a, out=a), out=a)            # second
+    np.clip(np.subtract(out, a, out=out), 0.0, 1.0, out=out)
+    return np.subtract(np.multiply(2.0, out, out=out), 1.0, out=out)
 
 
 def h_curves(spec: ProblemSpec, grid) -> HCurvePair:

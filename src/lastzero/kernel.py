@@ -20,7 +20,12 @@ thread pool (``_shared.map_in_order``; inline when the call already runs
 inside a fan-out), and each share walks its nodes in tiles, so at most
 2^16 H points are in flight across all threads whatever the batch width.
 Every (point, lag) entry gets the same arithmetic on whichever share and
-tile it lands, so no result depends on the worker count.  On request the
+tile it lands, so no result depends on the worker count.  A tile's
+(point, lag, node) arrays are the thread's own work arrays
+(``_shared.Scratch``), reused from tile to tile and call to call and kept
+for the life of the thread; ufuncs write into them with ``out=``, so the
+steady state allocates no tile memory.  Each holds at most
+max(2^16 / workers, B n_gl) points, 256 KB on two workers.  On request the
 same pass also gives the integral's derivatives in the evaluation point and
 in the knot values of the window edges: the boundary solver's exact
 Jacobian.
@@ -34,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _shared
-from .closed_forms import ProblemSpec, _gain_H_raw
+from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
@@ -43,6 +48,11 @@ _CLIP = 10.0
 # temporaries at 512 KB per array in total; on two workers a solver call
 # (2 points x 128 lags x 64 nodes) is one tile per share.
 _TILE_H_POINTS = 2 ** 16
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# Each thread's tile arrays, reused from call to call (see ``share``).
+_scratch = _shared.Scratch()
 
 
 @dataclass(frozen=True)
@@ -150,18 +160,27 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     def share(bounds):
         for j in range(bounds[0], bounds[1], tile):
             cols = slice(j, min(j + tile, bounds[1]))
+            shape = (xs.size, cols.stop - cols.start, n_gl)
+            xi, y, h, *h_work = (_scratch.array(name, shape) for name
+                                 in ("xi", "y", "h", "a", "nu", "tmp"))
+            mass = _scratch.array("mass", shape[:2])
             center_t = center[:, cols, np.newaxis]
             sq_t = sq[:, cols, np.newaxis]
             s_rem_t = s_rem[:, cols, np.newaxis]
             for lo, hi in ((a[:, cols], mid[:, cols]),
                            (mid[:, cols], c[:, cols])):
                 width = hi - lo                        # (B, tile)
-                xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
-                y = center_t + sq_t * xi               # (B, tile, n_gl)
-                h = _gain_H_raw(spec.mu, s_rem_t, y)
-                phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-                h_phi = h * phi
-                mass = np.einsum("bsg,g->bs", h_phi, w)
+                # xi = lo + width r, y = center + sq xi
+                np.add(lo[..., np.newaxis],
+                       np.multiply(width[..., np.newaxis], r, out=xi),
+                       out=xi)
+                np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
+                _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
+                phi = y                                # y is spent
+                np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
+                np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
+                h_phi = np.multiply(h, phi, out=h)
+                np.einsum("bsg,g->bs", h_phi, w, out=mass)
                 out[:, cols] += width * mass
                 if with_jacobian:
                     # int H xi phi over the panel, xi = lo + width r
@@ -183,7 +202,7 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                        for z in (zm, zp)])
     free = np.stack([a_at > -_CLIP, c_at < _CLIP]) & (c_at > a_at)
     dens = _gain_H_raw(spec.mu, s_rem[:, at], z_edge) \
-        * np.exp(-0.5 * xi_edge * xi_edge) * (1.0 / np.sqrt(2.0 * np.pi))
+        * np.exp(-0.5 * xi_edge * xi_edge) * _INV_SQRT_2PI
     lag_w = rule.weights[at] * np.asarray(knot_weights)[at] / sq[0, at]
     d_beta = np.where(free, dens, 0.0) @ lag_w         # (2, B)
     return values, d_x, np.column_stack([-d_beta[0], d_beta[1]])

@@ -13,7 +13,12 @@ Randomness is counter-based and splittable: path i of a run seeded s draws
 from Philox keyed (s, i).  Blocks of paths are drawn, scanned and stopped on
 the process's one thread pool (``_shared.map_in_order``), and reduced in
 whole chunks in path order, so results are independent of chunking and of
-the number of workers, and bit-reproducible on one platform.
+the number of workers, and bit-reproducible on one platform.  Each stream
+owns a ``_shared.Scratch``: a thread draws and scans every block it runs
+in the same block-sized arrays (path, bridge uniforms, interval products),
+which the stream frees when it ends; only ``simulate_paths`` hands its
+arrays to the caller.  A block holds about 4e6 / workers path values, so
+each array is at most about 32 MB / workers (8 MB at 4000 steps on two).
 """
 
 from __future__ import annotations
@@ -79,18 +84,21 @@ class PolicyReport:
                 "spec": {"mu": self.spec.mu, "T": self.spec.T}}
 
 
-def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int):
+def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int,
+                scratch: _shared.Scratch | None = None):
     """Paths, bridge uniforms, and placement uniforms for paths [start, start+n).
 
     Every path consumes a fixed number of draws from its own substream, so
-    ensembles are identical however the work is chunked.
+    ensembles are identical however the work is chunked.  The arrays are
+    drawn into ``scratch``; without one they are new and the caller's.
     """
+    scratch = scratch or _shared.Scratch()
     dt = spec.T / cfg.n_steps
     scale, drift = np.sqrt(dt), spec.mu * dt
-    w = np.empty((n, cfg.n_steps + 1))
+    w = scratch.array("w", (n, cfg.n_steps + 1))
     w[:, 0] = 0.0
-    u_bridge = np.empty((n, cfg.n_steps))
-    u_place = np.empty(n)
+    u_bridge = scratch.array("u_bridge", (n, cfg.n_steps))
+    u_place = scratch.array("u_place", (n,))
     for i in range(n):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, start + i], dtype=np.uint64)))
@@ -113,18 +121,23 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
     return PathEnsemble(spec=spec, cfg=cfg, times=times, paths=w)
 
 
-def _last_zeros(times, w, u_bridge, u_place, bridge_on: bool) -> np.ndarray:
-    """Vectorized last-zero detection for a chunk of paths."""
+def _last_zeros(times, w, u_bridge, u_place, bridge_on: bool,
+                scratch: _shared.Scratch | None = None) -> np.ndarray:
+    """Vectorized last-zero detection for a chunk of paths; the products,
+    then the bridge probabilities, go to ``scratch`` (a new array without
+    one)."""
+    scratch = scratch or _shared.Scratch()
     dt = times[1] - times[0]
     a = w[:, :-1]
     b = w[:, 1:]
-    prod = a * b
+    prod = np.multiply(a, b, out=scratch.array("prod", a.shape))
     crossing = prod < 0.0
     crossing |= b == 0.0
     if bridge_on:
         same = prod > 0.0
+        p = np.clip(prod, 0.0, None, out=prod)          # prod is spent
         with np.errstate(over="ignore", under="ignore"):
-            p = np.exp(-2.0 * np.clip(prod, 0.0, None) / dt)
+            np.exp(np.divide(np.multiply(-2.0, p, out=p), dt, out=p), out=p)
         crossing |= same & (u_bridge < p)
     has = crossing.any(axis=1)
     n_int = crossing.shape[1]
@@ -146,15 +159,20 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
     Chunks hold at most 8e6 path values.  Blocks of chunk / (2 * workers)
     paths keep the workers within half a chunk; numpy's draws and array
     arithmetic release the interpreter lock, so the blocks run in parallel.
+    Each thread draws and scans its blocks in the same block-sized arrays
+    of the stream's own ``Scratch``, freed when the stream ends.
     """
     chunk = max(1, min(_CHUNK, int(8_000_000 // (cfg.n_steps + 1))))
     block = -(-chunk // (2 * _shared.workers()))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+    scratch = _shared.Scratch()
 
     def run(bounds):
         start, stop = bounds
-        w, u_bridge, u_place = _draw_chunk(spec, cfg, start, stop - start)
-        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction)
+        w, u_bridge, u_place = _draw_chunk(spec, cfg, start, stop - start,
+                                           scratch)
+        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction,
+                        scratch)
         return g, [rule.taus(times, w) for rule in rules]
 
     for start in range(0, cfg.n_paths, chunk):

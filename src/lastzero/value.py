@@ -72,15 +72,16 @@ class ValueSurface:
 def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
     """V(t, x) for an array of x at one time, exact 0 on the stopping set.
 
-    Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
+    Raises ``ValueError`` if ``spec`` is not ``bp.spec`` or t lies outside
+    [0, T].
     """
     if spec != bp.spec:
         raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape)
+    zm_t, zp_t = bp.interpolate(t)          # raises for t outside [0, T]
     if t >= spec.T * (1 - 1e-15):
         return out
-    zm_t, zp_t = bp.interpolate(t)
     idx = np.flatnonzero((xs > zm_t) & (xs < zp_t))
     if idx.size == 0:
         return out

@@ -8,9 +8,10 @@ their (estimate, standard error) pairs are frozen into the test modules
 together with the generating seed and sample size.
 
 The references at the end (scalar Brent root of H, adaptive scalar kernel,
-untiled lag integral, quadrature law of g and nested-quad E g) reuse the
-package's gain function H and lag rule: they check how the package solves
-and integrates, not what it integrates.  The four-term bivariate-normal law
+untiled lag integral, quadrature law of g and nested-quad E g) use a frozen
+copy of the package's gain function H, written as plain expressions, and
+the package's lag rule: they check how the package solves and integrates,
+not what it integrates.  The four-term bivariate-normal law
 of g checks the algebra that collapses it to one Owen's T value.  The
 smooth-fit diagnostic, last, differences the package's own raw lag integral
 across the solved boundaries.
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, owens_t
+from scipy.special import log_ndtr, ndtr, owens_t
 
-from lastzero.closed_forms import ProblemSpec, _gain_H_raw, g_cdf
+from lastzero.closed_forms import ProblemSpec, g_cdf
 from lastzero.kernel import (_CLIP, LagRule, _gauss_unit, lag_integral_batch,
                              lag_rule)
 
@@ -163,6 +164,22 @@ def central_difference(f, x, h=1e-6):
 # References for the zero curves of H, the kernel, its lag integral and g
 # ---------------------------------------------------------------------------
 
+def gain_H_reference(mu, s, x):
+    """H with s = T - t > 0, as plain numpy expressions on fresh arrays.
+
+    A frozen copy of the package's gain function from before it wrote into
+    work arrays; the package's H must equal it bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    nu = -mu * np.sign(x)
+    rs = np.sqrt(s)
+    first = ndtr((a - nu * s) / rs)
+    second = np.exp(2.0 * nu * a + log_ndtr((-a - nu * s) / rs))
+    return 2.0 * np.clip(first - second, 0.0, 1.0) - 1.0
+
+
 def h_root(spec: ProblemSpec, t: float, side: int) -> float:
     """Root of H(t, .) on the given side of 0 (side = +1 or -1), by Brent."""
     s = spec.T - t
@@ -170,7 +187,7 @@ def h_root(spec: ProblemSpec, t: float, side: int) -> float:
     hi = np.sqrt(s)
 
     def f(a):
-        return _gain_H_raw(spec.mu, s, side * a)
+        return gain_H_reference(spec.mu, s, side * a)
 
     tries = 0
     while f(hi) <= 0.0:
@@ -223,7 +240,7 @@ def _inner_kernel_panels(spec: ProblemSpec, t_plus_s: float, x: float, s: float,
             continue
         xi = lo + (hi - lo) * r
         y = center + sq * xi
-        h = _gain_H_raw(spec.mu, s_rem, y)
+        h = gain_H_reference(spec.mu, s_rem, y)
         phi = np.exp(-0.5 * xi * xi) / np.sqrt(2.0 * np.pi)
         total += (hi - lo) * np.dot(w, h * phi)
     return float(total)
@@ -293,7 +310,7 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
         width = hi - lo                                # (B, n_s)
         xi = lo[..., np.newaxis] + width[..., np.newaxis] * r   # (B, n_s, n_gl)
         y = center[..., np.newaxis] + sq[..., np.newaxis] * xi
-        h = _gain_H_raw(spec.mu, s_rem[..., np.newaxis], y)
+        h = gain_H_reference(spec.mu, s_rem[..., np.newaxis], y)
         phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
         out += width * np.einsum("bsg,g->bs", h * phi, w)
     return out @ rule.weights
@@ -340,7 +357,7 @@ def g_cdf_quad(spec: ProblemSpec, t: float) -> float:
     s = spec.T - t
 
     def integrand(x):
-        return 0.5 * (_gain_H_raw(spec.mu, s, x) + 1.0) \
+        return 0.5 * (gain_H_reference(spec.mu, s, x) + 1.0) \
             * np.exp(-0.5 * (x - spec.mu * t) ** 2 / t) / np.sqrt(2.0 * np.pi * t)
 
     lo = spec.mu * t - 12.0 * np.sqrt(t)

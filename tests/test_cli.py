@@ -318,9 +318,9 @@ class TestSimulate:
         drawn = []
         draw = montecarlo._draw_chunk
 
-        def counting_draw(spec, cfg, start, n):
+        def counting_draw(spec, cfg, start, n, *scratch):
             drawn.append(n)
-            return draw(spec, cfg, start, n)
+            return draw(spec, cfg, start, n, *scratch)
 
         monkeypatch.setattr(montecarlo, "_draw_chunk", counting_draw)
         self._run(solved_dir, capsys, "--dump", str(tmp_path / "p.csv"))

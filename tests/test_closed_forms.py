@@ -5,9 +5,12 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtr
 
-from lastzero.closed_forms import (ProblemSpec, HCurvePair, gain_H, h_curves,
-                                   g_cdf, mean_g)
-from oracles import g_cdf_bvn, g_cdf_quad, h_root, mean_g_quad
+from lastzero.closed_forms import (ProblemSpec, HCurvePair, _gain_H_raw,
+                                   gain_H, h_curves, g_cdf, mean_g)
+from oracles import (g_cdf_bvn, g_cdf_quad, gain_H_reference, h_root,
+                     mean_g_quad)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # high-precision references (40-digit arbitrary-precision evaluation;
 # regeneration: tests/oracles.py)
@@ -139,6 +142,27 @@ class TestGainH:
     def test_domain(self):
         with pytest.raises(ValueError):
             gain_H(self.spec, 1.0, 0.5)
+
+    @pytest.mark.parametrize("mu", [0.0, 2.6, -2.6, 50.0, -50.0])
+    def test_equals_frozen_expressions(self, mu):
+        # H is written into work arrays; its bits must be those of the plain
+        # expressions, on a full grid and on the scalar-array broadcasts of
+        # gain_H, h_curves and the lattice
+        xs = np.array([0.0, 1e-300, -1e-300, 40.0, -40.0, 0.3, -1.7])
+        ss = np.array([1e-12, 4.0, 0.37])
+        s_grid, x_grid = np.meshgrid(ss, xs, indexing="ij")
+        cases = [(s_grid, x_grid), (ss[:, np.newaxis], xs), (ss, 40.0),
+                 (np.float64(4.0), xs), *((s, x) for s in ss for x in xs)]
+        for s, x in cases:
+            got = _gain_H_raw(mu, s, x)
+            want = gain_H_reference(mu, s, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        spec = ProblemSpec(mu=mu, T=4.0)
+        assert gain_H(spec, 3.0, -40.0) == gain_H_reference(mu, 1.0, -40.0)
+        assert np.array_equal(gain_H(spec, np.array([0.0, 3.0]), xs[:2, None]),
+                              gain_H_reference(mu, np.array([4.0, 1.0]),
+                                               xs[:2, None]))
 
 
 class TestHCurves:

@@ -8,6 +8,8 @@ scalar kernel and the untiled form live in ``oracles.py``.
 """
 
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -428,3 +430,69 @@ class TestLagWorkers:
         other = run()
         for got, want in zip(other, one):
             assert np.array_equal(got, want)
+
+
+class TestLagScratch:
+    """Each thread reuses its own tile arrays from call to call."""
+
+    inputs = TestLagTiling()
+
+    def test_steady_state_peak_memory(self, monkeypatch):
+        # on one thread, so the warm-up call grows every tile array the
+        # traced call reuses; what remains are the call's (B, n_s) arrays
+        # (allocating every tile anew peaked at 6.3 MB here)
+        spec, t = self.inputs.spec, self.inputs.t
+        rule, xs, zm, zp = self.inputs._inputs(64, "straddles_zero")
+        monkeypatch.setattr(shared_module, "workers", lambda: 1)
+        lag_integral_batch(spec, t, xs, zm, zp, rule)
+        tracemalloc.start()
+        try:
+            lag_integral_batch(spec, t, xs, zm, zp, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
+    @pytest.mark.parametrize("workers", [None, 8])
+    def test_concurrent_calls_equal_serial(self, monkeypatch, workers):
+        # two callers at once, each switching between a 1-point call and a
+        # 64-point call with the Jacobian, on the shared pool
+        spec, t = self.inputs.spec, self.inputs.t
+        rule, xs, zm, zp = self.inputs._inputs(64, "straddles_zero")
+        jobs = [(xs[:1], zm[:1], zp[:1], None),
+                (xs, zm, zp, _knot_weights(t, 0.1, rule))]
+        if workers is not None:
+            monkeypatch.setattr(shared_module, "workers", lambda: workers)
+
+        def call(job):
+            x, lo, hi, knot_weights = job
+            return lag_integral_batch(spec, t, x, lo, hi, rule,
+                                      knot_weights=knot_weights)
+
+        serial = [call(job) for job in jobs]
+        results = {}
+
+        def caller(first):
+            results[first] = [call(jobs[(first + k) % 2]) for k in range(4)]
+
+        threads = [threading.Thread(target=caller, args=(first,))
+                   for first in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1]
+        for first, got in results.items():
+            for k, result in enumerate(got):
+                want = serial[(first + k) % 2]
+                if isinstance(want, tuple):
+                    assert all(np.array_equal(g, w)
+                               for g, w in zip(result, want))
+                else:
+                    assert np.array_equal(result, want)

@@ -6,8 +6,11 @@ synthetic paths for the detector's decision logic.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -31,6 +34,8 @@ from lastzero import (
 from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
 import lastzero._shared as shared_module
 import lastzero.montecarlo as mc_module
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _dump_rows(spec, rule, cfg):
@@ -444,6 +449,62 @@ class TestThreadedStream:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 1000 * (cfg.n_steps + 1) * 8
+
+
+def _scored(n_paths):
+    """Estimates and per-path digest of one two-rule run."""
+    spec = ProblemSpec(mu=0.3, T=1.0)
+    cfg = SimConfig(n_paths=n_paths, n_steps=200, seed=41)
+    rec = np.empty(n_paths, mc_module.PER_PATH_DTYPE)
+    reports = evaluate_policies(
+        spec, [SqrtRule(1.0, 1.0), FixedTimeRule(0.5, 1.0)], cfg, records=rec)
+    return repr(([(r.estimate, r.std_error) for r in reports],
+                 hashlib.sha256(rec.tobytes()).hexdigest()))
+
+
+SCORED_IN_A_FRESH_PROCESS = """
+import sys
+from test_montecarlo import _scored
+print(_scored(int(sys.argv[1])))
+"""
+
+
+class TestStreamScratch:
+    """Blocks reuse their thread's arrays within one stream, and only there."""
+
+    def test_back_to_back_runs_equal_fresh_processes(self):
+        # 1,003 paths end in a 3-path chunk, 997 in a short block: the
+        # reused arrays are larger than these blocks, and no stale row of
+        # them may reach a result
+        here = [_scored(n) for n in (1003, 997)]
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), str(tests),
+                        env.get("PYTHONPATH")) if p)
+        for n, got in zip((1003, 997), here):
+            proc = subprocess.run(
+                [sys.executable, "-c", SCORED_IN_A_FRESH_PROCESS, str(n)],
+                capture_output=True, text=True, timeout=300, env=env)
+            assert (proc.returncode, proc.stdout) == (0, got + "\n"), \
+                proc.stderr
+
+    def test_arrays_do_not_outlive_the_stream(self, monkeypatch):
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        cfg = SimConfig(n_paths=1000, n_steps=1000, seed=9)
+        ensemble = simulate_paths(spec, cfg)
+        paths = ensemble.paths.copy()
+        monkeypatch.setattr(shared_module, "workers", lambda: 2)
+        tracemalloc.start()
+        try:
+            evaluate_policy(spec, SqrtRule(1.0, 1.0), cfg)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 250-path blocks: a thread's path, uniforms and products were held
+        assert peak > 3 * 8 * 250 * (cfg.n_steps + 1)
+        assert left < 1e5
+        assert np.array_equal(ensemble.paths, paths)
 
 
 class TestRegressionPins:

@@ -32,6 +32,8 @@ from oracles import raw_value_row, smooth_fit_diagnostic
 import lastzero._shared as shared_module
 import lastzero.value as value_module
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Regression anchors at solver defaults (n_steps=400, T=1).  E g comes from
 # the closed form (1 - exp(-mu^2 T / 2)) / mu^2; V(0,0) is certified by the
 # residual checks and the lattice cross-validation in the acceptance suite.
@@ -114,8 +116,8 @@ class TestValueFunction:
 
     def test_domain_error(self, boundaries_for):
         bp = boundaries_for(0.0)
-        for t in (-0.1, np.nan):
-            with pytest.raises(ValueError):
+        for t in (-0.1, np.nan, 1.1, np.inf):
+            with pytest.raises(ValueError, match="outside"):
                 value_at(bp.spec, bp, t, 0.0)
 
     def test_zero_drift_symmetry_in_x(self, boundaries_for):
