@@ -6,12 +6,12 @@ Work fans out through ``map_in_order`` only.  A fan-out runs on the calling
 thread plus at most ``workers() - 1`` threads of one lazily built,
 process-wide pool with one worker per CPU the process may use; the caller
 runs the first item itself and then, like the pool threads, claims items
-no thread has started.  On a pool thread, or on a caller busy with its own
-share of a fan-out, a nested fan-out runs inline, so pools never nest and
-no more threads compute than there are CPUs.  The kernel fans out its lag
-columns, ``value`` its rows and ``montecarlo`` its path blocks; each item
-does the same arithmetic on whichever thread runs it, so no output depends
-on the worker count.
+no thread has started.  On a pool thread, or on a caller busy with items
+of its own fan-out, a nested fan-out runs inline, so pools never nest and
+no more threads compute than there are CPUs.  The kernel fans out its
+tiles of lag columns, ``value`` its rows and ``montecarlo`` its path
+blocks; each item does the same arithmetic on whichever thread runs it, so
+no output depends on the worker count.
 
 A hot loop that would allocate the same large temporaries on every pass
 asks a ``Scratch`` for them instead and writes into them with ufunc
@@ -35,8 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# ``inline`` is set for good on pool threads and for the duration of a
-# caller's own share of a fan-out.
+# ``inline`` is set for good on pool threads and while a caller runs items
+# of its own fan-out.
 _thread_state = threading.local()
 
 

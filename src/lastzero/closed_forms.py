@@ -61,13 +61,14 @@ class HCurvePair:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "h_minus", hm)
         object.__setattr__(self, "h_plus", hp)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly ascending with >= 2 points")
         if hm.shape != grid.shape or hp.shape != grid.shape:
             raise ValueError("curve arrays must match the grid shape")
-        if np.any(hm > 1e-12) or np.any(hp < -1e-12):
+        if not (np.all(hm <= 1e-12) and np.all(hp >= -1e-12)):
             raise ValueError("h_minus must be <= 0 and h_plus >= 0")
-        if np.any(np.diff(hm) < -1e-10) or np.any(np.diff(hp) > 1e-10):
+        if not (np.all(np.diff(hm) >= -1e-10)
+                and np.all(np.diff(hp) <= 1e-10)):
             raise ValueError("h_minus must be nondecreasing and h_plus nonincreasing")
 
 
@@ -82,7 +83,7 @@ def gain_H(spec: ProblemSpec, t, x):
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.any(t >= spec.T) or np.any(t < 0.0):
+    if not np.all((t >= 0.0) & (t < spec.T)):          # NaN fails
         raise ValueError("gain_H requires 0 <= t < T")
     out = _gain_H_raw(spec.mu, spec.T - t, x)
     return float(out) if out.ndim == 0 else out
@@ -136,7 +137,7 @@ def h_curves(spec: ProblemSpec, grid) -> HCurvePair:
     continuity.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly ascending with >= 2 points")
     if grid[0] < 0.0 or grid[-1] > spec.T:
         raise ValueError("grid must lie within [0, T]")

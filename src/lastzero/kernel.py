@@ -15,12 +15,12 @@ where H has a square-root derivative blow-up), restoring smooth integrands.
 Inner integrals are computed in the standardized variable
 xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
 lags are always resolved; panels are split at the image of y = 0.  The lag
-nodes are split into one contiguous share per worker of the process's
-thread pool (``_shared.map_in_order``; inline when the call already runs
-inside a fan-out), and each share walks its nodes in tiles, so at most
-2^16 H points are in flight across all threads whatever the batch width.
-Every (point, lag) entry gets the same arithmetic on whichever share and
-tile it lands, so no result depends on the worker count.  A tile's
+nodes are cut into contiguous tiles, the items of one fan-out over the
+process's thread pool (``_shared.map_in_order``; inline when the call
+already runs inside a fan-out): at least one tile per worker, and at most
+2^16 H points in flight across all threads whatever the batch width.
+Every (point, lag) entry gets the same arithmetic in whichever tile it
+lands, so no result depends on the worker count.  A tile's
 (point, lag, node) arrays are the thread's own work arrays
 (``_shared.Scratch``), reused from tile to tile and call to call and kept
 for the life of the thread; ufuncs write into them with ``out=``, so the
@@ -46,12 +46,12 @@ _CLIP = 10.0
 
 # H evaluations in flight across all workers: bounds the (point, lag, node)
 # temporaries at 512 KB per array in total; on two workers a solver call
-# (2 points x 128 lags x 64 nodes) is one tile per share.
+# (2 points x 128 lags x 64 nodes) is two tiles of 64 lags.
 _TILE_H_POINTS = 2 ** 16
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Each thread's tile arrays, reused from call to call (see ``share``).
+# Each thread's tile arrays, reused from call to call (see ``run_tile``).
 _scratch = _shared.Scratch()
 
 
@@ -122,11 +122,11 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
 
     The inner integral per (x, s-node) uses two Gauss-Legendre panels in the
     standardized variable, split at the image of the kink y = 0; empty or
-    clipped-away windows contribute exactly 0.  Lag nodes are split into one
-    contiguous share per worker, each processed in tiles of about
-    ``_TILE_H_POINTS / workers`` H evaluations; every (x, s-node) entry is
-    reduced over the same Gauss-Legendre axis whatever the share or tile, so
-    the result does not depend on the worker count.  The lag sum
+    clipped-away windows contribute exactly 0.  Lag nodes are cut into
+    tiles of at most ``ceil(n_s / workers)`` nodes and at most
+    ``_TILE_H_POINTS / workers`` H evaluations, one pool item each; every
+    (x, s-node) entry is reduced over the same Gauss-Legendre axis whatever
+    the tile, so the result does not depend on the worker count.  The lag sum
     ``out @ rule.weights`` is a BLAS product whose rounding can change with
     the batch width, which is why ``value_row`` fixes its batch.
 
@@ -155,41 +155,38 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     out = np.zeros((xs.size, rule.n))
     moment = np.zeros((xs.size, rule.n)) if with_jacobian else None
     n_workers = _shared.workers()
-    tile = max(1, _TILE_H_POINTS // (n_workers * xs.size * n_gl))
+    tile = max(1, min(-(-rule.n // n_workers),
+                      _TILE_H_POINTS // (n_workers * xs.size * n_gl)))
 
-    def share(bounds):
-        for j in range(bounds[0], bounds[1], tile):
-            cols = slice(j, min(j + tile, bounds[1]))
-            shape = (xs.size, cols.stop - cols.start, n_gl)
-            xi, y, h, *h_work = (_scratch.array(name, shape) for name
-                                 in ("xi", "y", "h", "a", "nu", "tmp"))
-            mass = _scratch.array("mass", shape[:2])
-            center_t = center[:, cols, np.newaxis]
-            sq_t = sq[:, cols, np.newaxis]
-            s_rem_t = s_rem[:, cols, np.newaxis]
-            for lo, hi in ((a[:, cols], mid[:, cols]),
-                           (mid[:, cols], c[:, cols])):
-                width = hi - lo                        # (B, tile)
-                # xi = lo + width r, y = center + sq xi
-                np.add(lo[..., np.newaxis],
-                       np.multiply(width[..., np.newaxis], r, out=xi),
-                       out=xi)
-                np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
-                _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
-                phi = y                                # y is spent
-                np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
-                np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
-                h_phi = np.multiply(h, phi, out=h)
-                np.einsum("bsg,g->bs", h_phi, w, out=mass)
-                out[:, cols] += width * mass
-                if with_jacobian:
-                    # int H xi phi over the panel, xi = lo + width r
-                    moment[:, cols] += width * (
-                        lo * mass + width * np.einsum("bsg,g->bs", h_phi, wr))
+    def run_tile(j):
+        cols = slice(j, min(j + tile, rule.n))
+        shape = (xs.size, cols.stop - cols.start, n_gl)
+        xi, y, h, *h_work = (_scratch.array(name, shape) for name
+                             in ("xi", "y", "h", "a", "nu", "tmp"))
+        mass = _scratch.array("mass", shape[:2])
+        center_t = center[:, cols, np.newaxis]
+        sq_t = sq[:, cols, np.newaxis]
+        s_rem_t = s_rem[:, cols, np.newaxis]
+        for lo, hi in ((a[:, cols], mid[:, cols]),
+                       (mid[:, cols], c[:, cols])):
+            width = hi - lo                            # (B, tile)
+            # xi = lo + width r, y = center + sq xi
+            np.add(lo[..., np.newaxis],
+                   np.multiply(width[..., np.newaxis], r, out=xi), out=xi)
+            np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
+            _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
+            phi = y                                    # y is spent
+            np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
+            np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
+            h_phi = np.multiply(h, phi, out=h)
+            np.einsum("bsg,g->bs", h_phi, w, out=mass)
+            out[:, cols] += width * mass
+            if with_jacobian:
+                # int H xi phi over the panel, xi = lo + width r
+                moment[:, cols] += width * (
+                    lo * mass + width * np.einsum("bsg,g->bs", h_phi, wr))
 
-    edges = [rule.n * k // n_workers for k in range(n_workers + 1)]
-    _shared.map_in_order(share, [(lo, hi) for lo, hi
-                                 in zip(edges[:-1], edges[1:]) if lo < hi])
+    _shared.map_in_order(run_tile, range(0, rule.n, tile))
     values = out @ rule.weights
     if not with_jacobian:
         return values

