@@ -1,13 +1,14 @@
 """Seeded Monte Carlo for E|g - tau| under grid stopping policies.
 
 Paths of B^mu on a uniform grid come from exact Gaussian increments (the
-process is Gaussian; there is no Euler error).  The last zero g of each
-path is detected per grid interval: a sign change is a sure crossing placed
-by linear interpolation; two same-sign endpoints hide a crossing with the
-Brownian-bridge probability exp(-2 x_k x_{k+1} / dt), resolved by a
-Bernoulli draw and placed uniformly.  Policies stop at the first grid time
-in their stopping set; estimates across policies share paths (common
-random numbers).
+process is Gaussian; there is no Euler error).  The last zero g of a path
+lies in the last grid interval holding a zero: a sign change or a landing
+on 0 holds one surely, two same-sign endpoints one with the Brownian-bridge
+probability exp(-2 x_k x_{k+1} / dt), independently across intervals.  One
+uniform per path picks that interval by inverse CDF; g is placed by linear
+interpolation across a sign change and uniformly in a bridge interval.
+Policies stop at the first grid time in their stopping set; estimates
+across policies share paths (common random numbers).
 
 Randomness is counter-based and splittable: path i of a run seeded s draws
 from Philox keyed (s, i).  Blocks of paths are drawn, scanned and stopped on
@@ -15,10 +16,10 @@ the process's one thread pool (``_shared.map_in_order``), and reduced in
 whole chunks in path order, so results are independent of chunking and of
 the number of workers, and bit-reproducible on one platform.  Each stream
 owns a ``_shared.Scratch``: a thread draws and scans every block it runs
-in the same block-sized arrays (path, bridge uniforms, interval products),
-which the stream frees when it ends; only ``simulate_paths`` hands its
-arrays to the caller.  A block holds about 4e6 / workers path values, so
-each array is at most about 32 MB / workers (8 MB at 4000 steps on two).
+in the same two block-sized arrays (path, interval products), which the
+stream frees when it ends; only ``simulate_paths`` hands its arrays to the
+caller.  A block holds about 4e6 / workers path values, so each array is
+at most about 32 MB / workers (8 MB at 4000 steps on two).
 """
 
 from __future__ import annotations
@@ -85,28 +86,22 @@ class PolicyReport:
 
 
 def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int,
-                scratch: _shared.Scratch | None = None):
-    """Paths, bridge uniforms, and placement uniforms for paths [start, start+n).
-
-    Every path consumes a fixed number of draws from its own substream, so
-    ensembles are identical however the work is chunked.  The arrays are
-    drawn into ``scratch``; without one they are new and the caller's.
-    """
-    scratch = scratch or _shared.Scratch()
+                scratch: _shared.Scratch):
+    """Paths [start, start+n) and two uniforms per path (``u[:, 0]`` picks
+    the last zero's interval, ``u[:, 1]`` places it), drawn into ``scratch``
+    from each path's own substream: n_steps normals, then the uniforms."""
     dt = spec.T / cfg.n_steps
     scale, drift = np.sqrt(dt), spec.mu * dt
     w = scratch.array("w", (n, cfg.n_steps + 1))
     w[:, 0] = 0.0
-    u_bridge = scratch.array("u_bridge", (n, cfg.n_steps))
-    u_place = scratch.array("u_place", (n,))
+    u = scratch.array("u", (n, 2))
     for i in range(n):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([cfg.seed, start + i], dtype=np.uint64)))
         np.cumsum(drift + scale * rng.standard_normal(cfg.n_steps),
                   out=w[i, 1:])
-        u_bridge[i] = rng.random(cfg.n_steps)
-        u_place[i] = rng.random()
-    return w, u_bridge, u_place
+        rng.random(out=u[i])
+    return w, u
 
 
 def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
@@ -117,31 +112,32 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
             "storage guard; use evaluate_policy / evaluate_policies, "
             "which stream")
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-    w, _, _ = _draw_chunk(spec, cfg, 0, cfg.n_paths)
+    w, _ = _draw_chunk(spec, cfg, 0, cfg.n_paths, _shared.Scratch())
     return PathEnsemble(spec=spec, cfg=cfg, times=times, paths=w)
 
 
-def _last_zeros(times, w, u_bridge, u_place, bridge_on: bool,
-                scratch: _shared.Scratch | None = None) -> np.ndarray:
-    """Vectorized last-zero detection for a chunk of paths; the products,
-    then the bridge probabilities, go to ``scratch`` (a new array without
-    one)."""
-    scratch = scratch or _shared.Scratch()
+def _last_zeros(times, w, u, bridge_on: bool,
+                scratch: _shared.Scratch) -> np.ndarray:
+    """Last zeros of a block of paths.  ``q[:, k]``, the chance that
+    interval k holds no zero, is written into ``scratch`` and turned by a
+    reversed running product into P(no zero after t_k), from which
+    ``u[:, 0]`` picks the last interval with a zero by inverse CDF."""
     dt = times[1] - times[0]
     a = w[:, :-1]
     b = w[:, 1:]
-    prod = np.multiply(a, b, out=scratch.array("prod", a.shape))
-    crossing = prod < 0.0
-    crossing |= b == 0.0
-    if bridge_on:
-        same = prod > 0.0
-        p = np.clip(prod, 0.0, None, out=prod)          # prod is spent
-        with np.errstate(over="ignore", under="ignore"):
-            np.exp(np.divide(np.multiply(-2.0, p, out=p), dt, out=p), out=p)
-        crossing |= same & (u_bridge < p)
-    has = crossing.any(axis=1)
-    n_int = crossing.shape[1]
-    last = n_int - 1 - np.argmax(crossing[:, ::-1], axis=1)
+    q = np.multiply(a, b, out=scratch.array("q", a.shape))
+    sure = q < 0.0
+    sure |= b == 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        if bridge_on:               # 1 - exp(-2ab/dt); a = 0 gives 1 via inf
+            q[q <= 0.0] = np.inf
+            np.negative(np.expm1(np.multiply(q, -2 / dt, out=q), out=q), out=q)
+        else:
+            q.fill(1.0)
+        q[sure] = 0.0
+        np.cumprod(q[:, ::-1], axis=1, out=q[:, ::-1])
+    last = np.count_nonzero(q <= u[:, :1], axis=1) - 1
+    has = last >= 0
     rows = np.arange(w.shape[0])
     a_k = a[rows, last]
     b_k = b[rows, last]
@@ -149,7 +145,7 @@ def _last_zeros(times, w, u_bridge, u_place, bridge_on: bool,
     sign_change = a_k * b_k < 0.0
     denom = np.where(sign_change, a_k - b_k, 1.0)  # avoid 0/0 off-branch
     g = np.where(sign_change, t_k + dt * a_k / denom,
-                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u_place))
+                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u[:, 1]))
     return np.where(has, g, 0.0)
 
 
@@ -169,10 +165,8 @@ def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
 
     def run(bounds):
         start, stop = bounds
-        w, u_bridge, u_place = _draw_chunk(spec, cfg, start, stop - start,
-                                           scratch)
-        g = _last_zeros(times, w, u_bridge, u_place, cfg.bridge_correction,
-                        scratch)
+        w, u = _draw_chunk(spec, cfg, start, stop - start, scratch)
+        g = _last_zeros(times, w, u, cfg.bridge_correction, scratch)
         return g, [rule.taus(times, w) for rule in rules]
 
     for start in range(0, cfg.n_paths, chunk):
@@ -270,8 +264,12 @@ def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
     """One streamed ensemble pass scoring every rule on the same paths.
 
     ``records`` (n_paths rows of PER_PATH_DTYPE) gets the first rule's rows.
+    Raises ``ValueError`` for an ``OptimalRule`` solved for another spec.
     """
     rules = list(rules)
+    for bp in (rule.bp for rule in rules if isinstance(rule, OptimalRule)):
+        if bp.spec != spec:
+            raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     if records is not None and (not rules or records.shape != (cfg.n_paths,)):
         raise ValueError("records need a rule and one row per path")
     sums = np.zeros(len(rules))

@@ -151,6 +151,38 @@ def mc_last_zero_law(mu, T, t_query, n_paths=1_000_000, n_steps=4000,
     return (p, p_se), (mean, mean_se)
 
 
+def last_zeros_interval_scan(times, w, u_bridge, u_place, bridge_on=True):
+    """Last zeros of paths w on a uniform grid by one Bernoulli per interval.
+
+    A sign change or a landing on 0 is a sure zero; two same-sign ends hide
+    one with the bridge probability exp(-2 a b / dt), decided by
+    ``u_bridge[:, k] < p``.  The last interval with a zero holds g, placed
+    by linear interpolation across a sign change, at its right end on a
+    landing, else at ``t_k + dt * u_place``; no zero gives g = 0.  This is
+    the package's former sampler (2n + 1 uniforms per path), kept as the
+    reference for the law of its one-uniform interval pick.
+    """
+    dt = times[1] - times[0]
+    a = w[:, :-1]
+    b = w[:, 1:]
+    prod = a * b
+    crossing = (prod < 0.0) | (b == 0.0)
+    if bridge_on:
+        p = np.exp(-2.0 * np.clip(prod, 0.0, None) / dt)
+        crossing |= (prod > 0.0) & (u_bridge < p)
+    has = crossing.any(axis=1)
+    last = crossing.shape[1] - 1 - np.argmax(crossing[:, ::-1], axis=1)
+    rows = np.arange(w.shape[0])
+    a_k = a[rows, last]
+    b_k = b[rows, last]
+    t_k = times[last]
+    sign_change = a_k * b_k < 0.0
+    denom = np.where(sign_change, a_k - b_k, 1.0)
+    g = np.where(sign_change, t_k + dt * a_k / denom,
+                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u_place))
+    return np.where(has, g, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference derivative oracle
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.stats import ks_2samp
 
 from lastzero import (
     BoundaryPair,
@@ -34,6 +35,7 @@ from lastzero import (
 from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
 import lastzero._shared as shared_module
 import lastzero.montecarlo as mc_module
+from oracles import last_zeros_interval_scan
 
 
 def _dump_rows(spec, rule, cfg):
@@ -84,6 +86,22 @@ class TestSimulatePaths:
         b = simulate_paths(self.spec, SimConfig(n_paths=4, n_steps=16, seed=2))
         assert not np.array_equal(a.paths, b.paths)
 
+    def test_draw_layout(self):
+        # path i draws from Philox keyed (seed, i): its n_steps normals,
+        # then the interval-pick and placement uniforms
+        spec = ProblemSpec(mu=-0.4, T=2.0)
+        cfg = SimConfig(n_paths=9, n_steps=12, seed=2 ** 63 + 7)
+        w, u = _draw_chunk(spec, cfg, 3, 4, shared_module.Scratch())
+        assert w.shape == (4, 13) and u.shape == (4, 2)
+        dt = spec.T / cfg.n_steps
+        for i in range(4):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([cfg.seed, 3 + i], dtype=np.uint64)))
+            steps = spec.mu * dt + np.sqrt(dt) * rng.standard_normal(12)
+            npt.assert_array_equal(w[i], np.concatenate([[0.0],
+                                                         np.cumsum(steps)]))
+            npt.assert_array_equal(u[i], rng.random(2))
+
     def test_storage_guard(self):
         cfg = SimConfig(n_paths=MAX_STORED_PATHS + 1, n_steps=8, seed=0)
         with pytest.raises(ValueError):
@@ -107,8 +125,8 @@ def _last_zero(path):
     w = np.asarray(path, dtype=float)[np.newaxis, :]
     n = w.shape[1] - 1
     return float(_last_zeros(np.linspace(0.0, 1.0, n + 1), w,
-                             np.zeros((1, n)), np.zeros(1),
-                             bridge_on=False)[0])
+                             np.zeros((1, 2)), bridge_on=False,
+                             scratch=shared_module.Scratch())[0])
 
 
 class TestLastZeroDetection:
@@ -183,6 +201,56 @@ class TestLastZeroDetection:
                                           seed=608))
         se = np.hypot(gp.std(ddof=1), gm.std(ddof=1)) / np.sqrt(gp.size)
         assert abs(gp.mean() - gm.mean()) <= 3 * se
+
+
+class TestIntervalPick:
+    """One uniform per path picks the last interval holding a zero."""
+
+    @pytest.mark.parametrize("path", [
+        # a = 0 first interval, a sign change, a landing on 0, an a = 0
+        # interval after it, then four same-sign intervals
+        [0.0, 0.3, -0.2, 0.0, 0.1, 0.15, 0.12, 0.2, 0.25],
+        # same-sign intervals only: some paths keep no zero after t = 0
+        [0.0, -0.2, -0.35, -0.3, -0.5, -0.6, -0.4, -0.7, -0.2],
+    ])
+    def test_exact_law(self, path):
+        # P(last < j) = prod_{k >= j} q_k, q_k the chance that interval k
+        # holds no zero; u[:, 0] sweeps [0, 1) at 2^16 midpoints
+        n_u = 2 ** 16
+        n = len(path) - 1
+        times = np.linspace(0.0, 1.0, n + 1)
+        dt = times[1]
+        w = np.tile(np.asarray(path), (n_u, 1))
+        u = np.column_stack([(np.arange(n_u) + 0.5) / n_u,
+                             np.full(n_u, 0.5)])
+        g = _last_zeros(times, w, u, True, shared_module.Scratch())
+        a, b = np.asarray(path[:-1]), np.asarray(path[1:])
+        q = np.where(a * b > 0.0, 1.0 - np.exp(-2.0 * a * b / dt), 1.0)
+        q[(a * b < 0.0) | (b == 0.0)] = 0.0
+        tail = np.append(np.cumprod(q[::-1])[::-1], 1.0)
+        # g sits at t_k + dt/2 in a same-sign interval, at t_{k+1} on a
+        # landing and strictly inside a sign change that is last
+        picked = np.floor(g / dt - 0.25).astype(int)
+        share = np.bincount(np.where(g > 0.0, picked + 1, 0),
+                            minlength=n + 1) / n_u
+        npt.assert_allclose(share[0], tail[0], rtol=0.0, atol=2.0 ** -16)
+        npt.assert_allclose(share[1:], np.diff(tail), rtol=0.0,
+                            atol=2.0 ** -16)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_same_law_as_one_draw_per_interval(self, mu):
+        # on shared paths, the one-uniform pick and a Bernoulli draw per
+        # interval give last zeros of one law
+        spec = ProblemSpec(mu=mu, T=1.0)
+        cfg = SimConfig(n_paths=100_000, n_steps=16, seed=16)
+        scratch = shared_module.Scratch()
+        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, scratch)
+        times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+        g = _last_zeros(times, w, u, True, scratch)
+        u_bridge = np.random.default_rng(61).random((cfg.n_paths,
+                                                     cfg.n_steps))
+        g_ref = last_zeros_interval_scan(times, w, u_bridge, u[:, 1])
+        assert ks_2samp(g, g_ref).statistic <= 0.008
 
 
 class TestStoppingRules:
@@ -343,6 +411,18 @@ class TestEvaluatePolicies:
                                            reps[1].std_error))
 
 
+    def test_rule_for_another_problem_refused(self):
+        bp = _sqrt_pair(ProblemSpec(mu=0.7, T=1.0))
+        cfg = SimConfig(n_paths=20, n_steps=10, seed=1)
+        for spec in (ProblemSpec(mu=-0.7, T=1.0), ProblemSpec(mu=0.7, T=0.5)):
+            with pytest.raises(ValueError, match="does not match the bound"):
+                evaluate_policy(spec, OptimalRule(bp), cfg)
+            with pytest.raises(ValueError, match="does not match the bound"):
+                evaluate_policies(spec, [SqrtRule(1.0, spec.T),
+                                         OptimalRule(bp, 0.8)], cfg)
+        assert evaluate_policy(bp.spec, OptimalRule(bp), cfg).n_paths == 20
+
+
 class TestPerPathDump:
     spec = ProblemSpec(mu=0.4, T=1.0)
 
@@ -421,9 +501,9 @@ class TestThreadedStream:
         # the whole ensemble drawn, scanned and stopped as one array
         g, _, rec = self._run(None)
         times = np.linspace(0.0, self.spec.T, self.cfg.n_steps + 1)
-        w, u_bridge, u_place = _draw_chunk(self.spec, self.cfg, 0,
-                                           self.cfg.n_paths)
-        g_ref = _last_zeros(times, w, u_bridge, u_place, True)
+        scratch = shared_module.Scratch()
+        w, u = _draw_chunk(self.spec, self.cfg, 0, self.cfg.n_paths, scratch)
+        g_ref = _last_zeros(times, w, u, True, scratch)
         tau_ref = OptimalRule(_sqrt_pair(self.spec)).taus(times, w)
         npt.assert_array_equal(g, g_ref)
         npt.assert_array_equal(rec["path_id"], np.arange(self.cfg.n_paths))
@@ -453,10 +533,12 @@ class TestThreadedStream:
             evaluate_policies(self.spec, [], self.cfg, records=rec)
 
     def test_peak_memory_below_one_former_chunk(self):
-        # The former loop held a whole chunk of 1000 x 4000 doubles five
-        # times over (normals, bridge uniforms, path, two temporaries) and
-        # the previous chunk's path and uniforms while drawing the next.
-        # Blocks on workers must together stay within that single chunk.
+        # The chunked loop before path blocks held a whole chunk of
+        # 1000 x 4000 doubles five times over (normals, one uniform per
+        # interval, path, two temporaries) and the previous chunk's path and
+        # uniforms while drawing the next.  Blocks on workers, each thread's
+        # path and interval products, must together stay within that single
+        # chunk.
         spec = ProblemSpec(mu=0.3, T=1.0)
         cfg = SimConfig(n_paths=2000, n_steps=4000, seed=3)
         rules = [OptimalRule(_sqrt_pair(spec)), SqrtRule(1.0, 1.0)]
@@ -519,10 +601,29 @@ class TestStreamScratch:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 250-path blocks: a thread's path, uniforms and products were held
+        # 250-path blocks on two threads: each thread's path and interval
+        # products were held
         assert peak > 3 * 8 * 250 * (cfg.n_steps + 1)
         assert left < 1e5
         assert np.array_equal(ensemble.paths, paths)
+
+
+class TestPathPins:
+    """Exact outputs that depend on the paths alone: a change to how the
+    sampler draws or uses its uniforms must leave them unmoved."""
+
+    def test_simulate_paths_digest(self):
+        ens = simulate_paths(ProblemSpec(mu=0.3, T=1.0),
+                             SimConfig(n_paths=700, n_steps=200, seed=5))
+        assert hashlib.sha256(ens.paths.tobytes()).hexdigest() == (
+            "1532043a6090951c9e833d149797906cf1faaa6f46d02431e5740e6daa2d58c1")
+
+    def test_bridge_off_last_zero_digest(self):
+        g = collect_last_zeros(ProblemSpec(mu=-0.5, T=2.0),
+                               SimConfig(n_paths=2500, n_steps=300, seed=77,
+                                         bridge_correction=False))
+        assert hashlib.sha256(g.tobytes()).hexdigest() == (
+            "fb861eefd7f875abd1cef67be569513946fd659e2ec2cf073fba917eab351747")
 
 
 class TestRegressionPins:
@@ -533,20 +634,20 @@ class TestRegressionPins:
         cfg = SimConfig(n_paths=3000, n_steps=500, seed=20261018)
         opt, sqrt_rule = evaluate_policies(
             spec, [OptimalRule(_sqrt_pair(spec)), SqrtRule(1.0, 1.0)], cfg)
-        assert (opt.estimate, opt.std_error) == (0.2538662206266871,
-                                                 0.0032664517221926543)
+        assert (opt.estimate, opt.std_error) == (0.25286999696043705,
+                                                 0.0032561117327806715)
         assert (sqrt_rule.estimate, sqrt_rule.std_error) == (
-            0.23939396452816852, 0.003211002645592286)
+            0.2388511806147633, 0.0032024003366299676)
 
     def test_last_zero_digest(self):
         g = collect_last_zeros(ProblemSpec(mu=-0.5, T=2.0),
                                SimConfig(n_paths=2500, n_steps=300, seed=77))
         assert hashlib.sha256(g.tobytes()).hexdigest() == (
-            "a3152fbab12829a9b282ccc6296cb4a35b45b3ff48afdc973fcab66deaad2501")
+            "1d3d4b630630bd42462ab2cc28449818653e3f1538378f69b646d32d0654a6ef")
 
     def test_per_path_digest(self):
         spec = ProblemSpec(mu=0.3, T=1.0)
         rec = _dump_rows(spec, OptimalRule(_sqrt_pair(spec), 0.8),
                          SimConfig(n_paths=700, n_steps=200, seed=5))
         assert hashlib.sha256(rec.tobytes()).hexdigest() == (
-            "f1af856fa8a5ecbdbc5ca16a945d9519d28e22af786281bd23fa7dfd464c2613")
+            "62551874df022ecfe49a55cb4e901cff7bc7a7134b539b81a2d7fc5470ab324d")
