@@ -19,7 +19,7 @@ asks a ``Scratch`` for them instead and writes into them with ufunc
 per name; it grows to the largest request and is reused, so a loop's
 steady state faults in no new pages.  The owner of a ``Scratch`` decides
 its lifetime: the kernel keeps one for the process (each thread's buffers
-live as long as the thread), a Monte Carlo stream one per stream.
+live as long as the thread), the Monte Carlo one per call.
 """
 
 from __future__ import annotations

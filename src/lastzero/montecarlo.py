@@ -11,15 +11,16 @@ Policies stop at the first grid time in their stopping set; estimates
 across policies share paths (common random numbers).
 
 Randomness is counter-based and splittable: path i of a run seeded s draws
-from Philox keyed (s, i).  Blocks of paths are drawn, scanned and stopped on
-the process's one thread pool (``_shared.map_in_order``), and reduced in
-whole chunks in path order, so results are independent of chunking and of
-the number of workers, and bit-reproducible on one platform.  Each stream
+from Philox keyed (s, i).  A run is one fan-out over blocks of paths on the
+process's one thread pool (``_shared.map_in_order``): each block is drawn,
+scanned and stopped, and writes its paths' g and tau into whole-run arrays,
+which are reduced once, so results are independent of the block size and
+of the number of workers, and bit-reproducible on one platform.  Each run
 owns a ``_shared.Scratch``: a thread draws and scans every block it runs
 in the same two block-sized arrays (path, interval products), which the
-stream frees when it ends; only ``simulate_paths`` hands its arrays to the
-caller.  A block holds about 4e6 / workers path values, so each array is
-at most about 32 MB / workers (8 MB at 4000 steps on two).
+run frees when it ends; only ``simulate_paths`` hands its arrays to the
+caller.  A block holds at most 2e6 / workers path values, so each array is
+at most about 16 MB / workers (8 MB at 4000 steps on two).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from ._shared import write_csv
 
 MAX_STORED_PATHS = 10_000
 
-# Paths per reduction chunk (at most 8e6 path values, see ``_stream``).
-_CHUNK = 1000
+# Path values in flight across all workers (see ``_scan``).
+_BLOCK_VALUES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
         raise ValueError(
             f"n_paths={cfg.n_paths} exceeds the {MAX_STORED_PATHS}-path "
             "storage guard; use evaluate_policy / evaluate_policies, "
-            "which stream")
+            "which keep one block of paths per thread")
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
     w, _ = _draw_chunk(spec, cfg, 0, cfg.n_paths, _shared.Scratch())
     return PathEnsemble(spec=spec, cfg=cfg, times=times, paths=w)
@@ -149,37 +150,40 @@ def _last_zeros(times, w, u, bridge_on: bool,
     return np.where(has, g, 0.0)
 
 
-def _stream(spec: ProblemSpec, cfg: SimConfig, rules):
-    """Yield (start, g, [tau per rule]) for each chunk of paths, in order.
+def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
+    """Every path's last zero g (n_paths,) and every rule's tau
+    (len(rules), n_paths), in one fan-out over blocks of paths.
 
-    Chunks hold at most 8e6 path values.  Blocks of chunk / (2 * workers)
-    paths keep the workers within half a chunk; numpy's draws and array
+    There are as many blocks as workers or more (unless there are fewer
+    paths), and a block holds at most ``_BLOCK_VALUES / workers`` path
+    values (but at least one path); numpy's draws and array
     arithmetic release the interpreter lock, so the blocks run in parallel.
-    Each thread draws and scans its blocks in the same block-sized arrays
-    of the stream's own ``Scratch``, freed when the stream ends.
+    Each block writes its own slice of the outputs.  Each thread draws and
+    scans its blocks in the same block-sized arrays of the run's own
+    ``Scratch``, freed when the run ends.
     """
-    chunk = max(1, min(_CHUNK, int(8_000_000 // (cfg.n_steps + 1))))
-    block = -(-chunk // (2 * _shared.workers()))
+    n_workers = _shared.workers()
+    block = max(1, min(-(-cfg.n_paths // n_workers),
+                       _BLOCK_VALUES // (n_workers * (cfg.n_steps + 1))))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
     scratch = _shared.Scratch()
+    g = np.empty(cfg.n_paths)
+    taus = np.empty((len(rules), cfg.n_paths))
 
-    def run(bounds):
-        start, stop = bounds
+    def run(start):
+        stop = min(start + block, cfg.n_paths)
         w, u = _draw_chunk(spec, cfg, start, stop - start, scratch)
-        g = _last_zeros(times, w, u, cfg.bridge_correction, scratch)
-        return g, [rule.taus(times, w) for rule in rules]
+        g[start:stop] = _last_zeros(times, w, u, cfg.bridge_correction, scratch)
+        for tau, rule in zip(taus, rules):
+            tau[start:stop] = rule.taus(times, w)
 
-    for start in range(0, cfg.n_paths, chunk):
-        stop = min(start + chunk, cfg.n_paths)
-        edges = [*range(start, stop, block), stop]
-        parts = _shared.map_in_order(run, zip(edges[:-1], edges[1:]))
-        yield (start, np.concatenate([g for g, _ in parts]),
-               [np.concatenate(t) for t in zip(*(ts for _, ts in parts))])
+    _shared.map_in_order(run, range(0, cfg.n_paths, block))
+    return g, taus
 
 
 def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig) -> np.ndarray:
-    """Stream the ensemble and return the n_paths last-zero times."""
-    return np.concatenate([g for _, g, _ in _stream(spec, cfg, [])])
+    """The n_paths last-zero times of the ensemble, in path order."""
+    return _scan(spec, cfg, [])[0]
 
 
 # -- stopping rules -------------------------------------------------------
@@ -261,7 +265,7 @@ def parse_policy(text: str, spec: ProblemSpec,
 
 def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
                       records: np.ndarray | None = None) -> list[PolicyReport]:
-    """One streamed ensemble pass scoring every rule on the same paths.
+    """One pass over the ensemble scoring every rule on the same paths.
 
     ``records`` (n_paths rows of PER_PATH_DTYPE) gets the first rule's rows.
     Raises ``ValueError`` for an ``OptimalRule`` solved for another spec.
@@ -272,22 +276,16 @@ def evaluate_policies(spec: ProblemSpec, rules, cfg: SimConfig,
             raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
     if records is not None and (not rules or records.shape != (cfg.n_paths,)):
         raise ValueError("records need a rule and one row per path")
-    sums = np.zeros(len(rules))
-    sq = np.zeros(len(rules))
-    for start, g, taus in _stream(spec, cfg, rules):
-        for j, tau in enumerate(taus):
-            err = np.abs(g - tau)
-            sums[j] += err.sum()
-            sq[j] += (err * err).sum()
-            if j == 0 and records is not None:
-                rows = records[start:start + g.size]
-                rows["path_id"] = np.arange(start, start + g.size)
-                rows["g"], rows["tau"], rows["abs_error"] = g, tau, err
+    g, taus = _scan(spec, cfg, rules)
+    err = np.abs(g - taus)
     n = cfg.n_paths
+    if records is not None:
+        records["path_id"] = np.arange(n)
+        records["g"], records["tau"], records["abs_error"] = g, taus[0], err[0]
     out = []
-    for j, rule in enumerate(rules):
-        mean = sums[j] / n
-        var = max(sq[j] / n - mean * mean, 0.0) * (n / max(n - 1, 1))
+    for rule, e in zip(rules, err):
+        mean = e.sum() / n
+        var = max((e * e).sum() / n - mean * mean, 0.0) * (n / max(n - 1, 1))
         out.append(PolicyReport(policy_name=rule.name, estimate=float(mean),
                                 std_error=float(np.sqrt(var / n)),
                                 n_paths=n, seed=cfg.seed, spec=spec))

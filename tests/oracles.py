@@ -13,8 +13,10 @@ copy of the package's gain function H, written as plain expressions, and
 the package's lag rule: they check how the package solves and integrates,
 not what it integrates.  The four-term bivariate-normal law
 of g checks the algebra that collapses it to one Owen's T value.  The
-smooth-fit diagnostic, last, differences the package's own raw lag integral
-across the solved boundaries.
+smooth-fit diagnostic differences the package's own raw lag integral
+across the solved boundaries.  The zero-drift anchor, last, solves the
+scalar equation that the exact boundaries b± = ±z* sqrt(T - t) of the
+driftless problem obey.
 """
 
 from __future__ import annotations
@@ -508,6 +510,39 @@ def smooth_fit_diagnostic(bp, t_samples,
         gp[i] = np.abs(v[1] - v[2 + ne:]) / (2.0 * eps)
     return SmoothFitReport(t_samples=t_samples, eps=eps, gaps_minus=gm,
                            gaps_plus=gp)
+
+
+
+# ---------------------------------------------------------------------------
+# Zero drift: the exact boundaries are ±z* sqrt(T - t)
+# ---------------------------------------------------------------------------
+
+def zero_drift_lag_integral(z: float, x: float, n_lag: int = 128) -> float:
+    """int_0^1 K(0, x, s, -z sqrt(1 - s), z sqrt(1 - s)) ds at mu = 0, T = 1:
+    the value formula at (0, x) for the boundaries b± = ±z sqrt(T - t).
+
+    The window edges are linear in v = sqrt(1 - s), the variable of
+    ``lag_rule``'s upper half, so the package's kernel resolves this
+    integral to round-off.
+    """
+    rule = lag_rule(1.0, n_lag)
+    edge = z * np.sqrt(1.0 - rule.nodes)
+    return float(lag_integral_batch(ProblemSpec(0.0, 1.0), 0.0, [x], -edge,
+                                    edge, rule)[0])
+
+
+def zero_drift_anchor(n_lag: int = 128) -> tuple[float, float]:
+    """(z*, V*(0)) of the driftless problem at T = 1.
+
+    With mu = 0 the problem is scale-invariant, so b± = ±z* sqrt(T - t),
+    and the + boundary equation at t = 0 is the scalar equation
+    F(z) = zero_drift_lag_integral(z, z) = 0, solved by Brent on
+    (h+(0), 3].  V*(0) = V(0, 0) + E g, with E g = 1/2.
+    """
+    lo = h_root(ProblemSpec(0.0, 1.0), 0.0, +1)
+    z_star = brentq(lambda z: zero_drift_lag_integral(z, z, n_lag), lo, 3.0,
+                    xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return z_star, zero_drift_lag_integral(z_star, 0.0, n_lag) + 0.5
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from lastzero.boundaries import sqrt_time_grid
 
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
+from oracles import h_root, zero_drift_anchor, zero_drift_lag_integral
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
@@ -576,3 +577,26 @@ class TestSerialization:
         t_mid = lines[2 + 200].split(",")
         assert float(t_mid[1]) <= float(t_mid[3])  # b- <= h-
         assert float(t_mid[2]) >= float(t_mid[4])  # b+ >= h+
+
+
+class TestZeroDriftAnchor:
+    """At mu = 0 the exact boundaries are ±z* sqrt(T - t), with z* the root
+    of one scalar equation (``oracles.zero_drift_anchor``)."""
+
+    Z_STAR = 1.12281350712333
+    V_STAR = 0.23848329243193
+
+    def test_root_agrees_across_lag_rules(self):
+        roots = [zero_drift_anchor(n)[0] for n in (128, 256, 512, 1024, 2048)]
+        assert max(roots) - min(roots) <= 1e-13
+        assert abs(roots[0] - self.Z_STAR) <= 1e-13
+
+    def test_one_sign_change_above_h_plus(self):
+        lo = h_root(ProblemSpec(mu=0.0, T=1.0), 0.0, +1)
+        zs = np.linspace(lo, 3.0, 201)[1:]
+        f = np.array([zero_drift_lag_integral(z, z) for z in zs])
+        assert f[0] < 0.0 < f[-1]
+        assert np.count_nonzero(np.diff(np.sign(f))) == 1
+
+    def test_optimal_error(self):
+        assert abs(zero_drift_anchor()[1] - self.V_STAR) <= 1e-12

@@ -155,9 +155,9 @@ class TestLastZeroDetection:
 
     def test_chunk_invariance(self, monkeypatch):
         cfg = SimConfig(n_paths=1500, n_steps=60, seed=42)
-        monkeypatch.setattr(mc_module, "_CHUNK", 97)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 97 * 61)
         a = collect_last_zeros(self.spec, cfg)
-        monkeypatch.setattr(mc_module, "_CHUNK", 1500)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
         b = collect_last_zeros(self.spec, cfg)
         npt.assert_array_equal(a, b)
 
@@ -361,12 +361,13 @@ class TestEvaluatePolicies:
         assert a.std_error == b.std_error
 
     def test_chunking_stable(self, monkeypatch):
+        # one reduction over the whole run: the block size cannot move a bit
         cfg = SimConfig(n_paths=1200, n_steps=64, seed=21)
-        monkeypatch.setattr(mc_module, "_CHUNK", 1200)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
         a = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
-        monkeypatch.setattr(mc_module, "_CHUNK", 111)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 111 * 65)
         b = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
-        npt.assert_allclose(a.estimate, b.estimate, rtol=1e-12)
+        assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
 
     def test_optimal_beats_fixed_time(self, boundaries_for):
         bp = boundaries_for(0.0)
@@ -450,9 +451,9 @@ class TestPerPathDump:
 
     def test_chunk_invariance(self, monkeypatch):
         rule = FixedTimeRule(0.3, 1.0)
-        monkeypatch.setattr(mc_module, "_CHUNK", 7)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 7 * 51)
         a = _dump_rows(self.spec, rule, self._cfg())
-        monkeypatch.setattr(mc_module, "_CHUNK", 1000)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
         b = _dump_rows(self.spec, rule, self._cfg())
         npt.assert_array_equal(a, b)
 
@@ -482,11 +483,13 @@ class TestThreadedStream:
 
     def _run(self, workers):
         # None: one worker per available CPU; 8: more workers than cores,
-        # switching threads as often as possible
+        # switching threads as often as possible.  40,000 path values give
+        # blocks of 439, 219 and 54 paths on 1, 2 and 8 workers: several
+        # blocks per worker.
         rules = [OptimalRule(_sqrt_pair(self.spec)), SqrtRule(1.0, 1.0)]
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc_module, "_CHUNK", 300)
+            mp.setattr(mc_module, "_BLOCK_VALUES", 40_000)
             if workers is not None:
                 mp.setattr(shared_module, "workers", lambda: workers)
             sys.setswitchinterval(1e-6)
@@ -570,12 +573,13 @@ print(_scored(int(sys.argv[1])))
 
 
 class TestStreamScratch:
-    """Blocks reuse their thread's arrays within one stream, and only there."""
+    """Blocks reuse their thread's arrays within one run, and only there."""
 
     def test_back_to_back_runs_equal_fresh_processes(self):
-        # 1,003 paths end in a 3-path chunk, 997 in a short block: the
-        # reused arrays are larger than these blocks, and no stale row of
-        # them may reach a result
+        # odd path counts end in a shorter block (502 then 501 paths, 499
+        # then 498 on two workers): a thread that runs both reuses arrays
+        # larger than its second block, and no stale row of them, nor any
+        # state of an earlier run, may reach a result
         here = [_scored(n) for n in (1003, 997)]
         tests = Path(__file__).resolve().parent
         env = dict(os.environ)
@@ -589,23 +593,35 @@ class TestStreamScratch:
             assert (proc.returncode, proc.stdout) == (0, got + "\n"), \
                 proc.stderr
 
-    def test_arrays_do_not_outlive_the_stream(self, monkeypatch):
+    @staticmethod
+    def _check_arrays_freed(monkeypatch, serial):
         spec = ProblemSpec(mu=0.3, T=1.0)
         cfg = SimConfig(n_paths=1000, n_steps=1000, seed=9)
         ensemble = simulate_paths(spec, cfg)
         paths = ensemble.paths.copy()
         monkeypatch.setattr(shared_module, "workers", lambda: 2)
+        if serial:
+            # one thread runs every block, as when the helper thread is
+            # scheduled only after the caller has claimed them all
+            monkeypatch.setattr(shared_module, "map_in_order",
+                                lambda fn, items: [fn(i) for i in items])
         tracemalloc.start()
         try:
             evaluate_policy(spec, SqrtRule(1.0, 1.0), cfg)
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 250-path blocks on two threads: each thread's path and interval
-        # products were held
+        # one 500-path block per worker: whichever threads run them, one
+        # block's path and interval products (8 MB) were held
         assert peak > 3 * 8 * 250 * (cfg.n_steps + 1)
         assert left < 1e5
         assert np.array_equal(ensemble.paths, paths)
+
+    def test_arrays_do_not_outlive_the_stream(self, monkeypatch):
+        self._check_arrays_freed(monkeypatch, serial=False)
+
+    def test_one_thread_holds_a_whole_block(self, monkeypatch):
+        self._check_arrays_freed(monkeypatch, serial=True)
 
 
 class TestPathPins:
@@ -637,7 +653,7 @@ class TestRegressionPins:
         assert (opt.estimate, opt.std_error) == (0.25286999696043705,
                                                  0.0032561117327806715)
         assert (sqrt_rule.estimate, sqrt_rule.std_error) == (
-            0.2388511806147633, 0.0032024003366299676)
+            0.2388511806147633, 0.0032024003366299693)
 
     def test_last_zero_digest(self):
         g = collect_last_zeros(ProblemSpec(mu=-0.5, T=2.0),
