@@ -325,10 +325,10 @@ def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair,
                        times) -> np.ndarray:
     """Re-evaluate both Volterra equations at given times, shape (m, 2).
 
-    Uses an independent quadrature (twice the solver's node counts) and the
-    solved pair's own interpolant for the windows, so the result certifies
-    the returned object rather than the solver's internals.  Raises
-    ``ValueError`` if ``spec`` is not ``bp.spec``.
+    Uses an independent quadrature (256 lag nodes, 128 Gauss-Legendre nodes
+    per panel) and the solved pair's own interpolant for the windows, so
+    the result certifies the returned object rather than the solver's
+    internals.  Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
     if spec != bp.spec:
         raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")

@@ -25,10 +25,10 @@ lands, so no result depends on the worker count.  A tile's
 (``_shared.Scratch``), reused from tile to tile and call to call and kept
 for the life of the thread; ufuncs write into them with ``out=``, so the
 steady state allocates no tile memory.  Each holds at most
-max(2^16 / workers, B n_gl) points, 256 KB on two workers.  On request the
-same pass also gives the integral's derivatives in the evaluation point and
-in the knot values of the window edges: the boundary solver's exact
-Jacobian.
+max(2^16 / workers, B n_gl) points: 256 KB on two workers, 32 KB in a
+solver call.  On request the same pass also gives the integral's
+derivatives in the evaluation point and in the knot values of the window
+edges: the boundary solver's exact Jacobian.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _CLIP = 10.0
 
 # H evaluations in flight across all workers: bounds the (point, lag, node)
 # temporaries at 512 KB per array in total; on two workers a solver call
-# (2 points x 128 lags x 64 nodes) is two tiles of 64 lags.
+# (2 points x 128 lags x 32 nodes) is two tiles of 64 lags.
 _TILE_H_POINTS = 2 ** 16
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -102,7 +102,7 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
 
 
 def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
-                       rule: LagRule, n_gl: int = 64, knot_weights=None):
+                       rule: LagRule, n_gl: int = 32, knot_weights=None):
     """Vectorized int_0^{L} K(t, x, s, z-(s), z+(s)) ds for a batch of x.
 
     Parameters
@@ -127,8 +127,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     ``_TILE_H_POINTS / workers`` H evaluations, one pool item each; every
     (x, s-node) entry is reduced over the same Gauss-Legendre axis whatever
     the tile, so the result does not depend on the worker count.  The lag sum
-    ``out @ rule.weights`` is a BLAS product whose rounding can change with
-    the batch width, which is why ``value_row`` fixes its batch.
+    runs along each point's own row, so neither does it depend on the batch
+    width: a point's value is the same bit for bit alone or in any batch.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -187,10 +187,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                     lo * mass + width * np.einsum("bsg,g->bs", h_phi, wr))
 
     _shared.map_in_order(run_tile, range(0, rule.n, tile))
-    values = out @ rule.weights
+    values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:
         return values
-    d_x = moment @ (rule.weights / sq[0])
+    d_x = (moment * (rule.weights / sq[0])).sum(axis=1)
     # edge terms, sides stacked first, on the lag nodes that see the knots
     at = np.flatnonzero(knot_weights)
     a_at, c_at = a[:, at], c[:, at]

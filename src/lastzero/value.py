@@ -6,9 +6,9 @@ problem is the lag integral of the kernel over the continuation window,
     V(t, x) = int_0^{T-t} K(t, x, s, b-(t+s), b+(t+s)) ds,
 
 zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}, evaluated with
-the kernel's 128-node lag rule.  The optimal expected prediction error is
-V* = V(0,0) + E g.  Smooth fit (V_x continuous across b±) is a property
-the tests check, with their own finer raw evaluation.
+128 lag nodes and 32 Gauss-Legendre nodes per panel.  The optimal expected
+error is V* = V(0,0) + E g.  Smooth fit (V_x continuous across b±) is a
+property the tests check, with their own finer raw evaluation.
 
 A surface's rows are independent lag integrals; ``build_value_surface``
 fans them out over the process's one thread pool (``_shared.map_in_order``;
@@ -94,8 +94,8 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
 
 
 def value_at(spec: ProblemSpec, bp: BoundaryPair, t: float, x: float) -> float:
-    """V(t, x) via the boundary-window lag integral (0 on the stopping set);
-    its last bits may differ from the same x in a wider ``value_row`` call."""
+    """V(t, x) via the boundary-window lag integral (0 on the stopping set),
+    bit for bit the same x's entry in any ``value_row`` call."""
     return float(value_row(spec, bp, t, np.array([x]))[0])
 
 

@@ -21,6 +21,7 @@ driftless problem obey.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ from scipy.special import log_ndtr, ndtr, owens_t
 from lastzero.closed_forms import ProblemSpec, g_cdf
 from lastzero.kernel import (_CLIP, LagRule, _gauss_unit, lag_integral_batch,
                              lag_rule)
+
+# The kernel's inner Gauss-Legendre node count, read off its signature so
+# that the references below always use the package's default rule.
+_KERNEL_N_GL = inspect.signature(lag_integral_batch).parameters["n_gl"].default
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +320,7 @@ def kernel_K(spec: ProblemSpec, q: KernelQuery, eps_k: float = 1e-9) -> float:
 
 def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
                                z_plus, rule: LagRule,
-                               n_gl: int = 64) -> np.ndarray:
+                               n_gl: int = _KERNEL_N_GL) -> np.ndarray:
     """``lastzero.lag_integral_batch`` as one untiled pass over all lags.
 
     The package evaluates the same arithmetic in tiles of lag nodes; tests
@@ -347,12 +352,12 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
         h = gain_H_reference(spec.mu, s_rem[..., np.newaxis], y)
         phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
         out += width * np.einsum("bsg,g->bs", h * phi, w)
-    return out @ rule.weights
+    return (out * rule.weights).sum(axis=1)
 
 
 def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,
                          rule: LagRule | None = None, n_nodes: int = 128,
-                         n_gl: int = 64) -> float:
+                         n_gl: int = _KERNEL_N_GL) -> float:
     """int_0^{T-t} K(t, x, s, z-(s), z+(s)) ds for a lag-dependent window.
 
     ``window`` maps an array of lags s to a pair of arrays (z-(s), z+(s)).
@@ -447,14 +452,16 @@ def mean_g_quad(spec: ProblemSpec) -> float:
 # Smooth fit: V_x continuous across the solved boundaries
 # ---------------------------------------------------------------------------
 
-def raw_value_row(bp, t: float, xs, n_lag: int = 128) -> np.ndarray:
+def raw_value_row(bp, t: float, xs, n_lag: int = 128,
+                  n_gl: int = _KERNEL_N_GL) -> np.ndarray:
     """The lag integral of V(t, x) for ``bp``'s problem, evaluated verbatim
     at every x: no exact 0 on the stopping set, so the formula's residual
-    there shows.  One kernel call on ``lag_rule(T - t, n_lag)``."""
+    there shows.  One kernel call on ``lag_rule(T - t, n_lag)`` with
+    ``n_gl`` Gauss-Legendre nodes per panel."""
     rule = lag_rule(bp.spec.T - t, n_lag)
     zm, zp = bp.interpolate(t + rule.nodes)
     return lag_integral_batch(bp.spec, t, np.asarray(xs, dtype=float), zm,
-                              zp, rule)
+                              zp, rule, n_gl=n_gl)
 
 
 @dataclass(frozen=True)

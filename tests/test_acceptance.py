@@ -32,7 +32,7 @@ from lastzero import (
     value_at,
 )
 from lastzero.cli import main as cli_main
-from oracles import smooth_fit_diagnostic
+from oracles import smooth_fit_diagnostic, zero_drift_anchor
 
 DRIFTS = (-1.0, 0.0, 1.0)
 T = 1.0
@@ -157,7 +157,8 @@ def test_criterion_4_value_consistency(boundaries_for, bellman_for, capsys):
 
 
 def test_criterion_5_monte_carlo_closure(mc_reports, capsys):
-    """Optimal rule's simulated error reproduces V* within 3 SE, SE small."""
+    """Optimal rule's simulated error reproduces V* within 3 SE, SE small;
+    at mu = 0 also the exact V* of the driftless problem."""
     details = []
     ok = True
     for mu in DRIFTS:
@@ -166,8 +167,13 @@ def test_criterion_5_monte_carlo_closure(mc_reports, capsys):
         gap = abs(opt.estimate - vstar)
         ok &= gap <= 3.0 * opt.std_error
         ok &= opt.std_error <= 2e-3
-        details.append(f"mu={mu:+.0f} |est-V*|={gap:.1e} "
-                       f"SE={opt.std_error:.1e}")
+        detail = f"mu={mu:+.0f} |est-V*|={gap:.1e} "
+        if mu == 0.0:
+            # V* scales with T; the anchor is the T = 1 problem's
+            exact_gap = abs(opt.estimate - T * zero_drift_anchor()[1])
+            ok &= exact_gap <= 3.0 * opt.std_error
+            detail += f"|est-V*exact|={exact_gap:.1e} "
+        details.append(detail + f"SE={opt.std_error:.1e}")
     _verdict(capsys, 5, "Monte Carlo closure of the optimal error", ok,
              "; ".join(details) + "; limits 3*SE and SE<=2e-3")
     assert ok

@@ -6,6 +6,7 @@ by grid-refinement convergence, and by re-evaluating the defining integral
 equations with an independent, finer quadrature.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -31,7 +32,8 @@ from lastzero.boundaries import sqrt_time_grid
 
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
-from oracles import h_root, zero_drift_anchor, zero_drift_lag_integral
+from oracles import (_KERNEL_N_GL, h_root, zero_drift_anchor,
+                     zero_drift_lag_integral)
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
@@ -234,15 +236,15 @@ class TestRegressionPins:
     PINS = {
         (0.8, 1.0, 60): (243, (
             "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
-            "ed9e91e4868e54805aa5ecd03ce15ca91d4d8d04aa8974706592e51ce22f9ff9",
-            "95d0e01057ae4cbf979d593d9db36f4dd452619d33fd799b94f232a1e6ab1e90",
-            "0f26f0a02223736acdf0c32a5c2cc2e4590e7741fe216826041a26f82bee34ad",
+            "72ac7d9d24e339d48d659b9925fd24d9421e3e9b262d3e6b5b7548fd97529a49",
+            "31b812bb711fb3a9daf249fa6074d851074d20b62bfe05bdfeebc928fba1c3ba",
+            "8d7d7952589332c70e82baddfaf385b368f5bf6e38e71929dd76821262cb383a",
         )),
         (-1.5, 2.0, 80): (323, (
             "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
-            "9bc74c9523c31b480b6678ef1159a1e25aa6d604b44b878d9624bc8a3c06cdb1",
-            "770330844bd6ef56657288c27d050add2e3a396e9272ba99d1b66b4230a65950",
-            "cf672d4e352255a2be1c7882083ba3cc7907aa34c147b97aa5dd1f8e129547c0",
+            "dd336ad88adc24346ceb3de6d78eb31430dbc15e4797dbaa06409efa346b46d1",
+            "f82b98c5ab92425caf4553b8556189917fa8e8956bfed7ff9caf095054cc8cc8",
+            "6c4f7f3b7eb6bd407c9a68dc6444ab6404c5c6787028b22fae549c0103a1f882",
         )),
     }
 
@@ -255,6 +257,44 @@ class TestRegressionPins:
                         .hexdigest()
                         for name in ("grid", "b_minus", "b_plus", "residuals"))
         assert (n_calls, digests) == self.PINS[key]
+
+
+class TestInnerRule:
+    """The solver's default Gauss-Legendre rule against a 128-node one, and
+    a certificate whose rules stay finer than the solver's."""
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, -2.0])
+    def test_solve_against_fine_inner_rule(self, boundaries_for, monkeypatch,
+                                           nu):
+        default = boundaries_for(nu)
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch",
+                            functools.partial(
+                                boundaries_module.lag_integral_batch,
+                                n_gl=128))
+        fine = solve_boundaries(default.spec, SolverConfig(n_steps=400))
+        root_T = np.sqrt(default.spec.T)
+        assert abs(default.b_minus[0] - fine.b_minus[0]) <= 1e-12 * root_T
+        assert abs(default.b_plus[0] - fine.b_plus[0]) <= 1e-12 * root_T
+
+    def test_certificate_rules_finer_than_solver(self, monkeypatch):
+        real = boundaries_module.lag_integral_batch
+        seen = []
+
+        def recording(spec, t, xs, zm, zp, rule, **kwargs):
+            seen.append((rule.n, kwargs.get("n_gl", _KERNEL_N_GL)))
+            return real(spec, t, xs, zm, zp, rule, **kwargs)
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch",
+                            recording)
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        bp = solve_boundaries(spec, SolverConfig(n_steps=10))
+        solver = seen.copy()
+        seen.clear()
+        boundary_residuals(spec, bp, bp.grid[:-1])
+        certificate = seen
+        assert solver and len(certificate) == bp.grid.size - 1
+        assert min(n for n, _ in certificate) > max(n for n, _ in solver)
+        assert min(g for _, g in certificate) > max(g for _, g in solver)
 
 
 class TestWorkerCountInvariance:

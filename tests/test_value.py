@@ -109,8 +109,18 @@ class TestValueFunction:
         a = value_row(bp.spec, bp, 0.25, xs)
         monkeypatch.setattr(value_module, "_CHUNK", 3)
         b = value_row(bp.spec, bp, 0.25, xs)
-        # chunking switches BLAS kernels; agreement is to the last ulp only
-        npt.assert_allclose(a, b, atol=1e-15, rtol=0)
+        # each point's lag sum runs along its own row, whatever the chunk
+        npt.assert_array_equal(a, b)
+
+    def test_value_at_equals_wide_row(self):
+        # V at one (t, x) must not depend on the grid it is computed with
+        bp = solve_boundaries(ProblemSpec(mu=-1.3, T=2.0),
+                              SolverConfig(n_steps=100))
+        xs = np.linspace(bp.b_minus[0] - 1.0, bp.b_plus[0] + 1.0, 200)
+        row = value_row(bp.spec, bp, 0.5, xs)
+        assert np.count_nonzero(row) > 100
+        single = [value_at(bp.spec, bp, 0.5, x) for x in xs]
+        npt.assert_array_equal(row, single)
 
     def test_domain_error(self, boundaries_for):
         bp = boundaries_for(0.0)
@@ -135,6 +145,28 @@ class TestValueFunction:
         left = value_row(bp.spec, bp, 0.3, -xs)
         right = value_row(bp.spec, bp, 0.3, xs)
         npt.assert_allclose(left, right, atol=1e-12, rtol=0)
+
+
+class TestInnerRule:
+    """The kernel's default Gauss-Legendre rule against a 128-node one."""
+
+    T = 2.0
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, -1.0, 3.0, -3.0, 10.0, -10.0])
+    def test_drift_sweep(self, nu):
+        # times up to 1e-4 T before the horizon, where the lag window is
+        # short and H is steep near its kink
+        spec = ProblemSpec(mu=nu / np.sqrt(self.T), T=self.T)
+        bp = solve_boundaries(spec, SolverConfig(n_steps=100))
+        worst = 0.0
+        for u in (0.0, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            zm, zp = bp.interpolate(u * self.T)
+            xs = np.linspace(zm, zp, 42)[1:-1]
+            v = value_row(spec, bp, u * self.T, xs)
+            assert np.all(v != 0.0)         # inside the window: no exact 0
+            fine = raw_value_row(bp, u * self.T, xs, n_gl=128)
+            worst = max(worst, float(np.max(np.abs(v - fine))))
+        assert worst <= 1e-8 * self.T
 
 
 class TestSpecMismatch:
