@@ -326,9 +326,9 @@ def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair,
     """Re-evaluate both Volterra equations at given times, shape (m, 2).
 
     Uses an independent quadrature (256 lag nodes, 128 Gauss-Legendre nodes
-    per panel) and the solved pair's own interpolant for the windows, so
-    the result certifies the returned object rather than the solver's
-    internals.  Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
+    on each side of H's kink) and the solved pair's own interpolant for the
+    windows, so the result certifies the returned object rather than the
+    solver's internals.  Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
     if spec != bp.spec:
         raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")

@@ -14,11 +14,13 @@ where H has a square-root derivative blow-up), restoring smooth integrands.
 
 Inner integrals are computed in the standardized variable
 xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
-lags are always resolved; panels are split at the image of y = 0.  The lag
-nodes are cut into contiguous tiles, the items of one fan-out over the
-process's thread pool (``_shared.map_in_order``; inline when the call
-already runs inside a fan-out): at least one tile per worker, and at most
-2^16 H points in flight across all threads whatever the batch width.
+lags are always resolved; panels are split at the image of the kink
+y = 0, and again where H's dip around it has died out, which near the
+horizon is close to the kink.  The lag nodes are cut into contiguous
+tiles, the items of one fan-out over the process's thread pool
+(``_shared.map_in_order``; inline when the call already runs inside a
+fan-out): at least one tile per worker, and at most 2^16 H points in
+flight across all threads whatever the batch width.
 Every (point, lag) entry gets the same arithmetic in whichever tile it
 lands, so no result depends on the worker count.  A tile's
 (point, lag, node) arrays are the thread's own work arrays
@@ -113,6 +115,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         Window edges at each lag node (optionally per evaluation point).
     rule : LagRule
         Lag nodes/weights from ``lag_rule(T - t, .)``.
+    n_gl : int, even
+        Gauss-Legendre nodes on each side of the kink, n_gl / 2 per panel.
     knot_weights : array (n_s,), optional
         lambda_s = dz-(s)/dbeta- = dz+(s)/dbeta+: how each window edge
         moves with one knot value beta± of its interpolant.  When given,
@@ -120,8 +124,12 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         ``d_x`` (B,) holds each value's derivative in its own evaluation
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
-    The inner integral per (x, s-node) uses two Gauss-Legendre panels in the
-    standardized variable, split at the image of the kink y = 0; empty or
+    The inner integral per (x, s-node) uses four Gauss-Legendre panels in
+    the standardized variable, two on each side of the image of the kink
+    y = 0.  The panels next to the kink end where H's dip around it has
+    died out, ``_CLIP`` widths sqrt(T - t - s) away, or halfway to the
+    window edge if that is nearer: near the horizon the dip is narrow, and
+    a panel that spans the whole side leaves it unresolved.  Empty or
     clipped-away windows contribute exactly 0.  Lag nodes are cut into
     tiles of at most ``ceil(n_s / workers)`` nodes and at most
     ``_TILE_H_POINTS / workers`` H evaluations, one pool item each; every
@@ -150,7 +158,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     c = np.maximum(c, a)
     mid = np.clip(-center / sq, a, c)
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
-    r, w = _gauss_unit(n_gl)
+    # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); in xi it has
+    # died out _CLIP of those widths from the kink
+    dip = _CLIP * np.sqrt(s_rem / s)                   # (1, n_s)
+    r, w = _gauss_unit(n_gl // 2)
     wr = w * r
     out = np.zeros((xs.size, rule.n))
     moment = np.zeros((xs.size, rule.n)) if with_jacobian else None
@@ -160,31 +171,36 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
 
     def run_tile(j):
         cols = slice(j, min(j + tile, rule.n))
-        shape = (xs.size, cols.stop - cols.start, n_gl)
+        shape = (xs.size, cols.stop - cols.start, 2, n_gl // 2)
         xi, y, h, *h_work = (_scratch.array(name, shape) for name
                              in ("xi", "y", "h", "a", "nu", "tmp"))
-        mass = _scratch.array("mass", shape[:2])
-        center_t = center[:, cols, np.newaxis]
-        sq_t = sq[:, cols, np.newaxis]
-        s_rem_t = s_rem[:, cols, np.newaxis]
-        for lo, hi in ((a[:, cols], mid[:, cols]),
-                       (mid[:, cols], c[:, cols])):
-            width = hi - lo                            # (B, tile)
+        mass = _scratch.array("mass", (2,) + shape[:2])  # (panel, B, tile)
+        center_t, sq_t, s_rem_t = (v[:, cols, np.newaxis, np.newaxis]
+                                   for v in (center, sq, s_rem))
+        a_t, mid_t, c_t, dip_t = (v[:, cols] for v in (a, mid, c, dip))
+        # each side of the kink is two panels, cut where the dip has died
+        # out or halfway, whichever is nearer the kink
+        for lo_s, cut, hi_s in (
+                (a_t, np.maximum(mid_t - dip_t, 0.5 * (a_t + mid_t)), mid_t),
+                (mid_t, np.minimum(mid_t + dip_t, 0.5 * (mid_t + c_t)), c_t)):
+            lo = np.stack((lo_s, cut))                 # (panel, B, tile)
+            width = np.stack((cut - lo_s, hi_s - cut))
             # xi = lo + width r, y = center + sq xi
-            np.add(lo[..., np.newaxis],
-                   np.multiply(width[..., np.newaxis], r, out=xi), out=xi)
+            np.add(lo.transpose(1, 2, 0)[..., np.newaxis],
+                   np.multiply(width.transpose(1, 2, 0)[..., np.newaxis], r,
+                               out=xi), out=xi)
             np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
             _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
             phi = y                                    # y is spent
             np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
             np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
             h_phi = np.multiply(h, phi, out=h)
-            np.einsum("bsg,g->bs", h_phi, w, out=mass)
-            out[:, cols] += width * mass
+            np.einsum("bspg,g->bsp", h_phi, w, out=mass.transpose(1, 2, 0))
+            out[:, cols] += (width * mass).sum(axis=0)
             if with_jacobian:
-                # int H xi phi over the panel, xi = lo + width r
-                moment[:, cols] += width * (
-                    lo * mass + width * np.einsum("bsg,g->bs", h_phi, wr))
+                # int H xi phi over each panel, xi = lo + width r
+                moment[:, cols] += (width * (lo * mass + width * np.einsum(
+                    "bspg,g->pbs", h_phi, wr))).sum(axis=0)
 
     _shared.map_in_order(run_tile, range(0, rule.n, tile))
     values = (out * rule.weights).sum(axis=1)

@@ -6,8 +6,8 @@ problem is the lag integral of the kernel over the continuation window,
     V(t, x) = int_0^{T-t} K(t, x, s, b-(t+s), b+(t+s)) ds,
 
 zero on the stopping set D = {x <= b-(t)} u {x >= b+(t)}, evaluated with
-128 lag nodes and 32 Gauss-Legendre nodes per panel.  The optimal expected
-error is V* = V(0,0) + E g.  Smooth fit (V_x continuous across b±) is a
+128 lag nodes and 32 Gauss-Legendre nodes on each side of H's kink.  The
+optimal expected error is V* = V(0,0) + E g.  Smooth fit (V_x continuous across b±) is a
 property the tests check, with their own finer raw evaluation.
 
 A surface's rows are independent lag integrals; ``build_value_surface``
@@ -30,7 +30,9 @@ from ._shared import map_in_order, write_csv
 
 _SOURCES = ("integral_formula", "bellman")
 
-# Points per kernel call in ``value_row``.
+# Points per kernel call in ``value_row``.  It bounds the kernel's memory
+# for a wide row, whose (point, lag) arrays and smallest tile (B n_gl H
+# points) grow with the batch; no value depends on it.
 _CHUNK = 64
 
 

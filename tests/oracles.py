@@ -343,15 +343,19 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
     c = np.maximum(c, a)
     mid = np.clip(-center / sq, a, c)
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
-    r, w = _gauss_unit(n_gl)
+    dip = _CLIP * np.sqrt(s_rem / s)
+    edges = np.stack([a, np.maximum(mid - dip, 0.5 * (a + mid)), mid,
+                      np.minimum(mid + dip, 0.5 * (mid + c)), c], axis=-1)
+    r, w = _gauss_unit(n_gl // 2)
     out = np.zeros((xs.size, rule.n))
-    for lo, hi in ((a, mid), (mid, c)):
-        width = hi - lo                                # (B, n_s)
-        xi = lo[..., np.newaxis] + width[..., np.newaxis] * r   # (B, n_s, n_gl)
-        y = center[..., np.newaxis] + sq[..., np.newaxis] * xi
-        h = gain_H_reference(spec.mu, s_rem[..., np.newaxis], y)
+    for side in (slice(0, 2), slice(2, 4)):
+        lo, width = edges[..., side], np.diff(edges)[..., side]  # (B, n_s, 2)
+        xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
+        y = center[..., np.newaxis, np.newaxis] + sq[..., np.newaxis,
+                                                     np.newaxis] * xi
+        h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis], y)
         phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-        out += width * np.einsum("bsg,g->bs", h * phi, w)
+        out += (width * np.einsum("bspg,g->bsp", h * phi, w)).sum(axis=2)
     return (out * rule.weights).sum(axis=1)
 
 
@@ -457,7 +461,7 @@ def raw_value_row(bp, t: float, xs, n_lag: int = 128,
     """The lag integral of V(t, x) for ``bp``'s problem, evaluated verbatim
     at every x: no exact 0 on the stopping set, so the formula's residual
     there shows.  One kernel call on ``lag_rule(T - t, n_lag)`` with
-    ``n_gl`` Gauss-Legendre nodes per panel."""
+    ``n_gl`` Gauss-Legendre nodes on each side of the kink."""
     rule = lag_rule(bp.spec.T - t, n_lag)
     zm, zp = bp.interpolate(t + rule.nodes)
     return lag_integral_batch(bp.spec, t, np.asarray(xs, dtype=float), zm,
@@ -529,13 +533,14 @@ def zero_drift_lag_integral(z: float, x: float, n_lag: int = 128) -> float:
     the value formula at (0, x) for the boundaries b± = ±z sqrt(T - t).
 
     The window edges are linear in v = sqrt(1 - s), the variable of
-    ``lag_rule``'s upper half, so the package's kernel resolves this
+    ``lag_rule``'s upper half, so the kernel, with a fixed 128 inner nodes
+    per side of the kink rather than the package's default, resolves this
     integral to round-off.
     """
     rule = lag_rule(1.0, n_lag)
     edge = z * np.sqrt(1.0 - rule.nodes)
     return float(lag_integral_batch(ProblemSpec(0.0, 1.0), 0.0, [x], -edge,
-                                    edge, rule)[0])
+                                    edge, rule, n_gl=128)[0])
 
 
 def zero_drift_anchor(n_lag: int = 128) -> tuple[float, float]:

@@ -236,15 +236,15 @@ class TestRegressionPins:
     PINS = {
         (0.8, 1.0, 60): (243, (
             "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
-            "72ac7d9d24e339d48d659b9925fd24d9421e3e9b262d3e6b5b7548fd97529a49",
-            "31b812bb711fb3a9daf249fa6074d851074d20b62bfe05bdfeebc928fba1c3ba",
-            "8d7d7952589332c70e82baddfaf385b368f5bf6e38e71929dd76821262cb383a",
+            "eb10a785c6e81bbe4e0268a4010fc166b6e3173540f0fa3270fb284623d3f1e0",
+            "70d225e34d8aa1d9a25a886b04dd848c2da159376e4faabde34e9a82510627a1",
+            "6d53e03b92fb08f99bc7b8d10d662128a32a60f149f6c1794d037f609db9629e",
         )),
         (-1.5, 2.0, 80): (323, (
             "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
-            "dd336ad88adc24346ceb3de6d78eb31430dbc15e4797dbaa06409efa346b46d1",
-            "f82b98c5ab92425caf4553b8556189917fa8e8956bfed7ff9caf095054cc8cc8",
-            "6c4f7f3b7eb6bd407c9a68dc6444ab6404c5c6787028b22fae549c0103a1f882",
+            "3cc92d11e96bf73c1f3c2a79f5cf5d9c20b1a6c602dc17014df12f6419f96e7c",
+            "2dc62b310e243b650f32110d655b8b1062a327d1457b9564bb0ee21af6b6c6e0",
+            "4106f993b828baacca6e02e7048019791656e5972567c9e477474dd949d05b06",
         )),
     }
 
@@ -260,8 +260,8 @@ class TestRegressionPins:
 
 
 class TestInnerRule:
-    """The solver's default Gauss-Legendre rule against a 128-node one, and
-    a certificate whose rules stay finer than the solver's."""
+    """The solver's default Gauss-Legendre rule against 128 nodes per side,
+    and a certificate whose rules stay finer than the solver's."""
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, -2.0])
     def test_solve_against_fine_inner_rule(self, boundaries_for, monkeypatch,

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from lastzero import (
+    LagRule,
     ProblemSpec,
     gain_H,
     h_curves,
@@ -255,16 +256,35 @@ class TestLagIntegral:
         del window
 
     def test_node_count_convergence(self):
-        # the lag rule's own convergence, under a 128-node inner rule: on
-        # 64 lags the default 32-node one adds 3e-9 of its own, from the
-        # lag nodes within 4e-4 of the horizon (test_value.py's
-        # ``TestInnerRule`` checks the default on the package's 128 lags)
         win = self._const_window(-0.8, 1.1)
-        coarse = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=64,
-                                      n_gl=128)
-        fine = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=256,
-                                    n_gl=128)
+        coarse = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=64)
+        fine = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=256)
         assert abs(coarse - fine) <= 1e-9
+
+    def test_package_lag_rule_against_fine_rules(self):
+        # the default rules the value layer uses, 128 lags and the default
+        # inner rule, against 256 lags and 256 inner nodes per side
+        win = self._const_window(-0.8, 1.1)
+        used = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=128)
+        fine = integrate_K_over_lag(self.spec, 0.3, 0.1, win, n_nodes=256,
+                                    n_gl=256)
+        assert abs(used - fine) <= 1e-9
+
+    @pytest.mark.parametrize("mu", [0.5, -2.0, 3.0])
+    def test_inner_rule_resolves_dip_near_horizon(self, mu):
+        # K at each lag node within 4e-4 of the horizon, where H(t+s, .)
+        # dips to -1 over a few sqrt(T - t - s) around 0: a panel that
+        # spans the dip missed it by up to 5e-4 with 32 nodes per side,
+        # 9e-7 with 64
+        spec, t = ProblemSpec(mu=mu, T=1.0), 0.3
+        nodes = lag_rule(spec.T - t, 64).nodes
+        xs = np.linspace(-0.7, 1.0, 9)
+        for s in nodes[nodes > spec.T - t - 4e-4]:
+            one = LagRule(nodes=np.array([s]), weights=np.ones(1))
+            k = lag_integral_batch(spec, t, xs, -0.8, 1.1, one)
+            k_fine = lag_integral_batch(spec, t, xs, -0.8, 1.1, one,
+                                        n_gl=256)
+            npt.assert_allclose(k, k_fine, rtol=0, atol=1e-9)
 
 
 class TestLagTiling:

@@ -148,7 +148,7 @@ class TestValueFunction:
 
 
 class TestInnerRule:
-    """The kernel's default Gauss-Legendre rule against a 128-node one."""
+    """The kernel's default Gauss-Legendre rule against 128 nodes per side."""
 
     T = 2.0
 
