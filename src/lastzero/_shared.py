@@ -8,10 +8,10 @@ process-wide pool with one worker per CPU the process may use; the caller
 runs the first item itself and then, like the pool threads, claims items
 no thread has started.  On a pool thread, or on a caller busy with items
 of its own fan-out, a nested fan-out runs inline, so pools never nest and
-no more threads compute than there are CPUs.  The kernel fans out its
-tiles of lag columns, ``value`` its rows and ``montecarlo`` its path
-blocks; each item does the same arithmetic on whichever thread runs it, so
-no output depends on the worker count.
+no more threads compute than there are CPUs.  Only callers holding
+independent work fan out (``value`` its rows, the boundary certificate its
+times, ``montecarlo`` its path blocks); each item does the same arithmetic
+on whichever thread runs it, so no output depends on the worker count.
 
 A hot loop that would allocate the same large temporaries on every pass
 asks a ``Scratch`` for them instead and writes into them with ufunc

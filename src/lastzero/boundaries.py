@@ -36,7 +36,7 @@ import numpy as np
 
 from .closed_forms import ProblemSpec, h_curves
 from .kernel import lag_rule, lag_integral_batch
-from ._shared import write_csv, write_json
+from ._shared import map_in_order, write_csv, write_json
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
 
@@ -328,19 +328,19 @@ def boundary_residuals(spec: ProblemSpec, bp: BoundaryPair,
     Uses an independent quadrature (256 lag nodes, 128 Gauss-Legendre nodes
     on each side of H's kink) and the solved pair's own interpolant for the
     windows, so the result certifies the returned object rather than the
-    solver's internals.  Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
+    solver's internals.  Its times are kernel calls fanned out over the
+    thread pool.  Raises ``ValueError`` if ``spec`` is not ``bp.spec``.
     """
     if spec != bp.spec:
         raise ValueError(f"{spec} does not match the boundaries' {bp.spec}")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((times.size, 2))
-    for i, t in enumerate(times):
+
+    def residual(t):
         if t >= spec.T:
-            out[i] = 0.0
-            continue
+            return np.zeros(2)
         rule = lag_rule(spec.T - t, 256)
         zm, zp = bp.interpolate(t + rule.nodes)
-        xm, xp = bp.interpolate(t)
-        out[i] = lag_integral_batch(spec, t, np.array([xm, xp]), zm, zp,
-                                    rule, n_gl=128)
-    return out
+        return lag_integral_batch(spec, t, np.array(bp.interpolate(t)), zm,
+                                  zp, rule, n_gl=128)
+
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return np.array(map_in_order(residual, times)).reshape(times.size, 2)

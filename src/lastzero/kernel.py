@@ -16,18 +16,16 @@ Inner integrals are computed in the standardized variable
 xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
 lags are always resolved; panels are split at the image of the kink
 y = 0, and again where H's dip around it has died out, which near the
-horizon is close to the kink.  The lag nodes are cut into contiguous
-tiles, the items of one fan-out over the process's thread pool
-(``_shared.map_in_order``; inline when the call already runs inside a
-fan-out): at least one tile per worker, and at most 2^16 H points in
-flight across all threads whatever the batch width.
-Every (point, lag) entry gets the same arithmetic in whichever tile it
-lands, so no result depends on the worker count.  A tile's
-(point, lag, node) arrays are the thread's own work arrays
-(``_shared.Scratch``), reused from tile to tile and call to call and kept
-for the life of the thread; ufuncs write into them with ``out=``, so the
-steady state allocates no tile memory.  Each holds at most
-max(2^16 / workers, B n_gl) points: 256 KB on two workers, 32 KB in a
+horizon is close to the kink.  A call is one serial pass over contiguous
+tiles of lag nodes, on the calling thread whatever calls it; parallelism
+belongs to the callers that hold independent calls (``value`` rows and
+the certificate's times).  Every (point, lag) entry gets the same
+arithmetic in whichever tile it lands, so no result depends on the
+tiling.  A tile's (point, lag, node) arrays are the thread's own work
+arrays (``_shared.Scratch``), reused from tile to tile and call to call
+and kept for the life of the thread; ufuncs write into them with
+``out=``, so the steady state allocates no tile memory.  Each holds at
+most max(2^15, B n_gl) points: 256 KB in a ``value`` row, 64 KB in a
 solver call.  On request the same pass also gives the integral's
 derivatives in the evaluation point and in the knot values of the window
 edges: the boundary solver's exact Jacobian.
@@ -46,14 +44,14 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# H evaluations in flight across all workers: bounds the (point, lag, node)
-# temporaries at 512 KB per array in total; on two workers a solver call
-# (2 points x 128 lags x 32 nodes) is two tiles of 64 lags.
-_TILE_H_POINTS = 2 ** 16
+# H evaluations per tile on one thread: bounds each (point, lag, node)
+# temporary at 256 KB; a ``value`` batch (64 points x 32 nodes) is tiles of
+# 16 lags, a solver call (2 points x 128 lags x 32 nodes) one tile.
+_TILE_H_POINTS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Each thread's tile arrays, reused from call to call (see ``run_tile``).
+# Each thread's tile arrays, reused from call to call.
 _scratch = _shared.Scratch()
 
 
@@ -85,8 +83,8 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
     v = sqrt(L - s) on the upper half; both substitutions carry Jacobian 2u
     (resp. 2v).  Nodes are returned ascending in s and never touch 0 or L.
     """
-    if L < 0.0:
-        raise ValueError("lag length must be >= 0")
+    if not 0.0 <= L < np.inf:        # NaN included
+        raise ValueError(f"lag length must be finite and >= 0, got {L}")
     if L == 0.0:
         return LagRule(nodes=np.empty(0), weights=np.empty(0))
     n_half = max(n_nodes // 2, 4)
@@ -131,12 +129,12 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     window edge if that is nearer: near the horizon the dip is narrow, and
     a panel that spans the whole side leaves it unresolved.  Empty or
     clipped-away windows contribute exactly 0.  Lag nodes are cut into
-    tiles of at most ``ceil(n_s / workers)`` nodes and at most
-    ``_TILE_H_POINTS / workers`` H evaluations, one pool item each; every
-    (x, s-node) entry is reduced over the same Gauss-Legendre axis whatever
-    the tile, so the result does not depend on the worker count.  The lag sum
-    runs along each point's own row, so neither does it depend on the batch
-    width: a point's value is the same bit for bit alone or in any batch.
+    tiles of ``max(1, _TILE_H_POINTS // (B n_gl))`` nodes, run one after
+    the other on the calling thread; every (x, s-node) entry is reduced
+    over the same Gauss-Legendre axis whatever the tile, so the result
+    does not depend on the tiling.  The lag sum runs along each point's own
+    row, so neither does it depend on the batch width: a point's value is
+    the same bit for bit alone or in any batch.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -146,6 +144,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     lambda_s != 0.  The values are bit-identical with and without
     ``knot_weights``.
     """
+    if n_gl < 2 or n_gl % 2:
+        raise ValueError(f"n_gl must be even and >= 2, got {n_gl}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     with_jacobian = knot_weights is not None
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)
@@ -165,11 +165,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     wr = w * r
     out = np.zeros((xs.size, rule.n))
     moment = np.zeros((xs.size, rule.n)) if with_jacobian else None
-    n_workers = _shared.workers()
-    tile = max(1, min(-(-rule.n // n_workers),
-                      _TILE_H_POINTS // (n_workers * xs.size * n_gl)))
-
-    def run_tile(j):
+    tile = max(1, _TILE_H_POINTS // (xs.size * n_gl))
+    for j in range(0, rule.n, tile):
         cols = slice(j, min(j + tile, rule.n))
         shape = (xs.size, cols.stop - cols.start, 2, n_gl // 2)
         xi, y, h, *h_work = (_scratch.array(name, shape) for name
@@ -202,7 +199,6 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                 moment[:, cols] += (width * (lo * mass + width * np.einsum(
                     "bspg,g->pbs", h_phi, wr))).sum(axis=0)
 
-    _shared.map_in_order(run_tile, range(0, rule.n, tile))
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:
         return values

@@ -12,9 +12,9 @@ property the tests check, with their own finer raw evaluation.
 
 A surface's rows are independent lag integrals; ``build_value_surface``
 fans them out over the process's one thread pool (``_shared.map_in_order``;
-the kernel's numpy and scipy ufuncs release the interpreter lock), where
-each row's kernel calls run inline on the row's thread, and assembles them
-in grid order, so the result does not depend on the worker count.
+the kernel's numpy and scipy ufuncs release the interpreter lock), each row
+one serial pass of kernel calls on the thread that runs it, and assembles
+them in grid order, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations

@@ -298,29 +298,32 @@ class TestInnerRule:
 
 
 class TestWorkerCountInvariance:
-    """The solver's kernel calls fan their lags out over the thread pool."""
+    """The certificate fans its times out over the thread pool; no bit may
+    depend on the worker count."""
 
     @staticmethod
-    def _solve_and_certify(nu, workers):
-        spec = ProblemSpec(mu=nu, T=1.0)
+    def _certify(bp, times, workers):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shared_module, "workers", lambda: workers)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                bp = solve_boundaries(spec, SolverConfig(n_steps=60))
-                cert = boundary_residuals(spec, bp, bp.grid[::6])
+                return boundary_residuals(bp.spec, bp, times)
             finally:
                 sys.setswitchinterval(interval)
-        return bp, cert
 
     @pytest.mark.parametrize("nu", [0.0, 0.8])
     def test_one_worker_equals_eight(self, nu):
-        one, cert_one = self._solve_and_certify(nu, 1)
-        eight, cert_eight = self._solve_and_certify(nu, 8)
-        for name in ("b_minus", "b_plus", "residuals"):
-            npt.assert_array_equal(getattr(one, name), getattr(eight, name))
-        npt.assert_array_equal(cert_one, cert_eight)
+        bp = solve_boundaries(ProblemSpec(mu=nu, T=1.0),
+                              SolverConfig(n_steps=60))
+        times = np.append(bp.grid[::6], 1.5)        # ends at T and past it
+        one = self._certify(bp, times, 1)
+        eight = self._certify(bp, times, 8)
+        assert one.shape == (times.size, 2)
+        npt.assert_array_equal(one, eight)
+        done = times >= bp.spec.T
+        assert done.sum() == 2 and np.all(one[done] == 0.0)
+        assert np.all(one[~done] != 0.0)
 
 
 class TestBrownianScaling:

@@ -8,7 +8,6 @@ scalar kernel and the untiled form live in ``oracles.py``.
 """
 
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +28,7 @@ import lastzero._shared as shared_module
 import lastzero.kernel as kernel_module
 from lastzero.closed_forms import _gain_H_into as gain_H_into
 from oracles import (
+    _KERNEL_N_GL,
     KernelQuery,
     integrate_K_over_lag,
     kernel_K,
@@ -80,6 +80,12 @@ class TestLagRule:
     def test_negative_length_raises(self):
         with pytest.raises(ValueError):
             lag_rule(-0.1)
+
+    @pytest.mark.parametrize("L", [np.nan, np.inf])
+    def test_non_finite_length_raises(self, L):
+        # NaN passes ``L < 0``; either would give non-finite nodes
+        with pytest.raises(ValueError, match="lag length"):
+            lag_rule(L)
 
 
 class TestKernelK:
@@ -189,6 +195,15 @@ class TestLagIntegral:
         bad = self._const_window(1.0, -1.0)
         with pytest.raises(ValueError):
             integrate_K_over_lag(self.spec, 0.2, 0.0, bad)
+
+    @pytest.mark.parametrize("n_gl", [0, 1, 33])
+    def test_rejects_odd_or_too_few_nodes(self, n_gl):
+        # n_gl / 2 nodes per panel: an odd count would quietly drop a node
+        # (33 gave the 32-node value bit for bit), fewer than 2 none at all
+        rule = lag_rule(self.spec.T - 0.2)
+        with pytest.raises(ValueError, match="n_gl"):
+            lag_integral_batch(self.spec, 0.2, [0.1], -1.0, 1.0, rule,
+                               n_gl=n_gl)
 
     def test_against_adaptive_kernel(self):
         # Outer integration by QUADPACK over the eps_k-accurate scalar
@@ -311,6 +326,24 @@ class TestLagTiling:
                                            rule)
         assert np.array_equal(tiled, whole)
 
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [2, 64])
+    def test_jacobian_one_lag_tiles_equal_one_tile(self, monkeypatch,
+                                                    n_points, window):
+        rule, xs, zm, zp = self._inputs(n_points, window)
+        knot_weights = _knot_weights(self.t, 0.1, rule)
+
+        def run(tile_h_points):
+            monkeypatch.setattr(kernel_module, "_TILE_H_POINTS",
+                                tile_h_points)
+            return lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
+                                      knot_weights=knot_weights)
+
+        one_lag = run(1)
+        whole = run(n_points * rule.n * _KERNEL_N_GL)      # a single tile
+        for got, want in zip(one_lag, whole):
+            assert np.array_equal(got, want)
+
     def test_peak_memory_bounded(self):
         import tracemalloc
 
@@ -406,28 +439,36 @@ class TestLagJacobian:
 
 
 class TestLagWorkers:
-    """Lag tiles run on the process's thread pool; no bit may depend on it."""
+    """Callers fan kernel calls out over the thread pool (``value`` rows,
+    certificate times); a call on a pool thread gives the same bits."""
 
     inputs = TestLagTiling()
 
-    @pytest.mark.parametrize("workers", [1, None, 3, 8])
-    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
-    @pytest.mark.parametrize("n_points", [1, 2, 64])
-    def test_equals_untiled(self, monkeypatch, n_points, window, workers):
-        # None: one worker per available CPU; 3: tiles of unequal width;
-        # 8: more workers than cores, switching threads as often as possible
-        spec, t = self.inputs.spec, self.inputs.t
-        rule, xs, zm, zp = self.inputs._inputs(n_points, window)
+    @staticmethod
+    def _on_pool(call, monkeypatch, workers):
+        # three items of one fan-out, switching threads as often as possible
         if workers is not None:
             monkeypatch.setattr(shared_module, "workers", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            shared = lag_integral_batch(spec, t, xs, zm, zp, rule)
+            return shared_module.map_in_order(lambda _: call(), range(3))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, None, 3, 8])
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    def test_equals_untiled(self, monkeypatch, n_points, window, workers):
+        # 1: inline on the caller; None: one worker per available CPU;
+        # 3: one thread per item; 8: more workers than items or cores
+        spec, t = self.inputs.spec, self.inputs.t
+        rule, xs, zm, zp = self.inputs._inputs(n_points, window)
+        results = self._on_pool(
+            lambda: lag_integral_batch(spec, t, xs, zm, zp, rule),
+            monkeypatch, workers)
         whole = lag_integral_batch_untiled(spec, t, xs, zm, zp, rule)
-        assert np.array_equal(shared, whole)
+        assert all(np.array_equal(got, whole) for got in results)
 
     @pytest.mark.parametrize("workers", [None, 8])
     @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
@@ -438,62 +479,66 @@ class TestLagWorkers:
         rule, xs, zm, zp = self.inputs._inputs(n_points, window)
         knot_weights = _knot_weights(t, 0.1, rule)
 
-        def run():
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                return lag_integral_batch(spec, t, xs, zm, zp, rule,
-                                          knot_weights=knot_weights)
-            finally:
-                sys.setswitchinterval(interval)
+        def call():
+            return lag_integral_batch(spec, t, xs, zm, zp, rule,
+                                      knot_weights=knot_weights)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(shared_module, "workers", lambda: 1)
-            one = run()
-        if workers is not None:
-            monkeypatch.setattr(shared_module, "workers", lambda: workers)
-        other = run()
-        for got, want in zip(other, one):
-            assert np.array_equal(got, want)
+        serial = call()
+        for result in self._on_pool(call, monkeypatch, workers):
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(result, serial))
+
+
+_TILE_SHAPES = pytest.mark.parametrize("n_points, n_lags, n_gl", [
+    (2, 128, 32), (2, 256, 128), (64, 128, 32)],
+    ids=["solver", "certificate", "value_batch"])
 
 
 class TestLagTileItems:
-    """The kernel's pool items are its tiles: together they cover the lag
-    nodes once, every worker gets one, and each stays within its share of
-    the H-point budget."""
+    """A call runs its tiles in lag order on the calling thread: together
+    they cover the lag nodes once, each stays within the H-point budget,
+    and neither depends on the worker count or needs the pool."""
+
+    spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n_points, n_lags, n_gl", [
-        (2, 128, 32), (2, 256, 128), (64, 128, 32)],
-        ids=["solver", "certificate", "value_batch"])
+    @_TILE_SHAPES
     def test_tiles(self, monkeypatch, workers, n_points, n_lags, n_gl):
-        spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
-        rule = lag_rule(spec.T - t, n_lags)
-        starts, widths = [], []
+        rule = lag_rule(self.spec.T - self.t, n_lags)
+        tiles = []
 
-        def map_serial(fn, items):
-            results = []
-            for item in items:
-                starts.append(item)
-                widths.append(0)
-                results.append(fn(item))
-            return results
-
-        def gain_into(mu, s, y, *work):
-            widths[-1] += y.shape[1]
-            return gain_H_into(mu, s, y, *work)
+        def gain_into(mu, s_rem, y, *work):
+            tiles.append(s_rem[0, :, 0, 0].copy())
+            return gain_H_into(mu, s_rem, y, *work)
 
         monkeypatch.setattr(shared_module, "workers", lambda: workers)
-        monkeypatch.setattr(shared_module, "map_in_order", map_serial)
         monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
-        lag_integral_batch(spec, t, np.linspace(-0.5, 0.5, n_points),
-                           -1.0, 1.0, rule, n_gl=n_gl)
-        widths = [w // 2 for w in widths]       # H runs once per panel
-        assert np.array_equal(starts, np.cumsum([0] + widths[:-1]))
-        assert sum(widths) == rule.n
-        assert len(starts) >= min(workers, rule.n)
-        budget = max(kernel_module._TILE_H_POINTS // workers, n_points * n_gl)
-        assert max(widths) * n_points * n_gl <= budget
+        lag_integral_batch(self.spec, self.t,
+                           np.linspace(-0.5, 0.5, n_points), -1.0, 1.0, rule,
+                           n_gl=n_gl)
+        # H runs once per side of the kink on each tile
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(tiles[0::2], tiles[1::2]))
+        tiles = tiles[0::2]
+        assert np.array_equal(np.concatenate(tiles),
+                              self.spec.T - self.t - rule.nodes)
+        budget = max(kernel_module._TILE_H_POINTS, n_points * n_gl)
+        assert max(tile.size for tile in tiles) * n_points * n_gl <= budget
+
+    @_TILE_SHAPES
+    def test_serial_without_pool(self, monkeypatch, n_points, n_lags, n_gl):
+        def no_pool(n_workers):
+            raise AssertionError("the kernel must not use the thread pool")
+
+        monkeypatch.setattr(shared_module, "workers", lambda: 4)
+        monkeypatch.setattr(shared_module, "_pool", no_pool)
+        rule = lag_rule(self.spec.T - self.t, n_lags)
+        xs = np.linspace(-0.5, 0.5, n_points)
+        got = lag_integral_batch(self.spec, self.t, xs, -1.0, 1.0, rule,
+                                 n_gl=n_gl)
+        want = lag_integral_batch_untiled(self.spec, self.t, xs, -1.0, 1.0,
+                                          rule, n_gl=n_gl)
+        assert np.array_equal(got, want)
 
 
 class TestLagScratch:
@@ -501,13 +546,12 @@ class TestLagScratch:
 
     inputs = TestLagTiling()
 
-    def test_steady_state_peak_memory(self, monkeypatch):
-        # on one thread, so the warm-up call grows every tile array the
-        # traced call reuses; what remains are the call's (B, n_s) arrays
-        # (allocating every tile anew peaked at 6.3 MB here)
+    def test_steady_state_peak_memory(self):
+        # the warm-up call grows every tile array the traced call reuses;
+        # what remains are the call's (B, n_s) arrays (allocating every
+        # tile anew peaked at 6.3 MB here)
         spec, t = self.inputs.spec, self.inputs.t
         rule, xs, zm, zp = self.inputs._inputs(64, "straddles_zero")
-        monkeypatch.setattr(shared_module, "workers", lambda: 1)
         lag_integral_batch(spec, t, xs, zm, zp, rule)
         tracemalloc.start()
         try:
@@ -519,8 +563,10 @@ class TestLagScratch:
 
     @pytest.mark.parametrize("workers", [None, 8])
     def test_concurrent_calls_equal_serial(self, monkeypatch, workers):
-        # two callers at once, each switching between a 1-point call and a
-        # 64-point call with the Jacobian, on the shared pool
+        # four callers at once as the items of one fan-out (None: one
+        # thread per available CPU; 8: one thread per caller), each
+        # switching between a 1-point call and a 64-point call with the
+        # Jacobian
         spec, t = self.inputs.spec, self.inputs.t
         rule, xs, zm, zp = self.inputs._inputs(64, "straddles_zero")
         jobs = [(xs[:1], zm[:1], zp[:1], None),
@@ -534,25 +580,17 @@ class TestLagScratch:
                                       knot_weights=knot_weights)
 
         serial = [call(job) for job in jobs]
-        results = {}
 
         def caller(first):
-            results[first] = [call(jobs[(first + k) % 2]) for k in range(4)]
+            return [call(jobs[(first + k) % 2]) for k in range(4)]
 
-        threads = [threading.Thread(target=caller, args=(first,))
-                   for first in (0, 1)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=300)
+            results = shared_module.map_in_order(caller, range(4))
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(results) == [0, 1]
-        for first, got in results.items():
+        for first, got in enumerate(results):
             for k, result in enumerate(got):
                 want = serial[(first + k) % 2]
                 if isinstance(want, tuple):
