@@ -1,17 +1,15 @@
 """Helpers shared by several modules: the one thread pool of the process,
-per-thread scratch buffers for hot loops, and the one CSV and JSON artifact
-layout.
+per-thread scratch buffers for hot loops, the integer check of config
+fields, and the one CSV and JSON artifact layout.
 
-Work fans out through ``map_in_order`` only.  A fan-out runs on the calling
-thread plus at most ``workers() - 1`` threads of one lazily built,
-process-wide pool with one worker per CPU the process may use; the caller
-runs the first item itself and then, like the pool threads, claims items
-no thread has started.  On a pool thread, or on a caller busy with items
-of its own fan-out, a nested fan-out runs inline, so pools never nest and
-no more threads compute than there are CPUs.  Only callers holding
-independent work fan out (``value`` its rows, the boundary certificate its
-times, ``montecarlo`` its path blocks); each item does the same arithmetic
-on whichever thread runs it, so no output depends on the worker count.
+Work fans out through ``map_in_order`` only.  A fan-out queues its items,
+in order, on one lazily built, process-wide pool with one worker per CPU
+the process may use, and the caller waits for them.  A fan-out started on
+a pool thread runs inline there, so pools never nest and no more threads
+compute than there are CPUs.  Only callers holding independent work fan
+out (``value`` its rows, the boundary certificate its times,
+``montecarlo`` its path blocks); each item does the same arithmetic on
+whichever thread runs it, so no output depends on the worker count.
 
 A hot loop that would allocate the same large temporaries on every pass
 asks a ``Scratch`` for them instead and writes into them with ufunc
@@ -28,15 +26,16 @@ import contextvars
 import csv
 import json
 import math
+import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from functools import lru_cache
 
 import numpy as np
 
-# ``inline`` is set for good on pool threads and while a caller runs items
-# of its own fan-out.
+# ``inline`` is set for good on pool threads by the pool's initializer: a
+# fan-out there must not queue work only the pool's busy threads could run.
 _thread_state = threading.local()
 
 
@@ -62,45 +61,27 @@ def _pool(n_workers: int) -> ThreadPoolExecutor:
 
 
 def map_in_order(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed on up to ``workers()``
-    threads; runs inline with one item or when already inside a fan-out."""
+    """``[fn(item) for item in items]`` on the pool's ``workers()`` threads
+    while the caller waits; inline with one item, one worker or on a pool
+    thread.  An error, or an interrupt of the wait, cancels the items not
+    yet started and propagates once the running ones have finished."""
     items = list(items)
     n_workers = workers()
-    n_threads = min(n_workers, len(items))
-    if n_threads <= 1 or getattr(_thread_state, "inline", False):
+    if (min(n_workers, len(items)) <= 1
+            or getattr(_thread_state, "inline", False)):
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    unclaimed = iter(range(1, len(items)))   # item 0 is the caller's
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def claim():
-        with lock:
-            return next(unclaimed, None)
-
-    def drain(i):
-        try:
-            while i is not None and not failed.is_set():
-                results[i] = fn(items[i])
-                i = claim()
-        except BaseException:
-            failed.set()
-            raise
-
-    # each helper runs in a copy of the caller's context, so settings such
-    # as ``np.errstate`` hold on every thread of the fan-out
-    helpers = [_pool(n_workers).submit(contextvars.copy_context().run,
-                                       lambda: drain(claim()))
-               for _ in range(n_threads - 1)]
-    _thread_state.inline = True
+    pool = _pool(n_workers)
+    # each item runs in a copy of the caller's context, so settings such as
+    # ``np.errstate`` hold on every thread of the fan-out
+    futures = [pool.submit(contextvars.copy_context().run, fn, item)
+               for item in items]
     try:
-        drain(0)
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        _thread_state.inline = False
-        wait(helpers)
-    for helper in helpers:
-        helper.result()                 # re-raises a helper's error
-    return results
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    return [future.result() for future in futures]
 
 
 class Scratch(threading.local):
@@ -122,6 +103,18 @@ class Scratch(threading.local):
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+
+def integer_fields(config, **least) -> None:
+    """Store each named field of the frozen dataclass ``config`` as a Python
+    int; one that is not an integer (numpy integers are), or is below its
+    ``least``, raises a ValueError naming the field."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 def write_csv(path, header, rows, comments: dict) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import integer_fields
 from .closed_forms import ProblemSpec, _gain_H_raw
 from .boundaries import BoundaryPair
 from .value import ValueSurface
@@ -43,8 +44,7 @@ class LatticeSpec:
     n_x: int = 2001
 
     def __post_init__(self):
-        if self.n_t < 2 or self.n_x < 2:
-            raise ValueError("n_t and n_x must be >= 2")
+        integer_fields(self, n_t=2, n_x=2)
 
     def span(self, spec: ProblemSpec) -> float:
         """Half-width of the x-lattice: 6 sqrt(T) + |mu| T."""

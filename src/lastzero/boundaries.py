@@ -36,7 +36,7 @@ import numpy as np
 
 from .closed_forms import ProblemSpec, h_curves
 from .kernel import lag_rule, lag_integral_batch
-from ._shared import map_in_order, write_csv, write_json
+from ._shared import integer_fields, map_in_order, write_csv, write_json
 
 JSON_SCHEMA = "lastzero.boundaries.v1"
 
@@ -78,8 +78,11 @@ class SolverConfig:
     tol_res: float = 1e-6
 
     def __post_init__(self):
-        if self.n_steps < 1 or not self.tol_res > 0.0:  # NaN included
-            raise ValueError("n_steps and tol_res must be positive")
+        integer_fields(self, n_steps=1)
+        # NaN fails too; inf would switch off the residual stop test
+        if not 0.0 < self.tol_res < np.inf:
+            raise ValueError(
+                f"tol_res must be positive and finite, got {self.tol_res}")
 
     @property
     def tol_b(self) -> float:

@@ -33,6 +33,7 @@ edges: the boundary solver's exact Jacobian.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,10 +86,13 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
     """
     if not 0.0 <= L < np.inf:        # NaN included
         raise ValueError(f"lag length must be finite and >= 0, got {L}")
+    if (not isinstance(n_nodes, numbers.Integral) or n_nodes < 8
+            or n_nodes % 2):
+        raise ValueError(
+            f"n_nodes must be an even integer >= 8, got {n_nodes!r}")
     if L == 0.0:
         return LagRule(nodes=np.empty(0), weights=np.empty(0))
-    n_half = max(n_nodes // 2, 4)
-    r, w = _gauss_unit(n_half)
+    r, w = _gauss_unit(n_nodes // 2)
     half = np.sqrt(L / 2.0)
     u = half * r
     s_lo = u * u
@@ -144,8 +148,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     lambda_s != 0.  The values are bit-identical with and without
     ``knot_weights``.
     """
-    if n_gl < 2 or n_gl % 2:
-        raise ValueError(f"n_gl must be even and >= 2, got {n_gl}")
+    if not isinstance(n_gl, numbers.Integral) or n_gl < 2 or n_gl % 2:
+        raise ValueError(f"n_gl must be an even integer >= 2, got {n_gl!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     with_jacobian = knot_weights is not None
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)

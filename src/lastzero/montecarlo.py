@@ -48,11 +48,8 @@ class SimConfig:
     bridge_correction: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
-        if not 0 <= self.seed < 2 ** 64:
+        _shared.integer_fields(self, n_paths=1, n_steps=2, seed=0)
+        if self.seed >= 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
 

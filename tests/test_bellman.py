@@ -44,6 +44,13 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(n_x=0)
 
+    @pytest.mark.parametrize("field", ["n_t", "n_x"])
+    def test_non_integer_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            LatticeSpec(**{field: 100.5})
+        assert type(getattr(LatticeSpec(**{field: np.int64(100)}),
+                            field)) is int
+
     def test_default_span_covers_drift(self):
         spec = ProblemSpec(mu=2.0, T=4.0)
         assert LatticeSpec().span(spec) == 6.0 * 2.0 + 2.0 * 4.0

@@ -85,6 +85,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol_res=float("nan"))
 
+    def test_infinite_tolerance_rejected(self):
+        # it would switch off the residual half of the stop test
+        with pytest.raises(ValueError, match="tol_res"):
+            SolverConfig(tol_res=float("inf"))
+
+    def test_step_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="n_steps"):
+            SolverConfig(n_steps=12.5)
+        assert type(SolverConfig(n_steps=np.int64(12)).n_steps) is int
+
     def test_step_tolerance_derived(self):
         assert SolverConfig().tol_b == 1e-7
         assert SolverConfig(tol_res=1e-5).tol_b == 1e-7

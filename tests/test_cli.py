@@ -89,6 +89,16 @@ class TestSolve:
         assert "--tol must be positive, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_tolerance_usage_error(self, tmp_path, capsys):
+        # inf would switch off the residual stop test and write Infinity,
+        # which is not JSON, to boundaries.json and manifest.json
+        assert main(["solve", "--mu", "0.5", "--horizon", "1", "--n-steps",
+                     "20", "--tol", "inf", "--out",
+                     str(tmp_path / "out")]) == EXIT_USAGE
+        assert "tol_res must be positive and finite" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_failure_depends_on_nu_only(self, tmp_path, capsys):
         # (-50, 1) and (-5, 100) share nu = mu*sqrt(T) = -50: the same
         # normalized problem fails with the same normalized clamp

@@ -81,6 +81,16 @@ class TestLagRule:
         with pytest.raises(ValueError):
             lag_rule(-0.1)
 
+    @pytest.mark.parametrize("n_nodes", [0, 1, 6, 7, 9, 129, 3.5, 8.0])
+    def test_bad_node_count_raises(self, n_nodes):
+        # the rule splits its nodes evenly over two halves of at least 4
+        for L in (0.0, 1.0):
+            with pytest.raises(ValueError, match="n_nodes"):
+                lag_rule(L, n_nodes)
+
+    def test_numpy_node_count(self):
+        assert lag_rule(1.0, np.int64(8)).n == 8
+
     @pytest.mark.parametrize("L", [np.nan, np.inf])
     def test_non_finite_length_raises(self, L):
         # NaN passes ``L < 0``; either would give non-finite nodes
@@ -196,10 +206,11 @@ class TestLagIntegral:
         with pytest.raises(ValueError):
             integrate_K_over_lag(self.spec, 0.2, 0.0, bad)
 
-    @pytest.mark.parametrize("n_gl", [0, 1, 33])
+    @pytest.mark.parametrize("n_gl", [0, 1, 33, 32.0])
     def test_rejects_odd_or_too_few_nodes(self, n_gl):
         # n_gl / 2 nodes per panel: an odd count would quietly drop a node
-        # (33 gave the 32-node value bit for bit), fewer than 2 none at all
+        # (33 gave the 32-node value bit for bit), fewer than 2 none at all;
+        # numpy refuses a float count with a TypeError that names no n_gl
         rule = lag_rule(self.spec.T - 0.2)
         with pytest.raises(ValueError, match="n_gl"):
             lag_integral_batch(self.spec, 0.2, [0.1], -1.0, 1.0, rule,

@@ -63,6 +63,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, n_steps=10, seed=2 ** 64)
 
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed"])
+    def test_non_integer_rejected(self, field):
+        # a float seed would run the truncated seed's paths under its own name
+        kwargs = {"n_paths": 10, "n_steps": 10, "seed": 1, field: 10.5}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = SimConfig(n_paths=np.int64(10), n_steps=np.int32(10),
+                        seed=np.uint64(2 ** 63 + 7))
+        assert (cfg.n_paths, cfg.n_steps, cfg.seed) == (10, 10, 2 ** 63 + 7)
+        assert all(type(v) is int for v in (cfg.n_paths, cfg.n_steps,
+                                            cfg.seed))
+
 
 class TestSimulatePaths:
     spec = ProblemSpec(mu=0.5, T=1.0)

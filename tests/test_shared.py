@@ -30,10 +30,27 @@ def test_results_in_item_order(cpus, workers):
     assert map_in_order(str, []) == []
 
 
-def test_caller_runs_first_item(cpus):
-    cpus(4)
-    seen = map_in_order(lambda _: threading.current_thread(), range(6))
-    assert seen[0] is threading.current_thread()
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_at_most_workers_items_run_at_once(cpus, workers):
+    cpus(workers)
+    lock = threading.Lock()
+    running = peak = 0
+
+    def item(_):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        time.sleep(5e-3)
+        with lock:
+            running -= 1
+        return threading.current_thread()
+
+    threads = map_in_order(item, range(40))
+    if workers == 1:
+        assert peak == 1 and set(threads) == {threading.current_thread()}
+    else:
+        assert 1 < peak <= workers
 
 
 @pytest.mark.parametrize("workers", [2, 8])
