@@ -15,8 +15,7 @@ from .kernel import LagRule, lag_rule, lag_integral_batch
 from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
                          boundary_residuals, NonConvergenceError,
                          InvariantViolationError, SchemaError)
-from .value import (ValueSurface, value_at, value_row, build_value_surface,
-                    optimal_value_Vstar)
+from .value import ValueSurface, value_at, value_row, build_value_surface
 from .bellman import (LatticeSpec, bellman_solve, oracle_compare,
                       OracleCompareReport, LatticeTooCoarseError)
 from .montecarlo import (SimConfig, PathEnsemble, PolicyReport,

@@ -19,13 +19,14 @@ y = 0, and again where H's dip around it has died out, which near the
 horizon is close to the kink.  A call is one serial pass over contiguous
 tiles of lag nodes, on the calling thread whatever calls it; parallelism
 belongs to the callers that hold independent calls (``value`` rows and
-the certificate's times).  Every (point, lag) entry gets the same
-arithmetic in whichever tile it lands, so no result depends on the
-tiling.  A tile's (point, lag, node) arrays are the thread's own work
-arrays (``_shared.Scratch``), reused from tile to tile and call to call
-and kept for the life of the thread; ufuncs write into them with
-``out=``, so the steady state allocates no tile memory.  Each holds at
-most max(2^15, B n_gl) points: 256 KB in a ``value`` row, 64 KB in a
+the certificate's times).  A tile evaluates H once, on all four panels,
+and every (point, lag) entry gets the same arithmetic in whichever tile
+it lands, so no result depends on the tiling.  A tile's (point, lag,
+panel, node) arrays are the thread's own work arrays
+(``_shared.Scratch``), reused from tile to tile and call to call and kept
+for the life of the thread; ufuncs write into them with ``out=``, so the
+steady state allocates no tile memory.  Each holds at most
+max(2^15, 2 B n_gl) points: 256 KB in a ``value`` row, 128 KB in a
 solver call.  On request the same pass also gives the integral's
 derivatives in the evaluation point and in the knot values of the window
 edges: the boundary solver's exact Jacobian.
@@ -45,15 +46,20 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# H evaluations per tile on one thread: bounds each (point, lag, node)
-# temporary at 256 KB; a ``value`` batch (64 points x 32 nodes) is tiles of
-# 16 lags, a solver call (2 points x 128 lags x 32 nodes) one tile.
+# H evaluations per tile on one thread, all four panels: bounds each work
+# array at 256 KB; a ``value`` batch (64 points, 64 H points per lag) is
+# tiles of 8 lags, a solver call (2 points x 128 lags) one 128 KB tile.
 _TILE_H_POINTS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # Each thread's tile arrays, reused from call to call.
 _scratch = _shared.Scratch()
+
+
+def _by_side(panels):
+    """Sum four panels, each side of the kink first: (p0+p1) + (p2+p3)."""
+    return (panels[..., 0] + panels[..., 1]) + (panels[..., 2] + panels[..., 3])
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,11 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     Parameters
     ----------
     xs : array (B,)
-        Evaluation points.
+        Evaluation points, finite; B may be 0.
     z_minus, z_plus : arrays (n_s,) or (B, n_s)
         Window edges at each lag node (optionally per evaluation point).
     rule : LagRule
-        Lag nodes/weights from ``lag_rule(T - t, .)``.
+        Lag nodes/weights from ``lag_rule(T - t, .)``, all below T - t.
     n_gl : int, even
         Gauss-Legendre nodes on each side of the kink, n_gl / 2 per panel.
     knot_weights : array (n_s,), optional
@@ -127,18 +133,19 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
     The inner integral per (x, s-node) uses four Gauss-Legendre panels in
-    the standardized variable, two on each side of the image of the kink
-    y = 0.  The panels next to the kink end where H's dip around it has
-    died out, ``_CLIP`` widths sqrt(T - t - s) away, or halfway to the
-    window edge if that is nearer: near the horizon the dip is narrow, and
-    a panel that spans the whole side leaves it unresolved.  Empty or
-    clipped-away windows contribute exactly 0.  Lag nodes are cut into
-    tiles of ``max(1, _TILE_H_POINTS // (B n_gl))`` nodes, run one after
-    the other on the calling thread; every (x, s-node) entry is reduced
-    over the same Gauss-Legendre axis whatever the tile, so the result
-    does not depend on the tiling.  The lag sum runs along each point's own
-    row, so neither does it depend on the batch width: a point's value is
-    the same bit for bit alone or in any batch.
+    the standardized variable, from five breakpoints a <= cut- <= mid <=
+    cut+ <= c, where mid is the image of the kink y = 0.  The cuts lie
+    where H's dip around the kink has died out, ``_CLIP`` widths
+    sqrt(T - t - s) from it, or halfway to the window edge if that is
+    nearer: near the horizon the dip is narrow, and a panel that spans a
+    whole side leaves it unresolved.  Empty or clipped-away windows
+    contribute exactly 0.  Lag nodes are cut into tiles of
+    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` nodes, run one after the
+    other on the calling thread, each one H pass over its four panels;
+    every (x, s-node) entry gets the same arithmetic whatever the tile, so
+    the result does not depend on the tiling.  The lag sum runs along each
+    point's own row, so neither does it depend on the batch width: a
+    point's value is the same bit for bit alone or in any batch.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -151,6 +158,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     if not isinstance(n_gl, numbers.Integral) or n_gl < 2 or n_gl % 2:
         raise ValueError(f"n_gl must be an even integer >= 2, got {n_gl!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.isfinite(xs).all():
+        raise ValueError("xs must be finite")
+    if rule.n and not rule.nodes[-1] < spec.T - t:
+        raise ValueError(f"rule's lag nodes reach T - t = {spec.T - t:.17g}")
     with_jacobian = knot_weights is not None
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)
     sq = np.sqrt(s)
@@ -161,47 +172,42 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     c = np.minimum((zp - center) / sq, _CLIP)
     c = np.maximum(c, a)
     mid = np.clip(-center / sq, a, c)
-    s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
+    s_rem = spec.T - t - s                             # (1, n_s), > 0
     # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); in xi it has
     # died out _CLIP of those widths from the kink
     dip = _CLIP * np.sqrt(s_rem / s)                   # (1, n_s)
     r, w = _gauss_unit(n_gl // 2)
     wr = w * r
-    out = np.zeros((xs.size, rule.n))
-    moment = np.zeros((xs.size, rule.n)) if with_jacobian else None
-    tile = max(1, _TILE_H_POINTS // (xs.size * n_gl))
+    # a <= cut- <= mid <= cut+ <= c, the edges of the four panels
+    breaks = (a, np.maximum(mid - dip, 0.5 * (a + mid)), mid,
+              np.minimum(mid + dip, 0.5 * (mid + c)), c)
+    out = np.empty((xs.size, rule.n))
+    moment = np.empty((xs.size, rule.n)) if with_jacobian else None
+    tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
     for j in range(0, rule.n, tile):
         cols = slice(j, min(j + tile, rule.n))
-        shape = (xs.size, cols.stop - cols.start, 2, n_gl // 2)
-        xi, y, h, *h_work = (_scratch.array(name, shape) for name
-                             in ("xi", "y", "h", "a", "nu", "tmp"))
-        mass = _scratch.array("mass", (2,) + shape[:2])  # (panel, B, tile)
+        edges = np.stack([v[:, cols] for v in breaks], axis=-1)
+        lo_t, width_t = edges[..., :-1], np.diff(edges)  # (B, tile, panel)
+        xi, y, h, *h_work = (_scratch.array(name, lo_t.shape + (n_gl // 2,))
+                             for name in ("xi", "y", "h", "a", "nu", "tmp"))
+        mass = _scratch.array("mass", lo_t.shape)
         center_t, sq_t, s_rem_t = (v[:, cols, np.newaxis, np.newaxis]
                                    for v in (center, sq, s_rem))
-        a_t, mid_t, c_t, dip_t = (v[:, cols] for v in (a, mid, c, dip))
-        # each side of the kink is two panels, cut where the dip has died
-        # out or halfway, whichever is nearer the kink
-        for lo_s, cut, hi_s in (
-                (a_t, np.maximum(mid_t - dip_t, 0.5 * (a_t + mid_t)), mid_t),
-                (mid_t, np.minimum(mid_t + dip_t, 0.5 * (mid_t + c_t)), c_t)):
-            lo = np.stack((lo_s, cut))                 # (panel, B, tile)
-            width = np.stack((cut - lo_s, hi_s - cut))
-            # xi = lo + width r, y = center + sq xi
-            np.add(lo.transpose(1, 2, 0)[..., np.newaxis],
-                   np.multiply(width.transpose(1, 2, 0)[..., np.newaxis], r,
-                               out=xi), out=xi)
-            np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
-            _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
-            phi = y                                    # y is spent
-            np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
-            np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
-            h_phi = np.multiply(h, phi, out=h)
-            np.einsum("bspg,g->bsp", h_phi, w, out=mass.transpose(1, 2, 0))
-            out[:, cols] += (width * mass).sum(axis=0)
-            if with_jacobian:
-                # int H xi phi over each panel, xi = lo + width r
-                moment[:, cols] += (width * (lo * mass + width * np.einsum(
-                    "bspg,g->pbs", h_phi, wr))).sum(axis=0)
+        # xi = lo + width r, y = center + sq xi
+        np.add(lo_t[..., np.newaxis],
+               np.multiply(width_t[..., np.newaxis], r, out=xi), out=xi)
+        np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
+        _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
+        phi = y                                        # y is spent
+        np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
+        np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
+        h_phi = np.multiply(h, phi, out=h)
+        np.einsum("bspg,g->bsp", h_phi, w, out=mass)
+        out[:, cols] = _by_side(width_t * mass)
+        if with_jacobian:
+            # int H xi phi over each panel, xi = lo + width r
+            moment[:, cols] = _by_side(width_t * (
+                lo_t * mass + width_t * np.einsum("bspg,g->bsp", h_phi, wr)))
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import ProblemSpec, mean_g
+from .closed_forms import ProblemSpec
 from .kernel import lag_rule, lag_integral_batch
 from .boundaries import BoundaryPair
 from ._shared import map_in_order, write_csv
@@ -31,8 +31,8 @@ from ._shared import map_in_order, write_csv
 _SOURCES = ("integral_formula", "bellman")
 
 # Points per kernel call in ``value_row``.  It bounds the kernel's memory
-# for a wide row, whose (point, lag) arrays and smallest tile (B n_gl H
-# points) grow with the batch; no value depends on it.
+# for a wide row, whose (point, lag) arrays and smallest tile (2 B n_gl
+# H points) grow with the batch; no value depends on it.
 _CHUNK = 64
 
 
@@ -99,11 +99,6 @@ def value_at(spec: ProblemSpec, bp: BoundaryPair, t: float, x: float) -> float:
     """V(t, x) via the boundary-window lag integral (0 on the stopping set),
     bit for bit the same x's entry in any ``value_row`` call."""
     return float(value_row(spec, bp, t, np.array([x]))[0])
-
-
-def optimal_value_Vstar(spec: ProblemSpec, bp: BoundaryPair) -> float:
-    """V* = V(0, 0) + E g, the optimal expected prediction error."""
-    return value_at(spec, bp, 0.0, 0.0) + mean_g(spec)
 
 
 def default_x_grid(bp: BoundaryPair, n_x: int = 200) -> np.ndarray:

@@ -27,7 +27,6 @@ from lastzero import (
     evaluate_policies,
     h_curves,
     mean_g,
-    optimal_value_Vstar,
     oracle_compare,
     value_at,
 )
@@ -69,7 +68,7 @@ def mc_reports(boundaries_for, z_star_bellman):
         reports = evaluate_policies(spec, rules, cfg)
         out[mu] = {
             "reports": reports,
-            "vstar": optimal_value_Vstar(spec, bp),
+            "vstar": value_at(spec, bp, 0, 0) + mean_g(spec),
         }
     return out
 

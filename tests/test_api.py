@@ -15,7 +15,7 @@ PUBLIC = [
     "boundary_residuals", "build_value_surface", "closed_forms",
     "collect_last_zeros", "evaluate_policies", "evaluate_policy", "g_cdf",
     "gain_H", "h_curves", "kernel", "lag_integral_batch", "lag_rule",
-    "mean_g", "montecarlo", "optimal_value_Vstar", "oracle_compare",
+    "mean_g", "montecarlo", "oracle_compare",
     "parse_policy", "save_per_path_csv", "simulate_paths",
     "solve_boundaries", "value", "value_at", "value_row",
 ]

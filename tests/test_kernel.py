@@ -206,6 +206,22 @@ class TestLagIntegral:
         with pytest.raises(ValueError):
             integrate_K_over_lag(self.spec, 0.2, 0.0, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # these came back as NaN values with RuntimeWarnings
+        with pytest.raises(ValueError, match="xs"):
+            lag_integral_batch(self.spec, 0.2, [0.0, bad], -1.0, 1.0,
+                               lag_rule(self.spec.T - 0.2))
+
+    @pytest.mark.parametrize("rule", [
+        lag_rule(0.5),
+        LagRule(nodes=np.array([0.05, 1.0 - 0.9]), weights=np.full(2, 0.05)),
+    ], ids=["past_horizon", "at_horizon"])
+    def test_rejects_rule_reaching_horizon(self, rule):
+        # T - t = 0.1: lag nodes at or past it leave no time for H
+        with pytest.raises(ValueError, match="rule"):
+            lag_integral_batch(self.spec, 0.9, [0.0], -1.0, 1.0, rule)
+
     @pytest.mark.parametrize("n_gl", [0, 1, 33, 32.0])
     def test_rejects_odd_or_too_few_nodes(self, n_gl):
         # n_gl / 2 nodes per panel: an odd count would quietly drop a node
@@ -351,7 +367,7 @@ class TestLagTiling:
                                       knot_weights=knot_weights)
 
         one_lag = run(1)
-        whole = run(n_points * rule.n * _KERNEL_N_GL)      # a single tile
+        whole = run(2 * n_points * rule.n * _KERNEL_N_GL)  # a single tile
         for got, want in zip(one_lag, whole):
             assert np.array_equal(got, want)
 
@@ -441,6 +457,16 @@ class TestLagJacobian:
             scale = np.max(np.abs(fd_beta))
             assert np.max(np.abs(d_beta - fd_beta)) <= 1e-5 * scale
 
+    def test_empty_batch(self):
+        # no points: empty results, not a ZeroDivisionError from the tiling
+        spec, rule = ProblemSpec(mu=0.0, T=1.0), lag_rule(0.7)
+        assert lag_integral_batch(spec, self.t, [], -1.0, 1.0,
+                                  rule).shape == (0,)
+        r, d_x, d_beta = lag_integral_batch(
+            spec, self.t, [], -1.0, 1.0, rule,
+            knot_weights=_knot_weights(self.t, 0.1, rule))
+        assert (r.shape, d_x.shape, d_beta.shape) == ((0,), (0,), (0, 2))
+
     def test_empty_rule(self):
         r, d_x, d_beta = lag_integral_batch(
             ProblemSpec(mu=0.0, T=1.0), 1.0, [0.1, 0.2], [], [],
@@ -506,35 +532,50 @@ _TILE_SHAPES = pytest.mark.parametrize("n_points, n_lags, n_gl", [
 
 
 class TestLagTileItems:
-    """A call runs its tiles in lag order on the calling thread: together
-    they cover the lag nodes once, each stays within the H-point budget,
-    and neither depends on the worker count or needs the pool."""
+    """A call runs its tiles in lag order on the calling thread, one H pass
+    over all four panels per tile: together they cover the lag nodes once,
+    each stays within the H-point budget, and neither depends on the worker
+    count or needs the pool."""
 
     spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
+
+    @staticmethod
+    def _record_H_calls(monkeypatch):
+        calls = []   # (lags of the tile, H points) per call
+
+        def gain_into(mu, s_rem, y, *work):
+            calls.append((s_rem[0, :, 0, 0].copy(), y.size))
+            return gain_H_into(mu, s_rem, y, *work)
+
+        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        return calls
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @_TILE_SHAPES
     def test_tiles(self, monkeypatch, workers, n_points, n_lags, n_gl):
         rule = lag_rule(self.spec.T - self.t, n_lags)
-        tiles = []
-
-        def gain_into(mu, s_rem, y, *work):
-            tiles.append(s_rem[0, :, 0, 0].copy())
-            return gain_H_into(mu, s_rem, y, *work)
-
         monkeypatch.setattr(shared_module, "workers", lambda: workers)
-        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        calls = self._record_H_calls(monkeypatch)
         lag_integral_batch(self.spec, self.t,
                            np.linspace(-0.5, 0.5, n_points), -1.0, 1.0, rule,
                            n_gl=n_gl)
-        # H runs once per side of the kink on each tile
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(tiles[0::2], tiles[1::2]))
-        tiles = tiles[0::2]
+        # one H call per tile, the tiles in lag order, each lag once
+        tiles = [s_rem for s_rem, _ in calls]
         assert np.array_equal(np.concatenate(tiles),
                               self.spec.T - self.t - rule.nodes)
-        budget = max(kernel_module._TILE_H_POINTS, n_points * n_gl)
-        assert max(tile.size for tile in tiles) * n_points * n_gl <= budget
+        # four panels of n_gl / 2 nodes per (point, lag)
+        points = [size for _, size in calls]
+        assert points == [2 * n_points * n_gl * tile.size for tile in tiles]
+        assert max(points) <= max(kernel_module._TILE_H_POINTS,
+                                  2 * n_points * n_gl)
+
+    def test_solver_call_is_one_H_pass(self, monkeypatch):
+        # 2 points x 128 lags x 4 panels x 16 nodes, with the Jacobian
+        rule = lag_rule(self.spec.T - self.t, 128)
+        calls = self._record_H_calls(monkeypatch)
+        lag_integral_batch(self.spec, self.t, [-0.3, 0.4], -1.0, 1.0, rule,
+                           knot_weights=_knot_weights(self.t, 0.1, rule))
+        assert [size for _, size in calls] == [16384]
 
     @_TILE_SHAPES
     def test_serial_without_pool(self, monkeypatch, n_points, n_lags, n_gl):

@@ -22,10 +22,10 @@ from lastzero import (
     boundary_residuals,
     build_value_surface,
     mean_g,
-    optimal_value_Vstar,
     solve_boundaries,
     value_at,
 )
+from lastzero.cli import main as cli_main
 from lastzero.value import default_x_grid, value_row
 from oracles import raw_value_row, smooth_fit_diagnostic
 
@@ -177,10 +177,9 @@ class TestSpecMismatch:
         lambda spec, bp: value_row(spec, bp, 0.2, np.array([0.0])),
         lambda spec, bp: value_at(spec, bp, 0.0, 0.0),
         lambda spec, bp: build_value_surface(spec, bp, n_t=3, n_x=4),
-        lambda spec, bp: optimal_value_Vstar(spec, bp),
         lambda spec, bp: boundary_residuals(spec, bp, [0.0]),
     ], ids=["value_row", "value_at", "build_value_surface",
-            "optimal_value_Vstar", "boundary_residuals"])
+            "boundary_residuals"])
     @pytest.mark.parametrize("mu, T", [(0.7, 1.0), (0.0, 0.5)])
     def test_raises(self, boundaries_for, call, mu, T):
         bp = boundaries_for(0.0)
@@ -231,21 +230,29 @@ class TestInvariants:
             assert np.max(np.abs(v - v_flip)) <= 1e-13 * T
 
 
+def _vstar(bp):
+    """V* = V(0, 0) + E g, the optimal expected prediction error."""
+    return value_at(bp.spec, bp, 0.0, 0.0) + mean_g(bp.spec)
+
+
 class TestOptimalValue:
-    def test_definition(self, boundaries_for):
+    def test_definition(self, boundaries_for, tmp_path, capsys):
+        # ``lastzero value`` is the one place that writes V* out
         bp = boundaries_for(0.0)
-        vs = optimal_value_Vstar(bp.spec, bp)
-        v00 = value_at(bp.spec, bp, 0.0, 0.0)
-        assert abs(vs - (v00 + mean_g(bp.spec))) <= 1e-15
+        bp.save_json(tmp_path / "boundaries.json")
+        assert cli_main(["value", "--boundaries",
+                         str(tmp_path / "boundaries.json"),
+                         "--grid", "2x2"]) == 0
+        assert f"V* = {_vstar(bp):.10g}\n" in capsys.readouterr().out
 
     def test_regression_zero_drift(self, boundaries_for):
         bp = boundaries_for(0.0)
         assert abs(value_at(bp.spec, bp, 0.0, 0.0) - V00_MU0) <= 5e-5
-        assert abs(optimal_value_Vstar(bp.spec, bp) - VSTAR_MU0) <= 5e-5
+        assert abs(_vstar(bp) - VSTAR_MU0) <= 5e-5
 
     def test_regression_unit_drift(self, boundaries_for):
         bp = boundaries_for(1.0)
-        assert abs(optimal_value_Vstar(bp.spec, bp) - VSTAR_MU1) <= 5e-5
+        assert abs(_vstar(bp) - VSTAR_MU1) <= 5e-5
 
     def test_range(self, boundaries_for):
         # 0 < V* <= E|g - T| considerations aside, V* must undercut the
@@ -253,7 +260,7 @@ class TestOptimalValue:
         for mu in (0.0, 1.0):
             bp = boundaries_for(mu)
             spec = bp.spec
-            vs = optimal_value_Vstar(spec, bp)
+            vs = _vstar(bp)
             trivial = spec.T - mean_g(spec)
             assert 0.0 < vs < trivial
 
