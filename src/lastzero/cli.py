@@ -4,8 +4,11 @@ Every command is a pure function of its flags, input files, and seed.  A
 JSON manifest with a content hash over (command, spec, config, version,
 output names) accompanies the outputs, and each output references that
 hash, so any figure or table can be traced to the exact invocation that
-produced it.  Reruns are byte-identical except the manifest's timestamp
-and wall-time fields, which stay outside the hash.
+produced it.  A manifest is named for its command (``solve.manifest.json``
+in ``--out``) or its output file (``<file>.manifest.json``), so commands
+that write into one directory keep each other's.  Reruns are
+byte-identical except the manifest's timestamp and wall-time fields, which
+stay outside the hash.
 
 Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence (or a lattice
 too coarse to resolve the boundaries), 4 I/O error, 5 schema mismatch in an
@@ -105,7 +108,7 @@ def cmd_solve(parser, args) -> int:
          "max_iter": MAX_ITER},
         ["boundaries.csv", "boundaries.json"])
     _write_outputs(
-        os.path.join(args.out, "manifest.json"), core, h, t0,
+        os.path.join(args.out, "solve.manifest.json"), core, h, t0,
         lambda: bp.save_csv(csv_path, manifest_hash=h),
         lambda: bp.save_json(json_path, config=cfg, manifest_hash=h))
     print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
@@ -140,7 +143,7 @@ def cmd_value(parser, args) -> int:
             {"grid": args.grid, "boundaries": os.path.basename(args.boundaries)},
             ["surface.csv"])
         _write_outputs(
-            os.path.join(args.out, "manifest.json"), core, h, t0,
+            os.path.join(args.out, "value.manifest.json"), core, h, t0,
             lambda: surface.save_csv(os.path.join(args.out, "surface.csv"),
                                      manifest_hash=h))
     return EXIT_OK
@@ -206,7 +209,7 @@ def cmd_compare(parser, args) -> int:
             ["compare.json"])
         doc["manifest_hash"] = h
         _write_outputs(
-            os.path.join(args.out, "manifest.json"), core, h, t0,
+            os.path.join(args.out, "compare.manifest.json"), core, h, t0,
             lambda: write_json(os.path.join(args.out, "compare.json"), doc))
     return EXIT_OK
 

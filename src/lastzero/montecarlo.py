@@ -5,26 +5,33 @@ process is Gaussian; there is no Euler error).  The last zero g of a path
 lies in the last grid interval holding a zero: a sign change or a landing
 on 0 holds one surely, two same-sign endpoints one with the Brownian-bridge
 probability exp(-2 x_k x_{k+1} / dt), independently across intervals.  One
-uniform per path picks that interval by inverse CDF; g is placed by linear
-interpolation across a sign change and uniformly in a bridge interval.
-Policies stop at the first grid time in their stopping set; estimates
-across policies share paths (common random numbers).
+uniform per path picks that interval by inverse CDF, which only the near
+intervals after the last sure zero decide (``_last_zeros``); g is placed by
+linear interpolation across a sign change and uniformly in a bridge
+interval.  Policies stop at the first grid time in their stopping set;
+estimates across policies share paths (common random numbers).
 
 Randomness is counter-based and splittable: path i of a run seeded s draws
-from Philox keyed (s, i).  A run is one fan-out over blocks of paths on the
-process's one thread pool (``_shared.map_in_order``): each block is drawn,
-scanned and stopped, and writes its paths' g and tau into whole-run arrays,
-which are reduced once, so results are independent of the block size and
-of the number of workers, and bit-reproducible on one platform.  Each run
-owns a ``_shared.Scratch``: a thread draws and scans every block it runs
-in the same two block-sized arrays (path, interval products), which the
-run frees when it ends; only ``simulate_paths`` hands its arrays to the
-caller.  A block holds at most 2e6 / workers path values, so each array is
-at most about 16 MB / workers (8 MB at 4000 steps on two).
+from Philox keyed (s, i); one generator, re-keyed for each path, draws a
+block's paths.  A run is one fan-out over blocks of paths on the process's
+one thread pool (``_shared.map_in_order``): each block is drawn, scanned
+and stopped, and writes its paths' g and tau into whole-run arrays, which
+are reduced once, so results are independent of the block size and of the
+number of workers, and bit-reproducible on one platform.  Each run owns a
+``_shared.Scratch``: a thread draws and scans every block it runs in the
+same two block-sized arrays (path, interval products), which the run frees
+when it ends; only ``simulate_paths`` hands its arrays to the caller.  A
+block holds at most 2e6 / workers path values, so each array is at most
+about 16 MB / workers (8 MB at 4000 steps on two).  The pick adds two masks
+of one byte per interval (1 MB each there) and about 32 bytes per near
+interval: 0.2 MB there, but about 16 bytes per interval at 16 steps, where
+half the intervals are near.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +45,15 @@ MAX_STORED_PATHS = 10_000
 
 # Path values in flight across all workers (see ``_scan``).
 _BLOCK_VALUES = 2_000_000
+
+# Blocks of shorter paths take turns to draw (see ``_scan``; on two CPUs
+# turns were faster at 512 steps, free draws at 1024).
+_SHORT_PATH = 1024
+
+# 1 - exp(-2ab/dt) rounds to exactly 1.0 once ab >= _NEAR dt: exp(-40) is
+# below 2^-54, half the spacing of doubles under 1.  This follows from
+# float64; it is not a setting.
+_NEAR = 20.0
 
 
 @dataclass(frozen=True)
@@ -87,18 +103,37 @@ def _draw_chunk(spec: ProblemSpec, cfg: SimConfig, start: int, n: int,
                 scratch: _shared.Scratch):
     """Paths [start, start+n) and two uniforms per path (``u[:, 0]`` picks
     the last zero's interval, ``u[:, 1]`` places it), drawn into ``scratch``
-    from each path's own substream: n_steps normals, then the uniforms."""
+    from each path's own substream: n_steps normals, then the uniforms.
+
+    One Philox serves the block.  Re-keyed to (seed, path) with its counter
+    at 0 and its buffer empty, it is in the state ``Philox(key=...)`` builds
+    (0.5 us a path, against 12 us to build one).  Each path's normals go
+    straight into its row; scale, drift and the running sum then run once
+    over the block, with the per-element arithmetic of
+    ``cumsum(drift + scale * z)`` per path.
+    """
     dt = spec.T / cfg.n_steps
     scale, drift = np.sqrt(dt), spec.mu * dt
     w = scratch.array("w", (n, cfg.n_steps + 1))
     w[:, 0] = 0.0
     u = scratch.array("u", (n, 2))
-    for i in range(n):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([cfg.seed, start + i], dtype=np.uint64)))
-        np.cumsum(drift + scale * rng.standard_normal(cfg.n_steps),
-                  out=w[i, 1:])
-        rng.random(out=u[i])
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    key = [cfg.seed, start]         # the state Philox(key=key) starts in:
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    normals, uniforms = rng.standard_normal, rng.random
+    for i, row, pair in zip(range(start, start + n), w[:, 1:], u):
+        key[1] = i
+        bitgen.state = fresh
+        normals(out=row)
+        uniforms(out=pair)
+    steps = w[:, 1:]
+    np.multiply(steps, scale, out=steps)
+    np.add(steps, drift, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
     return w, u
 
 
@@ -116,27 +151,59 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
 
 def _last_zeros(times, w, u, bridge_on: bool,
                 scratch: _shared.Scratch) -> np.ndarray:
-    """Last zeros of a block of paths.  ``q[:, k]``, the chance that
-    interval k holds no zero, is written into ``scratch`` and turned by a
-    reversed running product into P(no zero after t_k), from which
-    ``u[:, 0]`` picks the last interval with a zero by inverse CDF."""
+    """Last zeros of a block of paths.
+
+    Interval k holds no zero with chance q_k: 0 across a sure zero (a sign
+    change, or a landing b == 0), 1 - exp(-2ab/dt) between same-sign ends
+    (1 without the bridge, or with a = 0).  ``u[:, 0]`` picks the last
+    interval with a zero by inverse CDF: the largest k with
+    S_k = prod_{j >= k} q_j <= u.  S_k is 0 up to the last sure zero k_s,
+    and q_k is exactly 1.0 once ab >= _NEAR dt, so only the near intervals
+    after k_s, those with ab < _NEAR dt (about 24 a path at 4000 steps),
+    decide.  Their factors are multiplied right to left, as the products
+    over whole rows would be, so each deciding S_k is the same double.
+    Besides the products ``ab`` (in ``scratch``, which then holds the near
+    factors), a block takes two interval-sized bool masks.
+    """
     dt = times[1] - times[0]
+    n, m = w.shape[0], w.shape[1] - 1
+    rows = np.arange(n)
     a = w[:, :-1]
     b = w[:, 1:]
-    q = np.multiply(a, b, out=scratch.array("q", a.shape))
-    sure = q < 0.0
-    sure |= b == 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        if bridge_on:               # 1 - exp(-2ab/dt); a = 0 gives 1 via inf
-            q[q <= 0.0] = np.inf
-            np.negative(np.expm1(np.multiply(q, -2 / dt, out=q), out=q), out=q)
-        else:
-            q.fill(1.0)
-        q[sure] = 0.0
-        np.cumprod(q[:, ::-1], axis=1, out=q[:, ::-1])
-    last = np.count_nonzero(q <= u[:, :1], axis=1) - 1
+    q = np.multiply(a, b, out=scratch.array("q", (n, m)))
+    done = q < 0.0                  # sure zeros, then every k <= k_s
+    flags = b == 0.0
+    done |= flags
+    np.logical_or.accumulate(done[:, ::-1], axis=1, out=done[:, ::-1])
+    last = np.count_nonzero(done, axis=1) - 1
+    if bridge_on:
+        np.greater(np.less(q, _NEAR * dt, out=flags), done, out=flags)
+        del done
+        near = np.flatnonzero(flags)
+        del flags
+        first = np.searchsorted(near, np.arange(n + 1) * m)   # by row
+        size = np.diff(first)
+        width = size.max(initial=0)
+        factor = q.ravel()[near]
+        with np.errstate(over="ignore", under="ignore"):
+            factor[factor <= 0.0] = np.inf      # a = 0: 1 - exp(-inf) = 1
+            np.negative(np.expm1(np.multiply(factor, -2 / dt, out=factor),
+                                 out=factor), out=factor)
+            # each row's factors, then 1.0s, in the products' buffer, which
+            # is free once they are read
+            tail = scratch.array("q", (n, width))
+            tail.fill(1.0)
+            at = np.repeat(rows * width - first[:-1], size)
+            at += np.arange(near.size)
+            tail.ravel()[at] = factor
+            del at, factor
+            np.cumprod(tail[:, ::-1], axis=1, out=tail[:, ::-1])
+        # S_k <= u holds for the first ``picked`` near intervals (u < 1)
+        picked = np.count_nonzero(tail <= u[:, :1], axis=1)
+        if near.size:               # the index is -1 at worst, then unused
+            last = np.where(picked > 0,
+                            near[first[:-1] + picked - 1] - rows * m, last)
     has = last >= 0
-    rows = np.arange(w.shape[0])
     a_k = a[rows, last]
     b_k = b[rows, last]
     t_k = times[last]
@@ -155,6 +222,10 @@ def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
     paths), and a block holds at most ``_BLOCK_VALUES / workers`` path
     values (but at least one path); numpy's draws and array
     arithmetic release the interpreter lock, so the blocks run in parallel.
+    Paths shorter than ``_SHORT_PATH`` steps are the exception: their draw
+    is mostly interpreter work (re-keying and two calls per path), threads
+    that contend for the interpreter lock on every path run slower than
+    one, so the blocks take turns to draw and only their scans overlap.
     Each block writes its own slice of the outputs.  Each thread draws and
     scans its blocks in the same block-sized arrays of the run's own
     ``Scratch``, freed when the run ends.
@@ -164,12 +235,15 @@ def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
                        _BLOCK_VALUES // (n_workers * (cfg.n_steps + 1))))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
     scratch = _shared.Scratch()
+    turns = (threading.Lock() if cfg.n_steps < _SHORT_PATH
+             else contextlib.nullcontext())
     g = np.empty(cfg.n_paths)
     taus = np.empty((len(rules), cfg.n_paths))
 
     def run(start):
         stop = min(start + block, cfg.n_paths)
-        w, u = _draw_chunk(spec, cfg, start, stop - start, scratch)
+        with turns:
+            w, u = _draw_chunk(spec, cfg, start, stop - start, scratch)
         g[start:stop] = _last_zeros(times, w, u, cfg.bridge_correction, scratch)
         for tau, rule in zip(taus, rules):
             tau[start:stop] = rule.taus(times, w)

@@ -16,7 +16,7 @@ of g checks the algebra that collapses it to one Owen's T value.  The
 smooth-fit diagnostic differences the package's own raw lag integral
 across the solved boundaries.  The zero-drift anchor, last, solves the
 scalar equation that the exact boundaries b± = ±z* sqrt(T - t) of the
-driftless problem obey.
+driftless problem obey; its closed form needs no code of the package.
 """
 
 from __future__ import annotations
@@ -187,6 +187,41 @@ def last_zeros_interval_scan(times, w, u_bridge, u_place, bridge_on=True):
     denom = np.where(sign_change, a_k - b_k, 1.0)
     g = np.where(sign_change, t_k + dt * a_k / denom,
                  np.where(b_k == 0.0, t_k + dt, t_k + dt * u_place))
+    return np.where(has, g, 0.0)
+
+
+def last_zeros_dense_pick(times, w, u, bridge_on=True):
+    """Last zeros of paths w by the package's one-uniform interval pick,
+    computed densely: every interval's chance q_k of holding no zero, the
+    reversed running product S_k = prod_{j >= k} q_j over the whole row,
+    and the last k with S_k <= ``u[:, 0]``; g placed as in
+    ``last_zeros_interval_scan`` with ``u[:, 1]``.  This is the package's
+    former pick, kept as the bit-for-bit reference for the sparse one.
+    """
+    dt = times[1] - times[0]
+    a = w[:, :-1]
+    b = w[:, 1:]
+    q = np.multiply(a, b)
+    sure = q < 0.0
+    sure |= b == 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        if bridge_on:               # 1 - exp(-2ab/dt); a = 0 gives 1 via inf
+            q[q <= 0.0] = np.inf
+            np.negative(np.expm1(np.multiply(q, -2 / dt, out=q), out=q), out=q)
+        else:
+            q.fill(1.0)
+        q[sure] = 0.0
+        np.cumprod(q[:, ::-1], axis=1, out=q[:, ::-1])
+    last = np.count_nonzero(q <= u[:, :1], axis=1) - 1
+    has = last >= 0
+    rows = np.arange(w.shape[0])
+    a_k = a[rows, last]
+    b_k = b[rows, last]
+    t_k = times[last]
+    sign_change = a_k * b_k < 0.0
+    denom = np.where(sign_change, a_k - b_k, 1.0)  # avoid 0/0 off-branch
+    g = np.where(sign_change, t_k + dt * a_k / denom,
+                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u[:, 1]))
     return np.where(has, g, 0.0)
 
 
@@ -555,6 +590,21 @@ def zero_drift_anchor(n_lag: int = 128) -> tuple[float, float]:
     z_star = brentq(lambda z: zero_drift_lag_integral(z, z, n_lag), lo, 3.0,
                     xtol=1e-16, rtol=4 * np.finfo(float).eps)
     return z_star, zero_drift_lag_integral(z_star, 0.0, n_lag) + 0.5
+
+
+def zero_drift_closed_form(T: float = 1.0) -> tuple[float, float]:
+    """(z*, V*) of the driftless problem on [0, T], from no code in ``src/``.
+
+    At mu = 0 the last zero of B maps (Levy) to the time of its maximum,
+    and Graversen, Peskir & Shiryaev (2001) stop B as close as possible to
+    its maximum at S - B >= z* sqrt(T - t), where z* is the root of
+    4 Phi(z) - 2 z phi(z) - 3 = 0.  With Urusov (2005),
+    V* = E|theta - tau*| = T (2 Phi(z*) - 3/2).
+    """
+    z_star = brentq(lambda z: 4.0 * ndtr(z) - 2.0 * z * np.exp(-0.5 * z * z)
+                    / np.sqrt(2.0 * np.pi) - 3.0, 0.5, 3.0,
+                    xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return z_star, T * (2.0 * float(ndtr(z_star)) - 1.5)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from lastzero import (
     value_at,
 )
 from lastzero.cli import main as cli_main
-from oracles import smooth_fit_diagnostic, zero_drift_anchor
+from oracles import smooth_fit_diagnostic, zero_drift_closed_form
 
 DRIFTS = (-1.0, 0.0, 1.0)
 T = 1.0
@@ -168,8 +168,7 @@ def test_criterion_5_monte_carlo_closure(mc_reports, capsys):
         ok &= opt.std_error <= 2e-3
         detail = f"mu={mu:+.0f} |est-V*|={gap:.1e} "
         if mu == 0.0:
-            # V* scales with T; the anchor is the T = 1 problem's
-            exact_gap = abs(opt.estimate - T * zero_drift_anchor()[1])
+            exact_gap = abs(opt.estimate - zero_drift_closed_form(T)[1])
             ok &= exact_gap <= 3.0 * opt.std_error
             detail += f"|est-V*exact|={exact_gap:.1e} "
         details.append(detail + f"SE={opt.std_error:.1e}")

@@ -33,7 +33,7 @@ from lastzero.boundaries import sqrt_time_grid
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
 from oracles import (_KERNEL_N_GL, h_root, zero_drift_anchor,
-                     zero_drift_lag_integral)
+                     zero_drift_closed_form, zero_drift_lag_integral)
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
@@ -653,3 +653,11 @@ class TestZeroDriftAnchor:
 
     def test_optimal_error(self):
         assert abs(zero_drift_anchor()[1] - self.V_STAR) <= 1e-12
+
+    def test_kernel_anchor_matches_closed_form(self):
+        # z* is the root of 4 Phi(z) - 2 z phi(z) - 3 and V* = T (2 Phi(z*)
+        # - 3/2), from no code in src/: the kernel's anchor must agree
+        z_ref, v_ref = zero_drift_closed_form(1.0)
+        z, v = zero_drift_anchor()
+        assert abs(z - z_ref) <= 1e-13
+        assert abs(v - v_ref) <= 1e-13

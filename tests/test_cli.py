@@ -43,7 +43,7 @@ class TestSolve:
     def test_outputs_and_manifest(self, solved_dir, capsys):
         csv_path = solved_dir / "boundaries.csv"
         json_path = solved_dir / "boundaries.json"
-        man_path = solved_dir / "manifest.json"
+        man_path = solved_dir / "solve.manifest.json"
         assert csv_path.exists() and json_path.exists() and man_path.exists()
 
         manifest = json.loads(man_path.read_text())
@@ -161,10 +161,28 @@ class TestValue:
         assert rc == EXIT_OK
         capsys.readouterr()
         surface = (out / "surface.csv").read_text().splitlines()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "value.manifest.json").read_text())
         assert surface[0] == f"# manifest_hash={manifest['manifest_hash']}"
         assert surface[2] == "t,x,V"
         assert len(surface) == 3 + 6 * 9
+
+    def test_value_into_solve_directory_keeps_both_manifests(self, tmp_path,
+                                                             capsys):
+        # the README's sequence: solve, then value --out the same directory
+        out = tmp_path / "out_mu1"
+        assert main(["solve", "--mu", "1.0", "--horizon", "1.0",
+                     "--n-steps", "20", "--out", str(out)]) == EXIT_OK
+        assert main(["value", "--boundaries", str(out / "boundaries.json"),
+                     "--grid", "4x5", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        solve = json.loads((out / "solve.manifest.json").read_text())
+        value = json.loads((out / "value.manifest.json").read_text())
+        assert (solve["command"], value["command"]) == ("solve", "value")
+        assert not (out / "manifest.json").exists()
+        csv_head = (out / "boundaries.csv").read_text().splitlines()[0]
+        assert csv_head == f"# manifest_hash={solve['manifest_hash']}"
+        surface_head = (out / "surface.csv").read_text().splitlines()[0]
+        assert surface_head == f"# manifest_hash={value['manifest_hash']}"
 
     def test_bad_grid_usage_error(self, solved_dir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -350,7 +368,7 @@ class TestCompare:
                             "spec"}
         assert doc["sup_norm"] < 0.1
         written = json.loads((out / "compare.json").read_text())
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "compare.manifest.json").read_text())
         assert written["manifest_hash"] == manifest["manifest_hash"]
         assert written["sup_norm"] == doc["sup_norm"]
 

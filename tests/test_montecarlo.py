@@ -35,7 +35,7 @@ from lastzero import (
 from lastzero.montecarlo import MAX_STORED_PATHS, _draw_chunk, _last_zeros
 import lastzero._shared as shared_module
 import lastzero.montecarlo as mc_module
-from oracles import last_zeros_interval_scan
+from oracles import last_zeros_dense_pick, last_zeros_interval_scan
 
 
 def _dump_rows(spec, rule, cfg):
@@ -102,19 +102,43 @@ class TestSimulatePaths:
 
     def test_draw_layout(self):
         # path i draws from Philox keyed (seed, i): its n_steps normals,
-        # then the interval-pick and placement uniforms
+        # then the interval-pick and placement uniforms.  One generator,
+        # re-keyed for each path, serves a block; blocks at any start, one
+        # after another in the same arrays, give every path its own stream.
         spec = ProblemSpec(mu=-0.4, T=2.0)
         cfg = SimConfig(n_paths=9, n_steps=12, seed=2 ** 63 + 7)
-        w, u = _draw_chunk(spec, cfg, 3, 4, shared_module.Scratch())
-        assert w.shape == (4, 13) and u.shape == (4, 2)
+        scratch = shared_module.Scratch()
         dt = spec.T / cfg.n_steps
-        for i in range(4):
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([cfg.seed, 3 + i], dtype=np.uint64)))
-            steps = spec.mu * dt + np.sqrt(dt) * rng.standard_normal(12)
-            npt.assert_array_equal(w[i], np.concatenate([[0.0],
-                                                         np.cumsum(steps)]))
-            npt.assert_array_equal(u[i], rng.random(2))
+        for start, n in ((3, 4), (0, 9), (8, 1)):
+            w, u = _draw_chunk(spec, cfg, start, n, scratch)
+            assert w.shape == (n, 13) and u.shape == (n, 2)
+            for i in range(n):
+                rng = np.random.Generator(np.random.Philox(
+                    key=np.array([cfg.seed, start + i], dtype=np.uint64)))
+                steps = spec.mu * dt + np.sqrt(dt) * rng.standard_normal(12)
+                npt.assert_array_equal(
+                    w[i], np.concatenate([[0.0], np.cumsum(steps)]))
+                npt.assert_array_equal(u[i], rng.random(2))
+
+    def test_one_generator_per_block(self, monkeypatch):
+        # building a Philox costs several times re-keying one: a run builds
+        # one per block of paths, not one per path
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        cfg = SimConfig(n_paths=1000, n_steps=30, seed=12)
+        want = collect_last_zeros(spec, cfg)
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 31 * 150)
+        monkeypatch.setattr(shared_module, "workers", lambda: 2)
+        g = collect_last_zeros(spec, cfg)
+        assert len(built) == -(-1000 // 75)     # 75-path blocks
+        assert np.array_equal(g, want)
 
     def test_storage_guard(self):
         cfg = SimConfig(n_paths=MAX_STORED_PATHS + 1, n_steps=8, seed=0)
@@ -265,6 +289,71 @@ class TestIntervalPick:
                                                      cfg.n_steps))
         g_ref = last_zeros_interval_scan(times, w, u_bridge, u[:, 1])
         assert ks_2samp(g, g_ref).statistic <= 0.008
+
+
+class TestSparsePick:
+    """The pick reads only the near intervals after the last sure zero, and
+    must give the dense product's last zeros bit for bit."""
+
+    def test_far_factors_are_exactly_one(self):
+        # 1 - exp(-2ab/dt) for ab >= _NEAR dt: exp(-40) < 2^-54, so the
+        # factor rounds to 1.0 in float64, and so for every larger ab
+        assert mc_module._NEAR == 20.0
+        assert -np.expm1(-40.0) == 1.0
+        assert all(-np.expm1(x) == 1.0 for x in (-40.5, -41.0, -745.0,
+                                                 -1e300, -np.inf))
+        assert -np.expm1(-30.0) < 1.0
+
+    @pytest.mark.parametrize("bridge_on", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 1.3, -2.0])
+    @pytest.mark.parametrize("n_steps", [2, 4, 16, 400, 4000])
+    def test_matches_dense_pick(self, n_steps, mu, bridge_on):
+        spec = ProblemSpec(mu=mu, T=1.5)
+        n_paths = 300 if n_steps == 4000 else 2000
+        cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=2 ** 63 + 5,
+                        bridge_correction=bridge_on)
+        times = np.linspace(0.0, spec.T, n_steps + 1)
+        w, u = _draw_chunk(spec, cfg, 0, n_paths, shared_module.Scratch())
+        ref = last_zeros_dense_pick(times, w, u, bridge_on)
+        assert np.array_equal(collect_last_zeros(spec, cfg), ref)
+        # a block that does not start at path 0
+        w, u = _draw_chunk(spec, cfg, 7, 50, shared_module.Scratch())
+        assert np.array_equal(
+            _last_zeros(times, w, u, bridge_on, shared_module.Scratch()),
+            ref[7:57])
+
+    @pytest.mark.parametrize("bridge_on", [True, False])
+    def test_hand_built_rows(self, bridge_on):
+        # dt = 0.25, so _NEAR dt = 5.0
+        rows = [
+            [0.0, 4.0, 5.0, 6.0, 7.0],         # no zero: a = 0, then far
+            [0.0, 0.3, 0.0, 0.4, 0.5],         # an exact landing b == 0
+            [0.0, 0.3, 0.0, 0.0, 2.5],         # two landings, a = 0 after
+            [0.0, 0.01, 0.02, -3.0, -4.0],     # near only before the change
+            [0.0, -1.0, 2.0, 2.5, 3.0],        # ab exactly 5.0 after it
+            [0.0, -1.0, 2.0, 2.4999, 3.0],     # and just below
+            [0.0, 0.1, 0.2, 0.1, 0.05],        # near everywhere, no change
+            [0.0, -0.1, 1e-200, 1e-200, 0.3],  # a product that underflows
+        ]
+        assert 2.0 * 2.5 == 5.0 == mc_module._NEAR * 0.25
+        times = np.linspace(0.0, 1.0, 5)
+        picks = np.concatenate([[0.0, 1e-300],
+                                np.linspace(0.0, 1.0, 257)[1:-1],
+                                [1.0 - 2.0 ** -53]])
+        w = np.repeat(np.asarray(rows), picks.size, axis=0)
+        u = np.column_stack([np.tile(picks, len(rows)),
+                             np.full(w.shape[0], 0.375)])
+        got = _last_zeros(times, w, u, bridge_on, shared_module.Scratch())
+        assert np.array_equal(got, last_zeros_dense_pick(times, w, u,
+                                                         bridge_on))
+        by_row = got.reshape(len(rows), picks.size)
+        assert np.all(by_row[0] == 0.0)            # no zero: g = 0 always
+        assert np.all(by_row[1] >= 0.5)            # the landing at t = 0.5
+        assert np.all(by_row[3] >= 0.5)            # the change in [0.5, 0.75]
+        # u = 0 picks the last sure zero, as without the bridge (no product
+        # of near factors underflows to 0 here)
+        off = _last_zeros(times, w, u, False, shared_module.Scratch())
+        assert np.array_equal(by_row[:, 0], off.reshape(by_row.shape)[:, 0])
 
 
 class TestStoppingRules:
