@@ -97,7 +97,7 @@ class Scratch(threading.local):
     would be faulted in again on the next (Monte Carlo blocks that freed
     their arrays took 66k-115k minor faults per 1e4 x 4000 run, against
     6k with reuse).  The price is memory held while the owner lives: in
-    ``simulate`` (1e4 paths x 4000 steps on two CPUs) two 8 MB arrays per
+    ``simulate`` (1e4 paths x 4000 steps on two CPUs) two 4 MB arrays per
     thread until the run ends, and in the kernel about 1.5 MB per thread
     for the thread's life.  What a thread frees may also stay in its
     malloc arena, about 0.5 MB of peak RSS per pool thread in ``value``.

@@ -21,11 +21,11 @@ number of workers, and bit-reproducible on one platform.  Each run owns a
 ``_shared.Scratch``: a thread draws and scans every block it runs in the
 same two block-sized arrays (path, interval products), which the run frees
 when it ends; only ``simulate_paths`` hands its arrays to the caller.  A
-block holds at most 2e6 / workers path values, so each array is at most
-about 16 MB / workers (8 MB at 4000 steps on two).  The pick adds two masks
-of one byte per interval (1 MB each there) and about 32 bytes per near
-interval: 0.2 MB there, but about 16 bytes per interval at 16 steps, where
-half the intervals are near.
+block holds at most 2^20 / workers path values, so each array is at most
+about 8 MB / workers (4 MB at 4000 steps on two).  The pick adds one mask
+of one byte per interval at a time (1 MB there) and about 32 bytes per
+near interval: 0.2 MB there, but about 16 bytes per interval at 16 steps,
+where half the intervals are near.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from ._shared import write_csv
 
 MAX_STORED_PATHS = 10_000
 
-# Path values in flight across all workers (see ``_scan``).
-_BLOCK_VALUES = 2_000_000
+# Path values in flight across all workers (see ``_scan``).  On two CPUs
+# a 1e4 x 4000 run at 2e6 took as long and peaked 17 MB higher.
+_BLOCK_VALUES = 2 ** 20
 
 # Blocks of shorter paths take turns to draw (see ``_scan``; on two CPUs
 # turns were faster at 512 steps, free draws at 1024).
@@ -163,7 +164,7 @@ def _last_zeros(times, w, u, bridge_on: bool,
     decide.  Their factors are multiplied right to left, as the products
     over whole rows would be, so each deciding S_k is the same double.
     Besides the products ``ab`` (in ``scratch``, which then holds the near
-    factors), a block takes two interval-sized bool masks.
+    factors), a block takes one interval-sized bool mask at a time.
     """
     dt = times[1] - times[0]
     n, m = w.shape[0], w.shape[1] - 1
@@ -171,16 +172,19 @@ def _last_zeros(times, w, u, bridge_on: bool,
     a = w[:, :-1]
     b = w[:, 1:]
     q = np.multiply(a, b, out=scratch.array("q", (n, m)))
-    done = q < 0.0                  # sure zeros, then every k <= k_s
-    flags = b == 0.0
-    done |= flags
-    np.logical_or.accumulate(done[:, ::-1], axis=1, out=done[:, ::-1])
-    last = np.count_nonzero(done, axis=1) - 1
+    # sure zeros (ab < 0, or b == 0) are among the intervals with ab <= 0
+    sure = np.flatnonzero(q <= 0.0)
+    sure = sure[(q.ravel()[sure] < 0.0)
+                | (w.ravel()[sure + sure // m + 1] == 0.0)]
+    # each row's last sure zero k_s as a flat index, unless it is an
+    # earlier row's (then the row has none)
+    k_s = np.append(-1, sure)[np.searchsorted(sure, (rows + 1) * m)]
+    last = np.where(k_s >= rows * m, k_s - rows * m, -1)
+    del sure
     if bridge_on:
-        np.greater(np.less(q, _NEAR * dt, out=flags), done, out=flags)
-        del done
-        near = np.flatnonzero(flags)
-        del flags
+        # the products up to k_s are spent: as inf they are not near
+        np.copyto(q, np.inf, where=np.arange(m) <= last[:, None])
+        near = np.flatnonzero(q < _NEAR * dt)
         first = np.searchsorted(near, np.arange(n + 1) * m)   # by row
         size = np.diff(first)
         width = size.max(initial=0)
