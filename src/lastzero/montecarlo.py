@@ -22,10 +22,11 @@ number of workers, and bit-reproducible on one platform.  Each run owns a
 same two block-sized arrays (path, interval products), which the run frees
 when it ends; only ``simulate_paths`` hands its arrays to the caller.  A
 block holds at most 2^20 / workers path values, so each array is at most
-about 8 MB / workers (4 MB at 4000 steps on two).  The pick adds one mask
-of one byte per interval at a time (1 MB there) and about 32 bytes per
-near interval: 0.2 MB there, but about 16 bytes per interval at 16 steps,
-where half the intervals are near.
+about 8 MB / workers (4 MB at 4000 steps on two).  The pick takes
+``_PICK_INTERVALS`` intervals at a time, with a one-byte mask per interval
+and index lists of about 32 bytes per near interval, so it peaks below a
+dense pick's two masks per interval, also at 16 steps, where half the
+intervals are near.
 """
 
 from __future__ import annotations
@@ -47,14 +48,22 @@ MAX_STORED_PATHS = 10_000
 # a 1e4 x 4000 run at 2e6 took as long and peaked 17 MB higher.
 _BLOCK_VALUES = 2 ** 20
 
-# Blocks of shorter paths take turns to draw (see ``_scan``; on two CPUs
-# turns were faster at 512 steps, free draws at 1024).
-_SHORT_PATH = 1024
+# Blocks of shorter paths take turns to draw (see ``_scan``).  On two CPUs
+# turns were faster up to 384 steps and free draws from 512 on, and turns
+# at 4000 steps made ``simulate`` 38% slower (BENCH_mc_rekey_pick.json).
+_SHORT_PATH = 512
 
 # 1 - exp(-2ab/dt) rounds to exactly 1.0 once ab >= _NEAR dt: exp(-40) is
 # below 2^-54, half the spacing of doubles under 1.  This follows from
 # float64; it is not a setting.
 _NEAR = 20.0
+
+# Intervals ``_pick`` takes at a time (but at least one path).  Its index
+# lists hold about 32 bytes per near interval, and at 16 steps about half
+# the intervals are near.  At 2^17 a block's pick peaked below the two
+# bool masks per interval of a dense pick (``tests/oracles.py``) at 2 to
+# 4000 steps (tracemalloc); at 2^18 it went above them at 16 steps.
+_PICK_INTERVALS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -152,70 +161,78 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
 
 def _last_zeros(times, w, u, bridge_on: bool,
                 scratch: _shared.Scratch) -> np.ndarray:
-    """Last zeros of a block of paths.
+    """Last zeros of a block of paths, picked ``_PICK_INTERVALS`` intervals
+    (but at least one path) at a time by ``_pick``, then placed."""
+    dt = times[1] - times[0]
+    n, m = w.shape[0], w.shape[1] - 1
+    q = scratch.array("q", (n, m))
+    last = np.empty(n, dtype=np.intp)
+    group = max(1, _PICK_INTERVALS // m)
+    for r in range(0, n, group):
+        rows = slice(r, r + group)
+        last[rows] = _pick(w[rows], u[rows, 0], q[rows], dt, bridge_on)
+    rows = np.arange(n)
+    a_k = w[rows, last]
+    b_k = w[rows, last + 1]
+    t_k = times[last]
+    sign_change = a_k * b_k < 0.0
+    denom = np.where(sign_change, a_k - b_k, 1.0)  # avoid 0/0 off-branch
+    g = np.where(sign_change, t_k + dt * a_k / denom,
+                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u[:, 1]))
+    return np.where(last >= 0, g, 0.0)
+
+
+def _pick(w, u0, q, dt, bridge_on: bool) -> np.ndarray:
+    """Each row's last interval with a zero (-1 if none), using ``q``, of
+    the shape of the intervals, as work space.
 
     Interval k holds no zero with chance q_k: 0 across a sure zero (a sign
     change, or a landing b == 0), 1 - exp(-2ab/dt) between same-sign ends
-    (1 without the bridge, or with a = 0).  ``u[:, 0]`` picks the last
-    interval with a zero by inverse CDF: the largest k with
-    S_k = prod_{j >= k} q_j <= u.  S_k is 0 up to the last sure zero k_s,
+    (1 without the bridge, or with a = 0).  ``u0`` picks the last interval
+    with a zero by inverse CDF: the largest k with
+    S_k = prod_{j >= k} q_j <= u0.  S_k is 0 up to the last sure zero k_s,
     and q_k is exactly 1.0 once ab >= _NEAR dt, so only the near intervals
     after k_s, those with ab < _NEAR dt (about 24 a path at 4000 steps),
     decide.  Their factors are multiplied right to left, as the products
     over whole rows would be, so each deciding S_k is the same double.
-    Besides the products ``ab`` (in ``scratch``, which then holds the near
-    factors), a block takes one interval-sized bool mask at a time.
     """
-    dt = times[1] - times[0]
-    n, m = w.shape[0], w.shape[1] - 1
-    rows = np.arange(n)
-    a = w[:, :-1]
-    b = w[:, 1:]
-    q = np.multiply(a, b, out=scratch.array("q", (n, m)))
+    n, m = q.shape
+    start = np.arange(0, n * m, m)      # each row's first flat index
+    np.multiply(w[:, :-1], w[:, 1:], out=q)
     # sure zeros (ab < 0, or b == 0) are among the intervals with ab <= 0
     sure = np.flatnonzero(q <= 0.0)
     sure = sure[(q.ravel()[sure] < 0.0)
                 | (w.ravel()[sure + sure // m + 1] == 0.0)]
     # each row's last sure zero k_s as a flat index, unless it is an
     # earlier row's (then the row has none)
-    k_s = np.append(-1, sure)[np.searchsorted(sure, (rows + 1) * m)]
-    last = np.where(k_s >= rows * m, k_s - rows * m, -1)
-    del sure
-    if bridge_on:
-        # the products up to k_s are spent: as inf they are not near
-        np.copyto(q, np.inf, where=np.arange(m) <= last[:, None])
-        near = np.flatnonzero(q < _NEAR * dt)
-        first = np.searchsorted(near, np.arange(n + 1) * m)   # by row
-        size = np.diff(first)
-        width = size.max(initial=0)
-        factor = q.ravel()[near]
-        with np.errstate(over="ignore", under="ignore"):
-            factor[factor <= 0.0] = np.inf      # a = 0: 1 - exp(-inf) = 1
-            np.negative(np.expm1(np.multiply(factor, -2 / dt, out=factor),
-                                 out=factor), out=factor)
-            # each row's factors, then 1.0s, in the products' buffer, which
-            # is free once they are read
-            tail = scratch.array("q", (n, width))
-            tail.fill(1.0)
-            at = np.repeat(rows * width - first[:-1], size)
-            at += np.arange(near.size)
-            tail.ravel()[at] = factor
-            del at, factor
-            np.cumprod(tail[:, ::-1], axis=1, out=tail[:, ::-1])
-        # S_k <= u holds for the first ``picked`` near intervals (u < 1)
-        picked = np.count_nonzero(tail <= u[:, :1], axis=1)
-        if near.size:               # the index is -1 at worst, then unused
-            last = np.where(picked > 0,
-                            near[first[:-1] + picked - 1] - rows * m, last)
-    has = last >= 0
-    a_k = a[rows, last]
-    b_k = b[rows, last]
-    t_k = times[last]
-    sign_change = a_k * b_k < 0.0
-    denom = np.where(sign_change, a_k - b_k, 1.0)  # avoid 0/0 off-branch
-    g = np.where(sign_change, t_k + dt * a_k / denom,
-                 np.where(b_k == 0.0, t_k + dt, t_k + dt * u[:, 1]))
-    return np.where(has, g, 0.0)
+    k_s = np.append(-1, sure)[np.searchsorted(sure, start + m)]
+    last = np.maximum(k_s - start, -1)
+    if not bridge_on:
+        return last
+    # the products up to k_s are spent: as inf they are not near
+    np.copyto(q, np.inf, where=np.arange(m) <= last[:, None])
+    near = np.flatnonzero(q < _NEAR * dt)
+    first = np.searchsorted(near, start)
+    size = np.diff(first, append=near.size)
+    width = size.max(initial=0)
+    factor = q.ravel()[near]
+    with np.errstate(over="ignore", under="ignore"):
+        factor[factor <= 0.0] = np.inf      # a = 0: 1 - exp(-inf) = 1
+        np.negative(np.expm1(np.multiply(factor, -2 / dt, out=factor),
+                             out=factor), out=factor)
+        # each row's factors, then 1.0s, in ``q``, which is spent
+        tail = q.ravel()[:n * width].reshape(n, width)
+        tail.fill(1.0)
+        at = np.repeat(np.arange(n) * width - first, size)
+        at += np.arange(near.size)
+        tail.ravel()[at] = factor
+        del at, factor
+        np.cumprod(tail[:, ::-1], axis=1, out=tail[:, ::-1])
+    # S_k <= u0 holds for the first ``picked`` near intervals (u0 < 1)
+    picked = np.count_nonzero(tail <= u0[:, None], axis=1)
+    if near.size:                   # the index is -1 at worst, then unused
+        last = np.where(picked > 0, near[first + picked - 1] - start, last)
+    return last
 
 
 def _scan(spec: ProblemSpec, cfg: SimConfig, rules):

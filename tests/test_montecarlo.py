@@ -355,6 +355,40 @@ class TestSparsePick:
         off = _last_zeros(times, w, u, False, shared_module.Scratch())
         assert np.array_equal(by_row[:, 0], off.reshape(by_row.shape)[:, 0])
 
+    @pytest.mark.parametrize("bridge_on", [True, False])
+    @pytest.mark.parametrize("pick_intervals", [1, 16 * 7 + 3, 2 ** 17])
+    def test_groups_of_paths(self, monkeypatch, pick_intervals, bridge_on):
+        # the pick takes _PICK_INTERVALS intervals (but at least one path)
+        # at a time: one path, seven with a short last group, or all 2000
+        spec = ProblemSpec(mu=0.0, T=1.0)
+        cfg = SimConfig(n_paths=2000, n_steps=16, seed=21,
+                        bridge_correction=bridge_on)
+        times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, shared_module.Scratch())
+        monkeypatch.setattr(mc_module, "_PICK_INTERVALS", pick_intervals)
+        got = _last_zeros(times, w, u, bridge_on, shared_module.Scratch())
+        assert np.array_equal(got, last_zeros_dense_pick(times, w, u,
+                                                         bridge_on))
+
+    def test_peak_memory_at_short_paths(self):
+        # at 16 steps about half the intervals are near; taken in groups,
+        # their index lists (32 bytes per near interval over the whole
+        # block: 14.3 MB here) stay below the dense pick's two bool masks
+        # per interval and twelve doubles per path (6.4 MB)
+        spec = ProblemSpec(mu=0.3, T=1.0)
+        cfg = SimConfig(n_paths=50_000, n_steps=16, seed=3)
+        times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
+        scratch = shared_module.Scratch()
+        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, scratch)
+        _last_zeros(times, w, u, True, scratch)     # the products' buffer
+        tracemalloc.start()
+        try:
+            _last_zeros(times, w, u, True, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cfg.n_paths * (2 * cfg.n_steps + 12 * 8)
+
 
 class TestStoppingRules:
     times = np.linspace(0.0, 1.0, 5)
@@ -626,6 +660,16 @@ class TestThreadedStream:
         for a, b in zip(reps, reps1):
             assert a.estimate == b.estimate
             assert a.std_error == b.std_error
+
+    @pytest.mark.parametrize("short_path", [0, 10 ** 9])
+    def test_free_draws_or_turns(self, monkeypatch, short_path):
+        # 90-step blocks take turns to draw; free draws give the same bits
+        g1, reps1, rec1 = self._run(1)
+        monkeypatch.setattr(mc_module, "_SHORT_PATH", short_path)
+        g, reps, rec = self._run(8)
+        assert np.array_equal(g, g1)
+        assert np.array_equal(rec, rec1)
+        assert reps == reps1
 
     def test_records_with_report_in_one_pass(self):
         rule = SqrtRule(1.0, 1.0)
