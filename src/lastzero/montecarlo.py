@@ -21,12 +21,11 @@ number of workers, and bit-reproducible on one platform.  Each run owns a
 ``_shared.Scratch``: a thread draws and scans every block it runs in the
 same two block-sized arrays (path, interval products), which the run frees
 when it ends; only ``simulate_paths`` hands its arrays to the caller.  A
-block holds at most 2^20 / workers path values, so each array is at most
-about 8 MB / workers (4 MB at 4000 steps on two).  The pick takes
-``_PICK_INTERVALS`` intervals at a time, with a one-byte mask per interval
-and index lists of about 32 bytes per near interval, so it peaks below a
-dense pick's two masks per interval, also at 16 steps, where half the
-intervals are near.
+block holds at most ``_BLOCK_INTERVALS`` / workers intervals, so each array
+is at most about 4 MB / workers (2 MB at 4000 steps on two).  The pick
+takes a whole block at once, with a one-byte mask per interval and index
+lists of about 32 bytes per near interval; at 16 steps half the intervals
+are near.
 """
 
 from __future__ import annotations
@@ -44,13 +43,17 @@ from ._shared import write_csv
 
 MAX_STORED_PATHS = 10_000
 
-# Path values in flight across all workers (see ``_scan``).  On two CPUs
-# a 1e4 x 4000 run at 2e6 took as long and peaked 17 MB higher.
-_BLOCK_VALUES = 2 ** 20
+# Intervals in flight across all workers (see ``_scan``): the pick's index
+# lists hold about 32 bytes per near interval, and at 16 steps half the
+# intervals are near.  On two CPUs 2^20 ran 1e4 x 4000 about 4% faster but
+# peaked at 29 MB at 1e5 x 16, twice as high, and 2^18 was about 7% slower
+# at 1e4 x 4000 (BENCH_mc_one_bound.json).
+_BLOCK_INTERVALS = 2 ** 19
 
 # Blocks of shorter paths take turns to draw (see ``_scan``).  On two CPUs
-# turns were faster up to 384 steps and free draws from 512 on, and turns
-# at 4000 steps made ``simulate`` 38% slower (BENCH_mc_rekey_pick.json).
+# turns were faster up to 384 steps and free draws from 512 on, also with
+# blocks of 2^19 intervals, and turns at 4000 steps made ``simulate`` 38%
+# slower (BENCH_mc_rekey_pick.json, BENCH_mc_one_bound.json).
 _SHORT_PATH = 512
 
 # 1 - exp(-2ab/dt) rounds to exactly 1.0 once ab >= _NEAR dt: exp(-40) is
@@ -58,20 +61,12 @@ _SHORT_PATH = 512
 # float64; it is not a setting.
 _NEAR = 20.0
 
-# Intervals ``_pick`` takes at a time (but at least one path).  Its index
-# lists hold about 32 bytes per near interval, and at 16 steps about half
-# the intervals are near.  At 2^17 a block's pick peaked below the two
-# bool masks per interval of a dense pick (``tests/oracles.py``) at 2 to
-# 4000 steps (tracemalloc); at 2^18 it went above them at 16 steps.
-_PICK_INTERVALS = 2 ** 17
-
 
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
     n_steps: int
     seed: int
-    bridge_correction: bool = True
 
     def __post_init__(self):
         _shared.integer_fields(self, n_paths=1, n_steps=2, seed=0)
@@ -159,18 +154,12 @@ def simulate_paths(spec: ProblemSpec, cfg: SimConfig) -> PathEnsemble:
     return PathEnsemble(spec=spec, cfg=cfg, times=times, paths=w)
 
 
-def _last_zeros(times, w, u, bridge_on: bool,
-                scratch: _shared.Scratch) -> np.ndarray:
-    """Last zeros of a block of paths, picked ``_PICK_INTERVALS`` intervals
-    (but at least one path) at a time by ``_pick``, then placed."""
+def _last_zeros(times, w, u, scratch: _shared.Scratch) -> np.ndarray:
+    """Last zeros of a block of paths: each row's interval picked by
+    ``_pick`` with ``u[:, 0]``, then g placed in it with ``u[:, 1]``."""
     dt = times[1] - times[0]
     n, m = w.shape[0], w.shape[1] - 1
-    q = scratch.array("q", (n, m))
-    last = np.empty(n, dtype=np.intp)
-    group = max(1, _PICK_INTERVALS // m)
-    for r in range(0, n, group):
-        rows = slice(r, r + group)
-        last[rows] = _pick(w[rows], u[rows, 0], q[rows], dt, bridge_on)
+    last = _pick(w, u[:, 0], scratch.array("q", (n, m)), dt)
     rows = np.arange(n)
     a_k = w[rows, last]
     b_k = w[rows, last + 1]
@@ -182,19 +171,20 @@ def _last_zeros(times, w, u, bridge_on: bool,
     return np.where(last >= 0, g, 0.0)
 
 
-def _pick(w, u0, q, dt, bridge_on: bool) -> np.ndarray:
+def _pick(w, u0, q, dt) -> np.ndarray:
     """Each row's last interval with a zero (-1 if none), using ``q``, of
     the shape of the intervals, as work space.
 
     Interval k holds no zero with chance q_k: 0 across a sure zero (a sign
     change, or a landing b == 0), 1 - exp(-2ab/dt) between same-sign ends
-    (1 without the bridge, or with a = 0).  ``u0`` picks the last interval
-    with a zero by inverse CDF: the largest k with
-    S_k = prod_{j >= k} q_j <= u0.  S_k is 0 up to the last sure zero k_s,
-    and q_k is exactly 1.0 once ab >= _NEAR dt, so only the near intervals
-    after k_s, those with ab < _NEAR dt (about 24 a path at 4000 steps),
-    decide.  Their factors are multiplied right to left, as the products
-    over whole rows would be, so each deciding S_k is the same double.
+    (1 with a = 0).  ``u0`` picks the last interval with a zero by inverse
+    CDF: the largest k with S_k = prod_{j >= k} q_j <= u0.  S_k is 0 up to
+    the last sure zero k_s (so u0 = 0 picks k_s, unless a later product
+    underflows to 0), and q_k is exactly 1.0 once ab >= _NEAR dt, so only
+    the near intervals after k_s, those with ab < _NEAR dt (about 24 a path
+    at 4000 steps), decide.  Their factors are multiplied right to left, as
+    the products over whole rows would be, so each deciding S_k is the same
+    double.
     """
     n, m = q.shape
     start = np.arange(0, n * m, m)      # each row's first flat index
@@ -207,8 +197,6 @@ def _pick(w, u0, q, dt, bridge_on: bool) -> np.ndarray:
     # earlier row's (then the row has none)
     k_s = np.append(-1, sure)[np.searchsorted(sure, start + m)]
     last = np.maximum(k_s - start, -1)
-    if not bridge_on:
-        return last
     # the products up to k_s are spent: as inf they are not near
     np.copyto(q, np.inf, where=np.arange(m) <= last[:, None])
     near = np.flatnonzero(q < _NEAR * dt)
@@ -240,8 +228,8 @@ def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
     (len(rules), n_paths), in one fan-out over blocks of paths.
 
     There are as many blocks as workers or more (unless there are fewer
-    paths), and a block holds at most ``_BLOCK_VALUES / workers`` path
-    values (but at least one path); numpy's draws and array
+    paths), and a block holds at most ``_BLOCK_INTERVALS / workers``
+    intervals (but at least one path); numpy's draws and array
     arithmetic release the interpreter lock, so the blocks run in parallel.
     Paths shorter than ``_SHORT_PATH`` steps are the exception: their draw
     is mostly interpreter work (re-keying and two calls per path), threads
@@ -253,7 +241,7 @@ def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
     """
     n_workers = _shared.workers()
     block = max(1, min(-(-cfg.n_paths // n_workers),
-                       _BLOCK_VALUES // (n_workers * (cfg.n_steps + 1))))
+                       _BLOCK_INTERVALS // (n_workers * cfg.n_steps)))
     times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
     scratch = _shared.Scratch()
     turns = (threading.Lock() if cfg.n_steps < _SHORT_PATH
@@ -265,7 +253,7 @@ def _scan(spec: ProblemSpec, cfg: SimConfig, rules):
         stop = min(start + block, cfg.n_paths)
         with turns:
             w, u = _draw_chunk(spec, cfg, start, stop - start, scratch)
-        g[start:stop] = _last_zeros(times, w, u, cfg.bridge_correction, scratch)
+        g[start:stop] = _last_zeros(times, w, u, scratch)
         for tau, rule in zip(taus, rules):
             tau[start:stop] = rule.taus(times, w)
 
@@ -279,6 +267,15 @@ def collect_last_zeros(spec: ProblemSpec, cfg: SimConfig) -> np.ndarray:
 
 
 # -- stopping rules -------------------------------------------------------
+
+
+def _finite(kind: str, value: float) -> float:
+    """A rule's parameter, which must be finite: with inf or NaN its
+    terminal column need not stop, and ``taus`` would then read t = 0."""
+    if not np.isfinite(value):
+        raise ValueError(f"policy parameter must be finite, got "
+                         f"'{kind}:{value:g}'")
+    return value
 
 
 class StoppingRule:
@@ -300,7 +297,7 @@ class StoppingRule:
 class OptimalRule(StoppingRule):
     def __init__(self, bp: BoundaryPair, factor: float = 1.0):
         self.bp = bp
-        self.factor = factor
+        self.factor = _finite("scaled_optimal", factor)
         self.name = ("optimal" if factor == 1.0
                      else f"scaled_optimal:{factor:g}")
 
@@ -313,7 +310,7 @@ class SqrtRule(StoppingRule):
     """Stop when |B_t| >= z sqrt(T - t)."""
 
     def __init__(self, z: float, T: float):
-        self.z = z
+        self.z = _finite("sqrt_rule", z)
         self.T = T
         self.name = f"sqrt_rule:{z:g}"
 
@@ -326,7 +323,7 @@ class FixedTimeRule(StoppingRule):
     """tau identically equal to a constant time (clipped to [0, T])."""
 
     def __init__(self, c: float, T: float):
-        self.c = float(np.clip(c, 0.0, T))
+        self.c = float(np.clip(_finite("fixed_time", c), 0.0, T))
         self.name = f"fixed_time:{c:g}"
 
     def taus(self, times, w):
@@ -336,16 +333,13 @@ class FixedTimeRule(StoppingRule):
 def parse_policy(text: str, spec: ProblemSpec,
                  bp: BoundaryPair | None = None) -> StoppingRule:
     """Parse CLI policy strings: optimal | fixed_time:C | sqrt_rule:Z |
-    scaled_optimal:F.  Parameters must be finite: with inf or NaN a rule's
-    terminal column need not stop, and ``taus`` would then read t = 0."""
+    scaled_optimal:F."""
     kind, _, arg = text.partition(":")
     if kind not in ("optimal", "scaled_optimal", "sqrt_rule", "fixed_time"):
         raise ValueError(f"unknown policy name {text!r}")
     if kind == "optimal" and arg:
         raise ValueError(f"policy 'optimal' takes no parameter, got {text!r}")
     value = 1.0 if kind == "optimal" else float(arg)
-    if not np.isfinite(value):
-        raise ValueError(f"policy parameter must be finite, got {text!r}")
     if kind == "sqrt_rule":
         return SqrtRule(value, spec.T)
     if kind == "fixed_time":

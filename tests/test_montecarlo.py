@@ -134,7 +134,7 @@ class TestSimulatePaths:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counted)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 31 * 150)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 30 * 150)
         monkeypatch.setattr(shared_module, "workers", lambda: 2)
         g = collect_last_zeros(spec, cfg)
         assert len(built) == -(-1000 // 75)     # 75-path blocks
@@ -159,12 +159,12 @@ class TestSimulatePaths:
 
 
 def _last_zero(path):
-    """Detected last zero of one hand-built path on [0, 1], no bridge."""
+    """Detected last zero of one hand-built path on [0, 1]: u = 0 picks
+    the last sure zero, as without the bridge."""
     w = np.asarray(path, dtype=float)[np.newaxis, :]
     n = w.shape[1] - 1
     return float(_last_zeros(np.linspace(0.0, 1.0, n + 1), w,
-                             np.zeros((1, 2)), bridge_on=False,
-                             scratch=shared_module.Scratch())[0])
+                             np.zeros((1, 2)), shared_module.Scratch())[0])
 
 
 class TestLastZeroDetection:
@@ -193,9 +193,9 @@ class TestLastZeroDetection:
 
     def test_chunk_invariance(self, monkeypatch):
         cfg = SimConfig(n_paths=1500, n_steps=60, seed=42)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 97 * 61)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 97 * 60)
         a = collect_last_zeros(self.spec, cfg)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 10 ** 9)
         b = collect_last_zeros(self.spec, cfg)
         npt.assert_array_equal(a, b)
 
@@ -203,11 +203,12 @@ class TestLastZeroDetection:
         # Without the bridge correction, zeros inside non-crossing steps
         # are missed and g is biased low; the correction must recover most
         # of E g = T/2.
-        cfg_on = SimConfig(n_paths=6000, n_steps=100, seed=2718)
-        cfg_off = SimConfig(n_paths=6000, n_steps=100, seed=2718,
-                            bridge_correction=False)
-        mean_on = collect_last_zeros(self.spec, cfg_on).mean()
-        mean_off = collect_last_zeros(self.spec, cfg_off).mean()
+        cfg = SimConfig(n_paths=6000, n_steps=100, seed=2718)
+        times = np.linspace(0.0, self.spec.T, cfg.n_steps + 1)
+        w, u = _draw_chunk(self.spec, cfg, 0, cfg.n_paths,
+                           shared_module.Scratch())
+        mean_on = collect_last_zeros(self.spec, cfg).mean()
+        mean_off = last_zeros_dense_pick(times, w, u, bridge_on=False).mean()
         assert mean_on > mean_off
         assert abs(mean_on - 0.5) < abs(mean_off - 0.5)
 
@@ -261,7 +262,7 @@ class TestIntervalPick:
         w = np.tile(np.asarray(path), (n_u, 1))
         u = np.column_stack([(np.arange(n_u) + 0.5) / n_u,
                              np.full(n_u, 0.5)])
-        g = _last_zeros(times, w, u, True, shared_module.Scratch())
+        g = _last_zeros(times, w, u, shared_module.Scratch())
         a, b = np.asarray(path[:-1]), np.asarray(path[1:])
         q = np.where(a * b > 0.0, 1.0 - np.exp(-2.0 * a * b / dt), 1.0)
         q[(a * b < 0.0) | (b == 0.0)] = 0.0
@@ -284,7 +285,7 @@ class TestIntervalPick:
         scratch = shared_module.Scratch()
         w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, scratch)
         times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-        g = _last_zeros(times, w, u, True, scratch)
+        g = _last_zeros(times, w, u, scratch)
         u_bridge = np.random.default_rng(61).random((cfg.n_paths,
                                                      cfg.n_steps))
         g_ref = last_zeros_interval_scan(times, w, u_bridge, u[:, 1])
@@ -308,23 +309,30 @@ class TestSparsePick:
     @pytest.mark.parametrize("mu", [0.0, 1.3, -2.0])
     @pytest.mark.parametrize("n_steps", [2, 4, 16, 400, 4000])
     def test_matches_dense_pick(self, n_steps, mu, bridge_on):
+        # without the bridge the dense pick gives the last sure zero, which
+        # the sparse one picks at u[:, 0] = 0
         spec = ProblemSpec(mu=mu, T=1.5)
         n_paths = 300 if n_steps == 4000 else 2000
-        cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=2 ** 63 + 5,
-                        bridge_correction=bridge_on)
+        cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=2 ** 63 + 5)
         times = np.linspace(0.0, spec.T, n_steps + 1)
         w, u = _draw_chunk(spec, cfg, 0, n_paths, shared_module.Scratch())
+        u[:, 0] *= bridge_on
         ref = last_zeros_dense_pick(times, w, u, bridge_on)
-        assert np.array_equal(collect_last_zeros(spec, cfg), ref)
+        if bridge_on:
+            assert np.array_equal(collect_last_zeros(spec, cfg), ref)
+        assert np.array_equal(
+            _last_zeros(times, w, u, shared_module.Scratch()), ref)
         # a block that does not start at path 0
         w, u = _draw_chunk(spec, cfg, 7, 50, shared_module.Scratch())
+        u[:, 0] *= bridge_on
         assert np.array_equal(
-            _last_zeros(times, w, u, bridge_on, shared_module.Scratch()),
-            ref[7:57])
+            _last_zeros(times, w, u, shared_module.Scratch()), ref[7:57])
 
     @pytest.mark.parametrize("bridge_on", [True, False])
     def test_hand_built_rows(self, bridge_on):
-        # dt = 0.25, so _NEAR dt = 5.0
+        # dt = 0.25, so _NEAR dt = 5.0; without the bridge, as above, the
+        # picks are made at u = 0 (no product of near factors underflows
+        # to 0 here)
         rows = [
             [0.0, 4.0, 5.0, 6.0, 7.0],         # no zero: a = 0, then far
             [0.0, 0.3, 0.0, 0.4, 0.5],         # an exact landing b == 0
@@ -341,53 +349,32 @@ class TestSparsePick:
                                 np.linspace(0.0, 1.0, 257)[1:-1],
                                 [1.0 - 2.0 ** -53]])
         w = np.repeat(np.asarray(rows), picks.size, axis=0)
-        u = np.column_stack([np.tile(picks, len(rows)),
+        u = np.column_stack([np.tile(picks, len(rows)) * bridge_on,
                              np.full(w.shape[0], 0.375)])
-        got = _last_zeros(times, w, u, bridge_on, shared_module.Scratch())
+        got = _last_zeros(times, w, u, shared_module.Scratch())
         assert np.array_equal(got, last_zeros_dense_pick(times, w, u,
                                                          bridge_on))
         by_row = got.reshape(len(rows), picks.size)
         assert np.all(by_row[0] == 0.0)            # no zero: g = 0 always
         assert np.all(by_row[1] >= 0.5)            # the landing at t = 0.5
         assert np.all(by_row[3] >= 0.5)            # the change in [0.5, 0.75]
-        # u = 0 picks the last sure zero, as without the bridge (no product
-        # of near factors underflows to 0 here)
-        off = _last_zeros(times, w, u, False, shared_module.Scratch())
-        assert np.array_equal(by_row[:, 0], off.reshape(by_row.shape)[:, 0])
 
-    @pytest.mark.parametrize("bridge_on", [True, False])
-    @pytest.mark.parametrize("pick_intervals", [1, 16 * 7 + 3, 2 ** 17])
-    def test_groups_of_paths(self, monkeypatch, pick_intervals, bridge_on):
-        # the pick takes _PICK_INTERVALS intervals (but at least one path)
-        # at a time: one path, seven with a short last group, or all 2000
-        spec = ProblemSpec(mu=0.0, T=1.0)
-        cfg = SimConfig(n_paths=2000, n_steps=16, seed=21,
-                        bridge_correction=bridge_on)
-        times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, shared_module.Scratch())
-        monkeypatch.setattr(mc_module, "_PICK_INTERVALS", pick_intervals)
-        got = _last_zeros(times, w, u, bridge_on, shared_module.Scratch())
-        assert np.array_equal(got, last_zeros_dense_pick(times, w, u,
-                                                         bridge_on))
-
-    def test_peak_memory_at_short_paths(self):
-        # at 16 steps about half the intervals are near; taken in groups,
-        # their index lists (32 bytes per near interval over the whole
-        # block: 14.3 MB here) stay below the dense pick's two bool masks
-        # per interval and twelve doubles per path (6.4 MB)
+    def test_peak_memory_at_short_paths(self, monkeypatch):
+        # at 16 steps about half the intervals are near, and the pick's
+        # index lists hold about 32 bytes per near interval: this run
+        # peaked at 14.9 MB, at 29.0 MB in blocks of 2^20 intervals across
+        # workers, and at 20.8 MB in blocks of 2^20 path values picked 2^17
+        # intervals at a time (tracemalloc)
         spec = ProblemSpec(mu=0.3, T=1.0)
-        cfg = SimConfig(n_paths=50_000, n_steps=16, seed=3)
-        times = np.linspace(0.0, spec.T, cfg.n_steps + 1)
-        scratch = shared_module.Scratch()
-        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, scratch)
-        _last_zeros(times, w, u, True, scratch)     # the products' buffer
+        cfg = SimConfig(n_paths=100_000, n_steps=16, seed=3)
+        monkeypatch.setattr(shared_module, "workers", lambda: 2)
         tracemalloc.start()
         try:
-            _last_zeros(times, w, u, True, scratch)
+            collect_last_zeros(spec, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= cfg.n_paths * (2 * cfg.n_steps + 12 * 8)
+        assert peak <= 16e6
 
 
 class TestStoppingRules:
@@ -448,6 +435,17 @@ class TestStoppingRules:
         assert SqrtRule(0.8, 1.0).name == "sqrt_rule:0.8"
         assert FixedTimeRule(0.5, 1.0).name == "fixed_time:0.5"
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameters_refused(self, boundaries_for, value):
+        # with inf or NaN a terminal column need not stop, and tau would
+        # read t = 0: the rules refuse them, also when not parsed from text
+        bp = boundaries_for(0.0)
+        for make in (lambda: OptimalRule(bp, factor=value),
+                     lambda: SqrtRule(value, 1.0),
+                     lambda: FixedTimeRule(value, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_parse_policy(self, boundaries_for):
         bp = boundaries_for(0.0)
         spec = bp.spec
@@ -500,9 +498,9 @@ class TestEvaluatePolicies:
     def test_chunking_stable(self, monkeypatch):
         # one reduction over the whole run: the block size cannot move a bit
         cfg = SimConfig(n_paths=1200, n_steps=64, seed=21)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 10 ** 9)
         a = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 111 * 65)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 111 * 64)
         b = evaluate_policy(self.spec, FixedTimeRule(0.3, 1.0), cfg)
         assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
 
@@ -588,9 +586,9 @@ class TestPerPathDump:
 
     def test_chunk_invariance(self, monkeypatch):
         rule = FixedTimeRule(0.3, 1.0)
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 7 * 51)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 7 * 50)
         a = _dump_rows(self.spec, rule, self._cfg())
-        monkeypatch.setattr(mc_module, "_BLOCK_VALUES", 10 ** 9)
+        monkeypatch.setattr(mc_module, "_BLOCK_INTERVALS", 10 ** 9)
         b = _dump_rows(self.spec, rule, self._cfg())
         npt.assert_array_equal(a, b)
 
@@ -620,13 +618,13 @@ class TestThreadedStream:
 
     def _run(self, workers):
         # None: one worker per available CPU; 8: more workers than cores,
-        # switching threads as often as possible.  40,000 path values give
-        # blocks of 439, 219 and 54 paths on 1, 2 and 8 workers: several
+        # switching threads as often as possible.  40,000 intervals give
+        # blocks of 444, 222 and 55 paths on 1, 2 and 8 workers: several
         # blocks per worker.
         rules = [OptimalRule(_sqrt_pair(self.spec)), SqrtRule(1.0, 1.0)]
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc_module, "_BLOCK_VALUES", 40_000)
+            mp.setattr(mc_module, "_BLOCK_INTERVALS", 40_000)
             if workers is not None:
                 mp.setattr(shared_module, "workers", lambda: workers)
             sys.setswitchinterval(1e-6)
@@ -643,7 +641,7 @@ class TestThreadedStream:
         times = np.linspace(0.0, self.spec.T, self.cfg.n_steps + 1)
         scratch = shared_module.Scratch()
         w, u = _draw_chunk(self.spec, self.cfg, 0, self.cfg.n_paths, scratch)
-        g_ref = _last_zeros(times, w, u, True, scratch)
+        g_ref = _last_zeros(times, w, u, scratch)
         tau_ref = OptimalRule(_sqrt_pair(self.spec)).taus(times, w)
         npt.assert_array_equal(g, g_ref)
         npt.assert_array_equal(rec["path_id"], np.arange(self.cfg.n_paths))
@@ -758,9 +756,10 @@ class TestStreamScratch:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one 500-path block per worker: whichever threads run them, one
-        # block's path and interval products (8 MB) were held
-        assert peak > 3 * 8 * 250 * (cfg.n_steps + 1)
+        # whichever threads run the blocks, one block's path and interval
+        # products were held
+        block = mc_module._BLOCK_INTERVALS // (2 * cfg.n_steps)
+        assert peak > 2 * 8 * block * cfg.n_steps
         assert left < 1e5
         assert np.array_equal(ensemble.paths, paths)
 
@@ -782,9 +781,13 @@ class TestPathPins:
             "1532043a6090951c9e833d149797906cf1faaa6f46d02431e5740e6daa2d58c1")
 
     def test_bridge_off_last_zero_digest(self):
-        g = collect_last_zeros(ProblemSpec(mu=-0.5, T=2.0),
-                               SimConfig(n_paths=2500, n_steps=300, seed=77,
-                                         bridge_correction=False))
+        # the last sure zero of each path, by the dense pick without the
+        # bridge
+        spec = ProblemSpec(mu=-0.5, T=2.0)
+        cfg = SimConfig(n_paths=2500, n_steps=300, seed=77)
+        w, u = _draw_chunk(spec, cfg, 0, cfg.n_paths, shared_module.Scratch())
+        g = last_zeros_dense_pick(np.linspace(0.0, spec.T, cfg.n_steps + 1),
+                                  w, u, bridge_on=False)
         assert hashlib.sha256(g.tobytes()).hexdigest() == (
             "fb861eefd7f875abd1cef67be569513946fd659e2ec2cf073fba917eab351747")
 
