@@ -12,24 +12,25 @@ lag endpoints are tamed by the substitutions s = u^2 (near s = 0, where the
 transition density concentrates) and T - t - s = v^2 (near the horizon,
 where H has a square-root derivative blow-up), restoring smooth integrands.
 
-Inner integrals are computed in the standardized variable
-xi = (y - x - mu s)/sqrt(s) so that narrow transition densities at small
-lags are always resolved; panels are split at the image of the kink
-y = 0, and again where H's dip around it has died out, which near the
-horizon is close to the kink.  A call is one serial pass over contiguous
-tiles of lag nodes, on the calling thread whatever calls it; parallelism
-belongs to the callers that hold independent calls (``value`` rows and
-the certificate's times).  A tile evaluates H once, on all four panels,
-and every (point, lag) entry gets the same arithmetic in whichever tile
-it lands, so no result depends on the tiling.  A tile's (point, lag,
-panel, node) arrays are the thread's own work arrays
-(``_shared.Scratch``), reused from tile to tile and call to call and kept
-for the life of the thread; ufuncs write into them with ``out=``, so the
-steady state allocates no tile memory.  Each holds at most
-max(2^15, 2 B n_gl) points: 256 KB in a ``value`` row, 128 KB in a
-solver call.  On request the same pass also gives the integral's
-derivatives in the evaluation point and in the knot values of the window
-edges: the boundary solver's exact Jacobian.
+Each inner integral is four Gauss-Legendre panels over the window, split
+at the kink y = 0 and again where H's dip around it has died out.  Where a
+(point, lag) entry's window lies within ten standard deviations of its
+transition density, every such entry of the lag shares the nodes y and
+their H values, two normal CDFs per node and nearly all of the cost; any
+other entry is clipped to ten standard deviations and integrated in the
+standardized variable, so that narrow densities at small lags are always
+resolved.  A call is two serial passes over tiles of lag nodes, on the
+calling thread whatever calls it; parallelism belongs to the callers that
+hold independent calls (``value`` rows and the certificate's times).  No
+result depends on the tiling or on the batch.  A tile's (point, lag,
+panel, node) arrays are the thread's own work arrays (``_shared.Scratch``),
+reused from tile to tile and call to call and kept for the life of the
+thread; ufuncs write into them with ``out=``, so the steady state
+allocates no tile memory.  Each holds at most max(2^15, 2 B n_gl) points:
+256 KB in a ``value`` row, 128 KB in a solver call.  On request the same
+passes also give the integral's derivatives in the evaluation point and
+in the knot values of the window edges: the boundary solver's exact
+Jacobian.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# H evaluations per tile on one thread, all four panels: bounds each work
-# array at 256 KB; a ``value`` batch (64 points, 64 H points per lag) is
-# tiles of 8 lags, a solver call (2 points x 128 lags) one 128 KB tile.
+# Panel nodes per tile on one thread, 2 n_gl per (point, lag) entry:
+# bounds each work array at 256 KB; a 64-point ``value`` row is tiles of
+# 8 lags, a solver call (2 points x 128 lags) one tile.
 _TILE_H_POINTS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -111,6 +112,57 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
                    weights=np.concatenate([w_lo, w_hi[order]]))
 
 
+def _panels(lo, hi, kink, dip):
+    """Four panels from the breakpoints lo <= cut- <= mid <= cut+ <= hi,
+    where mid is ``kink`` clipped into [lo, hi], as (start, width) arrays
+    with the panel on a new last axis.  The cuts lie ``dip`` from mid, or
+    halfway to lo or hi if that is nearer."""
+    edges = np.empty(np.broadcast_shapes(lo.shape, np.shape(kink)) + (5,))
+    start, cut_lo, mid, cut_hi, end = (edges[..., i] for i in range(5))
+    np.copyto(start, lo)
+    np.copyto(end, hi)
+    np.minimum(np.maximum(kink, lo, out=mid), hi, out=mid)
+    np.maximum(mid - dip, 0.5 * (lo + mid), out=cut_lo)
+    np.minimum(mid + dip, 0.5 * (mid + hi), out=cut_hi)
+    return edges[..., :-1], np.subtract(edges[..., 1:], edges[..., :-1])
+
+
+def _panel_sums(lo, width, h, r, w, with_jacobian):
+    """Each entry's inner integral over its four panels, and with the
+    Jacobian its moment int H xi phi dxi: ``(values, moments)`` of shape
+    ``lo.shape[:-1]``, moments None without it.
+
+    ``lo`` (B, n, 4) and ``width`` (B or 1, n, 4) are the panels in the
+    standardized variable xi, ``h`` (B or 1, n, 4, G) holds H at their
+    Gauss-Legendre nodes xi = lo + width r.
+    """
+    xi = _scratch.array("xi", lo.shape + r.shape)
+    np.add(lo[..., np.newaxis],
+           np.multiply(width[..., np.newaxis], r, out=xi), out=xi)
+    phi = np.multiply(xi, xi, out=xi)                  # xi is spent
+    np.exp(np.multiply(-0.5, phi, out=phi), out=phi)
+    h_phi = np.multiply(np.multiply(phi, _INV_SQRT_2PI, out=phi), h, out=phi)
+    mass = np.einsum("bspg,g->bsp", h_phi, w,
+                     out=_scratch.array("mass", lo.shape))
+    values = _by_side(width * mass)
+    if not with_jacobian:
+        return values, None
+    # int H xi phi over each panel, xi = lo + width r
+    return values, _by_side(width * (
+        lo * mass + width * np.einsum("bspg,g->bsp", h_phi, w * r)))
+
+
+def _tiles(columns, tile):
+    """The indices of the True entries of ``columns``, ascending, in runs
+    of at most ``tile``: a slice where a run is contiguous (a view, not a
+    copy), else an index array."""
+    idx = np.flatnonzero(columns)
+    for j in range(0, idx.size, tile):
+        run = idx[j:j + tile]
+        yield (slice(run[0], run[-1] + 1)
+               if run[-1] - run[0] + 1 == run.size else run)
+
+
 def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                        rule: LagRule, n_gl: int = 32, knot_weights=None):
     """Vectorized int_0^{L} K(t, x, s, z-(s), z+(s)) ds for a batch of x.
@@ -132,20 +184,34 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         ``d_x`` (B,) holds each value's derivative in its own evaluation
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
-    The inner integral per (x, s-node) uses four Gauss-Legendre panels in
-    the standardized variable, from five breakpoints a <= cut- <= mid <=
-    cut+ <= c, where mid is the image of the kink y = 0.  The cuts lie
-    where H's dip around the kink has died out, ``_CLIP`` widths
-    sqrt(T - t - s) from it, or halfway to the window edge if that is
-    nearer: near the horizon the dip is narrow, and a panel that spans a
-    whole side leaves it unresolved.  Empty or clipped-away windows
-    contribute exactly 0.  Lag nodes are cut into tiles of
-    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` nodes, run one after the
-    other on the calling thread, each one H pass over its four panels;
-    every (x, s-node) entry gets the same arithmetic whatever the tile, so
-    the result does not depend on the tiling.  The lag sum runs along each
-    point's own row, so neither does it depend on the batch width: a
-    point's value is the same bit for bit alone or in any batch.
+    The inner integral per (x, s-node) entry uses four Gauss-Legendre
+    panels, from five breakpoints: the window edges, the kink y = 0
+    clipped into the window, and between them two cuts where H's dip
+    around the kink has died out, ``_CLIP`` widths sqrt(T - t - s) from
+    it, or halfway to the window edge if that is nearer: near the horizon
+    the dip is narrow, and a panel that spans a whole side leaves it
+    unresolved.  Empty or clipped-away windows contribute exactly 0.
+
+    An entry whose window lies within ``_CLIP`` standard deviations of its
+    transition density's center is *free*: its breakpoints are the same
+    points y for every free entry of its lag node, and so are its nodes
+    and their H values.  A free entry is integrated on those shared
+    nodes, as (width in y)/sqrt(s) times sum_g w_g H_g phi((y_g - x -
+    mu s)/sqrt(s)); only phi depends on x.  Any other entry is *clipped*:
+    its window is cut to ``_CLIP`` standard deviations, and its panels are
+    built in the standardized variable xi = (y - x - mu s)/sqrt(s), with
+    their own nodes and H values.  Each entry's path follows from its own
+    flag, and the lag sum runs along each point's own row, so a point's
+    value is the same bit for bit alone or in any batch.
+
+    A call is two passes over tiles of at most
+    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes, run one after the
+    other on the calling thread: the shared pass evaluates H once per
+    node of the lags with a free entry (once for the batch, or once per
+    point with per-point windows), and the clipped pass evaluates H for
+    every point of the lags with a clipped entry, where each entry keeps
+    the result of its own path.  Every entry gets the same arithmetic
+    whatever the tile, so the result does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -168,46 +234,64 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     zm = np.asarray(z_minus, dtype=float)
     zp = np.asarray(z_plus, dtype=float)
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
-    a = np.maximum((zm - center) / sq, -_CLIP)
-    c = np.minimum((zp - center) / sq, _CLIP)
-    c = np.maximum(c, a)
-    mid = np.clip(-center / sq, a, c)
+    a = (zm - center) / sq
+    c = (zp - center) / sq
+    free = (a > -_CLIP) & (c < _CLIP)
+    a = np.maximum(a, -_CLIP)
+    c = np.maximum(np.minimum(c, _CLIP), a)
     s_rem = spec.T - t - s                             # (1, n_s), > 0
-    # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); in xi it has
-    # died out _CLIP of those widths from the kink
-    dip = _CLIP * np.sqrt(s_rem / s)                   # (1, n_s)
     r, w = _gauss_unit(n_gl // 2)
-    wr = w * r
-    # a <= cut- <= mid <= cut+ <= c, the edges of the four panels
-    breaks = (a, np.maximum(mid - dip, 0.5 * (a + mid)), mid,
-              np.minimum(mid + dip, 0.5 * (mid + c)), c)
     out = np.empty((xs.size, rule.n))
     moment = np.empty((xs.size, rule.n)) if with_jacobian else None
     tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
-    for j in range(0, rule.n, tile):
-        cols = slice(j, min(j + tile, rule.n))
-        edges = np.stack([v[:, cols] for v in breaks], axis=-1)
-        lo_t, width_t = edges[..., :-1], np.diff(edges)  # (B, tile, panel)
-        xi, y, h, *h_work = (_scratch.array(name, lo_t.shape + (n_gl // 2,))
-                             for name in ("xi", "y", "h", "a", "nu", "tmp"))
-        mass = _scratch.array("mass", lo_t.shape)
-        center_t, sq_t, s_rem_t = (v[:, cols, np.newaxis, np.newaxis]
-                                   for v in (center, sq, s_rem))
-        # xi = lo + width r, y = center + sq xi
-        np.add(lo_t[..., np.newaxis],
-               np.multiply(width_t[..., np.newaxis], r, out=xi), out=xi)
-        np.add(center_t, np.multiply(sq_t, xi, out=y), out=y)
-        _gain_H_into(spec.mu, s_rem_t, y, h, *h_work)
-        phi = y                                        # y is spent
-        np.multiply(np.multiply(-0.5, xi, out=phi), xi, out=phi)
-        np.multiply(np.exp(phi, out=phi), _INV_SQRT_2PI, out=phi)
-        h_phi = np.multiply(h, phi, out=h)
-        np.einsum("bspg,g->bsp", h_phi, w, out=mass)
-        out[:, cols] = _by_side(width_t * mass)
+
+    # shared pass: panels in y, (1, n_s) or per point (B, n_s)
+    shape = np.broadcast_shapes(zm.shape, zp.shape, s.shape)
+    zm_y = np.broadcast_to(zm, shape)
+    zp_y = np.broadcast_to(np.maximum(zp, zm), shape)  # empty: zero widths
+    dip_y = _CLIP * np.sqrt(s_rem)
+    for cols in _tiles(free.any(axis=0), tile):
+        lo_y, width_y = _panels(zm_y[:, cols], zp_y[:, cols], 0.0,
+                                dip_y[:, cols])
+        y, h, *h_work = (_scratch.array(name, lo_y.shape + r.shape)
+                         for name in ("y", "h", "a", "nu", "tmp"))
+        np.add(lo_y[..., np.newaxis],
+               np.multiply(width_y[..., np.newaxis], r, out=y), out=y)
+        _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y, h,
+                     *h_work)
+        sq_t = sq[:, cols, np.newaxis]
+        out[:, cols], m = _panel_sums(
+            (lo_y - center[:, cols, np.newaxis]) / sq_t, width_y / sq_t, h,
+            r, w, with_jacobian)
         if with_jacobian:
-            # int H xi phi over each panel, xi = lo + width r
-            moment[:, cols] = _by_side(width_t * (
-                lo_t * mass + width_t * np.einsum("bspg,g->bsp", h_phi, wr)))
+            moment[:, cols] = m
+
+    # clipped pass: panels in xi, the image of the kink at its center
+    # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); in xi it has
+    # died out _CLIP of those widths from the kink
+    dip = _CLIP * np.sqrt(s_rem / s)                   # (1, n_s)
+    for cols in _tiles(~free.all(axis=0), tile):
+        a_t, c_t, center_t, sq_t = (v[:, cols] for v in (a, c, center, sq))
+        lo, width = _panels(a_t, c_t, -center_t / sq_t, dip[:, cols])
+        y, h, *h_work = (_scratch.array(name, lo.shape + r.shape)
+                         for name in ("y", "h", "a", "nu", "tmp"))
+        # y = center + sq xi, xi = lo + width r
+        np.add(lo[..., np.newaxis],
+               np.multiply(width[..., np.newaxis], r, out=y), out=y)
+        np.add(center_t[..., np.newaxis, np.newaxis],
+               np.multiply(sq_t[..., np.newaxis, np.newaxis], y, out=y),
+               out=y)
+        _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y, h,
+                     *h_work)
+        values, m = _panel_sums(lo, width, h, r, w, with_jacobian)
+        keep = free[:, cols]
+        if keep.any():
+            values = np.where(keep, out[:, cols], values)
+            if with_jacobian:
+                m = np.where(keep, moment[:, cols], m)
+        out[:, cols] = values
+        if with_jacobian:
+            moment[:, cols] = m
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:
@@ -219,9 +303,11 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     xi_edge = np.stack([a_at, c_at])                   # (2, B, n_at)
     z_edge = np.stack([np.broadcast_to(z, center.shape)[:, at]
                        for z in (zm, zp)])
-    free = np.stack([a_at > -_CLIP, c_at < _CLIP]) & (c_at > a_at)
+    free_edge = np.stack([a_at > -_CLIP, c_at < _CLIP]) & (c_at > a_at)
     dens = _gain_H_raw(spec.mu, s_rem[:, at], z_edge) \
         * np.exp(-0.5 * xi_edge * xi_edge) * _INV_SQRT_2PI
     lag_w = rule.weights[at] * np.asarray(knot_weights)[at] / sq[0, at]
-    d_beta = np.where(free, dens, 0.0) @ lag_w         # (2, B)
+    # a row sum, like the lag sums: a matrix product's rounding may depend
+    # on the batch width
+    d_beta = (np.where(free_edge, dens, 0.0) * lag_w).sum(axis=-1)  # (2, B)
     return values, d_x, np.column_stack([-d_beta[0], d_beta[1]])

@@ -8,7 +8,7 @@ their (estimate, standard error) pairs are frozen into the test modules
 together with the generating seed and sample size.
 
 The references at the end (scalar Brent root of H, adaptive scalar kernel,
-untiled lag integral, quadrature law of g and nested-quad E g) use a frozen
+untiled lag integrals, quadrature law of g and nested-quad E g) use a frozen
 copy of the package's gain function H, written as plain expressions, and
 the package's lag rule: they check how the package solves and integrates,
 not what it integrates.  The four-term bivariate-normal law
@@ -353,45 +353,124 @@ def kernel_K(spec: ProblemSpec, q: KernelQuery, eps_k: float = 1e-9) -> float:
     raise RuntimeError(f"kernel quadrature did not reach eps_k={eps_k}")
 
 
-def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
-                               z_plus, rule: LagRule,
-                               n_gl: int = _KERNEL_N_GL) -> np.ndarray:
-    """``lastzero.lag_integral_batch`` as one untiled pass over all lags.
+def _four_panels(lo, hi, mid, dip):
+    """The kernel's four panels, lo <= cut- <= mid <= cut+ <= hi, as
+    (start, width) with the panel on a new last axis."""
+    edges = np.stack([lo, np.maximum(mid - dip, 0.5 * (lo + mid)), mid,
+                      np.minimum(mid + dip, 0.5 * (mid + hi)), hi], axis=-1)
+    return edges[..., :-1], np.diff(edges)
 
-    The package evaluates the same arithmetic in tiles of lag nodes; tests
-    require the two to agree bit for bit.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if rule.n == 0:
-        return np.zeros(xs.shape)
-    s = rule.nodes[np.newaxis, :]                      # (1, n_s)
+
+def _as_rows(z, n_s):
+    """A window edge, scalar, (n_s,) or (B, n_s), as a (1 or B, n_s) array."""
+    z = np.asarray(z, dtype=float)
+    return z if z.ndim == 2 else np.broadcast_to(z, (1, n_s))
+
+
+def _standardized_entries(spec: ProblemSpec, t: float, xs, zm, zp,
+                          nodes, n_gl: int):
+    """Each (point, lag) entry's inner integral and its moment
+    int H xi phi dxi, both (B, n_s), with its panels in the standardized
+    variable xi = (y - x - mu s)/sqrt(s) and its window clipped to
+    ``_CLIP`` standard deviations; also the clipped window (a, c)."""
+    s = nodes[np.newaxis, :]                           # (1, n_s)
     sq = np.sqrt(s)
-    zm = np.asarray(z_minus, dtype=float)
-    zp = np.asarray(z_plus, dtype=float)
-    if zm.ndim == 1:
-        zm = zm[np.newaxis, :]
-    if zp.ndim == 1:
-        zp = zp[np.newaxis, :]
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
     a = np.maximum((zm - center) / sq, -_CLIP)
     c = np.minimum((zp - center) / sq, _CLIP)
     c = np.maximum(c, a)
     mid = np.clip(-center / sq, a, c)
     s_rem = spec.T - t - s                             # (1, n_s), > 0 by rule
-    dip = _CLIP * np.sqrt(s_rem / s)
-    edges = np.stack([a, np.maximum(mid - dip, 0.5 * (a + mid)), mid,
-                      np.minimum(mid + dip, 0.5 * (mid + c)), c], axis=-1)
+    lo, width = _four_panels(a, c, mid, _CLIP * np.sqrt(s_rem / s))
     r, w = _gauss_unit(n_gl // 2)
-    out = np.zeros((xs.size, rule.n))
-    for side in (slice(0, 2), slice(2, 4)):
-        lo, width = edges[..., side], np.diff(edges)[..., side]  # (B, n_s, 2)
-        xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
-        y = center[..., np.newaxis, np.newaxis] + sq[..., np.newaxis,
-                                                     np.newaxis] * xi
-        h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis], y)
-        phi = np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi))
-        out += (width * np.einsum("bspg,g->bsp", h * phi, w)).sum(axis=2)
-    return (out * rule.weights).sum(axis=1)
+    xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
+    y = center[..., np.newaxis, np.newaxis] + sq[..., np.newaxis,
+                                                 np.newaxis] * xi
+    h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis], y)
+    h_phi = h * (np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi)))
+    mass = np.einsum("bspg,g->bsp", h_phi, w)
+    inner = width * mass
+    mom = width * (lo * mass + width * np.einsum("bspg,g->bsp", h_phi, w * r))
+    return ((inner[..., 0] + inner[..., 1]) + (inner[..., 2] + inner[..., 3]),
+            (mom[..., 0] + mom[..., 1]) + (mom[..., 2] + mom[..., 3]), a, c)
+
+
+def lag_integral_batch_standardized(spec: ProblemSpec, t: float, xs,
+                                    z_minus, z_plus, rule: LagRule,
+                                    n_gl: int = _KERNEL_N_GL,
+                                    knot_weights=None):
+    """The lag integral with every entry standardized
+    (``_standardized_entries``), untiled: the package's arithmetic before
+    free entries shared their nodes in y, with the Jacobian
+    (``knot_weights``) as the package then returned it, ``d_beta`` a
+    matrix product.
+
+    The package still takes this path for its clipped entries, so on a
+    window clipped at every lag the two agree bit for bit; elsewhere they
+    differ by rounding.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    zm, zp = _as_rows(z_minus, rule.n), _as_rows(z_plus, rule.n)
+    inner, mom, a, c = _standardized_entries(spec, t, xs, zm, zp,
+                                             rule.nodes, n_gl)
+    values = (inner * rule.weights).sum(axis=1)
+    if knot_weights is None:
+        return values
+    sq = np.sqrt(rule.nodes)
+    d_x = (mom * (rule.weights / sq)).sum(axis=1)
+    # edge terms: the density at each unclipped edge of a non-empty window,
+    # on the lag nodes that see the knots
+    at = np.flatnonzero(knot_weights)
+    a, c = a[:, at], c[:, at]
+    free = np.stack([a > -_CLIP, c < _CLIP]) & (c > a)  # (2, B, n_at)
+    z_edge = np.stack([np.broadcast_to(z, (xs.size, rule.n))[:, at]
+                       for z in (zm, zp)])
+    xi_edge = np.stack([a, c])
+    dens = gain_H_reference(spec.mu, spec.T - t - rule.nodes[at], z_edge) \
+        * np.exp(-0.5 * xi_edge * xi_edge) * (1.0 / np.sqrt(2.0 * np.pi))
+    lag_w = rule.weights[at] * np.asarray(knot_weights)[at] / sq[at]
+    d_beta = np.where(free, dens, 0.0) @ lag_w
+    return values, d_x, np.column_stack([-d_beta[0], d_beta[1]])
+
+
+def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
+                               z_plus, rule: LagRule,
+                               n_gl: int = _KERNEL_N_GL) -> np.ndarray:
+    """``lastzero.lag_integral_batch`` as one untiled pass over all lags,
+    each entry integrated both ways.
+
+    An entry whose window lies within ``_CLIP`` standard deviations of its
+    center is free: it takes the integral on the panels of its window in
+    y, whose nodes and H values every free entry of the lag shares, with
+    only phi depending on x.  Any other entry takes its standardized
+    integral (``_standardized_entries``).  The package evaluates the same
+    arithmetic in tiles of lag nodes, and each path only where an entry
+    needs it; tests require the two to agree bit for bit.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if rule.n == 0:
+        return np.zeros(xs.shape)
+    s = rule.nodes[np.newaxis, :]                      # (1, n_s)
+    sq = np.sqrt(s)
+    zm, zp = _as_rows(z_minus, rule.n), _as_rows(z_plus, rule.n)
+    center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
+    free = ((zm - center) / sq > -_CLIP) & ((zp - center) / sq < _CLIP)
+    s_rem = spec.T - t - s
+    zp_y = np.maximum(zp, zm)
+    lo_y, width_y = _four_panels(zm, zp_y, np.clip(0.0, zm, zp_y),
+                                 _CLIP * np.sqrt(s_rem))   # (1 or B, n_s, 4)
+    r, w = _gauss_unit(n_gl // 2)
+    h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis],
+                         lo_y[..., np.newaxis] + width_y[..., np.newaxis] * r)
+    # the same panels in xi, around each point's own center
+    sq_p = sq[..., np.newaxis]
+    lo, width = (lo_y - center[..., np.newaxis]) / sq_p, width_y / sq_p
+    xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
+    phi = np.exp(-0.5 * (xi * xi)) * (1.0 / np.sqrt(2.0 * np.pi))
+    out = width * np.einsum("bspg,g->bsp", phi * h, w)
+    shared = (out[..., 0] + out[..., 1]) + (out[..., 2] + out[..., 3])
+    own = _standardized_entries(spec, t, xs, zm, zp, rule.nodes, n_gl)[0]
+    return (np.where(free, shared, own) * rule.weights).sum(axis=1)
 
 
 def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,

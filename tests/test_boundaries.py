@@ -246,15 +246,15 @@ class TestRegressionPins:
     PINS = {
         (0.8, 1.0, 60): (243, (
             "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
-            "eb10a785c6e81bbe4e0268a4010fc166b6e3173540f0fa3270fb284623d3f1e0",
-            "70d225e34d8aa1d9a25a886b04dd848c2da159376e4faabde34e9a82510627a1",
-            "6d53e03b92fb08f99bc7b8d10d662128a32a60f149f6c1794d037f609db9629e",
+            "9fd236747f088d3fb6f29b543d8603c2fdfe049146adfb0c011ae616caa6b9b5",
+            "3b76facf24caefec3dcf06480a8c565d2ec9c068f03dee99d9c77b0f945ca7d8",
+            "8301972e75926ee676141bf9c45e014dd82df361315acffd3d57c239859f130a",
         )),
         (-1.5, 2.0, 80): (323, (
             "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
-            "3cc92d11e96bf73c1f3c2a79f5cf5d9c20b1a6c602dc17014df12f6419f96e7c",
-            "2dc62b310e243b650f32110d655b8b1062a327d1457b9564bb0ee21af6b6c6e0",
-            "4106f993b828baacca6e02e7048019791656e5972567c9e477474dd949d05b06",
+            "d3e0473ec8c6f8ba1087c3a058b0beda41b6f08f9b0be5262834a09b1232491b",
+            "0b38206abcf781863cbf244fb21f67ea21455ea12071dda31b9484ed1c69927e",
+            "e14a2a325156aa45641350fb220c14b14dabc95aaf45a09a0e45cb054162151e",
         )),
     }
 
@@ -525,6 +525,25 @@ class TestNonConvergence:
         assert exc.value.step == 11
         assert exc.value.cause == "singular Jacobian"
         assert len(calls) == 1
+
+    def test_runaway_iterate_raises_at_once(self, monkeypatch):
+        # at nu = 1 and 800 steps the iterate of step 194 runs off towards
+        # the trivial root b- -> -infinity, 0.25 a step; it took all 200
+        # iterations to reach b- = -50 before the runaway bound ended it
+        lags = []
+        real = boundaries_module.lag_integral_batch
+
+        def counting(spec, t, *args, **kwargs):
+            lags.append(t)
+            return real(spec, t, *args, **kwargs)
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch", counting)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_boundaries(ProblemSpec(mu=1.0, T=1.0),
+                             SolverConfig(n_steps=800))
+        assert exc.value.step == 194
+        assert "ran off" in exc.value.cause and "trivial root" in str(exc.value)
+        assert lags.count(lags[-1]) <= 15
 
     @pytest.mark.parametrize("part", ["residual", "Jacobian"])
     def test_non_finite_system_names_cause(self, monkeypatch, part):

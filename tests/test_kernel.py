@@ -3,8 +3,9 @@
 Cross-validation strategy: the fixed-rule vectorized integrator is checked
 against (a) the adaptive scalar kernel, (b) scipy.integrate.quad / dblquad
 reference values, (c) a plain Monte Carlo estimate of the kernel's
-defining expectation, and (d) its own untiled form, bit for bit.  The
-scalar kernel and the untiled form live in ``oracles.py``.
+defining expectation, (d) its own untiled form, bit for bit, and (e) the
+same integral with every entry standardized, to rounding.  The scalar
+kernel and both untiled forms live in ``oracles.py``.
 """
 
 import sys
@@ -32,6 +33,7 @@ from oracles import (
     KernelQuery,
     integrate_K_over_lag,
     kernel_K,
+    lag_integral_batch_standardized,
     lag_integral_batch_untiled,
 )
 
@@ -371,6 +373,24 @@ class TestLagTiling:
         for got, want in zip(one_lag, whole):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    def test_rounding_against_standardized(self, n_points, window):
+        # free entries integrate on nodes shared in y, the reference puts
+        # every entry on its own nodes in xi: the same rule, rounded
+        # differently (at most 1 ulp of the largest entry here); on the
+        # clipped window every entry takes the standardized path
+        rule, xs, zm, zp = self._inputs(n_points, window)
+        knot_weights = _knot_weights(self.t, 0.1, rule)
+        got = lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
+                                 knot_weights=knot_weights)
+        want = lag_integral_batch_standardized(self.spec, self.t, xs, zm, zp,
+                                               rule, knot_weights=knot_weights)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 2 * np.spacing(np.max(np.abs(w)))
+            if window == "clipped":
+                assert np.array_equal(g, w)
+
     def test_peak_memory_bounded(self):
         import tracemalloc
 
@@ -400,6 +420,47 @@ class TestLagTiling:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+class TestBatchInvariance:
+    """A point's results do not depend on the batch it is computed in,
+    though which path a lag column takes depends on all its entries."""
+
+    spec, t = ProblemSpec(mu=0.7, T=1.0), 0.2
+
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_each_point_equals_itself_alone(self, with_jacobian):
+        rule = lag_rule(self.spec.T - self.t)
+        half = 1.1 * np.sqrt(self.spec.T - self.t - rule.nodes)
+        zm, zp = -half - 0.05, half
+        lo, hi = zm[0], zp[0]
+        # near both edges (clipped on the far side at the smallest lags
+        # only), inside, at the centre and just outside the window
+        xs = np.array([lo + 1e-7, lo + 1e-4, lo + 0.02, -0.3, 0.0, 0.25,
+                       hi - 0.02, hi - 1e-4, hi - 1e-7, lo - 0.01, hi + 0.01])
+        center = xs[:, np.newaxis] + self.spec.mu * rule.nodes
+        sq = np.sqrt(rule.nodes)
+        clipped = ~(((zm - center) / sq > -kernel_module._CLIP)
+                    & ((zp - center) / sq < kernel_module._CLIP))
+        # points clipped at different numbers of small lags, in one batch
+        assert len(set(clipped.sum(axis=1))) >= 3
+        assert clipped.all(axis=0).any() and not clipped.all()
+        knot_weights = (_knot_weights(self.t, 0.01, rule) if with_jacobian
+                        else None)
+
+        def call(x):
+            got = lag_integral_batch(self.spec, self.t, x, zm, zp, rule,
+                                     knot_weights=knot_weights)
+            return got if with_jacobian else (got,)
+
+        batch = call(xs)
+        for order in (np.arange(xs.size), np.arange(xs.size)[::-1],
+                      np.array([4, 0, 8])):
+            for got, want in zip(call(xs[order]), batch):
+                assert np.array_equal(got, want[order])
+        for i, x in enumerate(xs):
+            for got, want in zip(call([x]), batch):
+                assert np.array_equal(got[0], want[i])
 
 
 def _knot_weights(t, cell, rule):
@@ -532,10 +593,12 @@ _TILE_SHAPES = pytest.mark.parametrize("n_points, n_lags, n_gl", [
 
 
 class TestLagTileItems:
-    """A call runs its tiles in lag order on the calling thread, one H pass
-    over all four panels per tile: together they cover the lag nodes once,
-    each stays within the H-point budget, and neither depends on the worker
-    count or needs the pool."""
+    """A call runs its tiles in lag order on the calling thread, one H call
+    per tile: first the shared pass over the lags with a free entry, on
+    nodes shared by the batch, then the clipped pass over the lags with a
+    clipped entry, on every point's own nodes.  Each tile stays within the
+    H-point budget, and neither pass depends on the worker count or needs
+    the pool."""
 
     spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
 
@@ -550,32 +613,56 @@ class TestLagTileItems:
         monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
         return calls
 
+    def _free(self, xs, rule):
+        """Entries whose window (-1, 1) lies within _CLIP sd of the center."""
+        center = xs[:, np.newaxis] + self.spec.mu * rule.nodes
+        sq = np.sqrt(rule.nodes)
+        return (((-1.0 - center) / sq > -kernel_module._CLIP)
+                & ((1.0 - center) / sq < kernel_module._CLIP))
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @_TILE_SHAPES
     def test_tiles(self, monkeypatch, workers, n_points, n_lags, n_gl):
         rule = lag_rule(self.spec.T - self.t, n_lags)
+        xs = np.linspace(-0.5, 0.5, n_points)
         monkeypatch.setattr(shared_module, "workers", lambda: workers)
         calls = self._record_H_calls(monkeypatch)
-        lag_integral_batch(self.spec, self.t,
-                           np.linspace(-0.5, 0.5, n_points), -1.0, 1.0, rule,
-                           n_gl=n_gl)
-        # one H call per tile, the tiles in lag order, each lag once
-        tiles = [s_rem for s_rem, _ in calls]
-        assert np.array_equal(np.concatenate(tiles),
-                              self.spec.T - self.t - rule.nodes)
-        # four panels of n_gl / 2 nodes per (point, lag)
-        points = [size for _, size in calls]
-        assert points == [2 * n_points * n_gl * tile.size for tile in tiles]
-        assert max(points) <= max(kernel_module._TILE_H_POINTS,
-                                  2 * n_points * n_gl)
+        lag_integral_batch(self.spec, self.t, xs, -1.0, 1.0, rule, n_gl=n_gl)
+        free = self._free(xs, rule)
+        assert free.any() and not free.all()
+        tile = max(1, kernel_module._TILE_H_POINTS // (2 * n_points * n_gl))
+        want = []    # (lag nodes, rows of H) per tile
+        for lags, rows in ((free.any(axis=0), 1),
+                           (~free.all(axis=0), n_points)):
+            idx = np.flatnonzero(lags)
+            want += [(idx[j:j + tile], rows) for j in range(0, idx.size, tile)]
+        assert len(calls) == len(want)
+        for (s_rem, size), (cols, rows) in zip(calls, want):
+            assert np.array_equal(s_rem,
+                                  self.spec.T - self.t - rule.nodes[cols])
+            # four panels of n_gl / 2 nodes per row and lag
+            assert size == 2 * rows * n_gl * cols.size
+            assert size <= max(kernel_module._TILE_H_POINTS,
+                               2 * n_points * n_gl)
 
     def test_solver_call_is_one_H_pass(self, monkeypatch):
-        # 2 points x 128 lags x 4 panels x 16 nodes, with the Jacobian
+        # 2 points x 128 lags with the Jacobian: one tile, so one H call
+        # per pass, 4 panels x 16 nodes on 109 lags for the batch and on
+        # 20 lags for each point (2 x 128 x 64 = 16384 points unshared)
         rule = lag_rule(self.spec.T - self.t, 128)
         calls = self._record_H_calls(monkeypatch)
         lag_integral_batch(self.spec, self.t, [-0.3, 0.4], -1.0, 1.0, rule,
                            knot_weights=_knot_weights(self.t, 0.1, rule))
-        assert [size for _, size in calls] == [16384]
+        assert [size for _, size in calls] == [6976, 2560]
+
+    def test_value_batch_shares_H(self, monkeypatch):
+        # 64 points: 11.4 H points per (point, lag) entry, against 64 when
+        # every entry has its own nodes
+        rule = lag_rule(self.spec.T - self.t, 128)
+        xs = np.linspace(-0.5, 0.5, 64)
+        calls = self._record_H_calls(monkeypatch)
+        lag_integral_batch(self.spec, self.t, xs, -1.0, 1.0, rule)
+        assert sum(size for _, size in calls) <= 12 * xs.size * rule.n
 
     @_TILE_SHAPES
     def test_serial_without_pool(self, monkeypatch, n_points, n_lags, n_gl):
