@@ -29,7 +29,9 @@ succeeds depends on nu and ``n_steps`` alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,14 +204,24 @@ class BoundaryPair:
             raise SchemaError(f"malformed boundary file: {exc}") from exc
 
     @classmethod
-    def load_json(cls, path) -> "BoundaryPair":
+    def load_json(cls, path, with_source: bool = False):
         """Read a boundary file; malformed content raises
-        :class:`SchemaError` naming ``path``."""
+        :class:`SchemaError` naming ``path``.  With ``with_source``, return
+        ``(pair, source)``, where ``source`` is what a consumer's manifest
+        records of the file from the same read: its name, its sha256 and
+        the ``manifest_hash`` it carries (None if none)."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json_dict(json.load(fh))
+            with open(path, "rb") as fh:
+                data = fh.read()
+            doc = json.loads(data.decode("utf-8"))
+            pair = cls.from_json_dict(doc)
         except ValueError as exc:   # also undecodable bytes and bad JSON
             raise SchemaError(f"{path}: {exc}") from exc
+        if not with_source:
+            return pair
+        return pair, {"name": os.path.basename(path),
+                      "sha256": hashlib.sha256(data).hexdigest(),
+                      "manifest_hash": doc.get("manifest_hash")}
 
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
         hc = h_curves(self.spec, self.grid)

@@ -4,9 +4,12 @@ Every command is a pure function of its flags, input files, and seed.  A
 JSON manifest with a content hash over (command, spec, config, version,
 output names) accompanies the outputs, and each output references that
 hash, so any figure or table can be traced to the exact invocation that
-produced it.  A manifest is named for its command (``solve.manifest.json``
-in ``--out``) or its output file (``<file>.manifest.json``), so commands
-that write into one directory keep each other's.  Reruns are
+produced it.  A command that reads boundary files hashes each file's name,
+sha256 and recorded ``manifest_hash`` in its config, so its hash follows
+its inputs' content and a chain of commands can be followed back.  A
+manifest is named for its command (``solve.manifest.json`` in ``--out``)
+or its output file (``<file>.manifest.json``), so commands that write
+into one directory keep each other's.  Reruns are
 byte-identical except the manifest's timestamp and wall-time fields, which
 stay outside the hash.
 
@@ -128,7 +131,7 @@ def _parse_grid(parser, text: str) -> tuple[int, int]:
 
 def cmd_value(parser, args) -> int:
     t0 = time.monotonic()
-    bp = BoundaryPair.load_json(args.boundaries)
+    bp, source = BoundaryPair.load_json(args.boundaries, with_source=True)
     n_t, n_x = _parse_grid(parser, args.grid)
     spec = bp.spec
     surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
@@ -140,7 +143,7 @@ def cmd_value(parser, args) -> int:
         os.makedirs(args.out, exist_ok=True)
         core, h = _manifest_core(
             "value", {"mu": spec.mu, "T": spec.T},
-            {"grid": args.grid, "boundaries": os.path.basename(args.boundaries)},
+            {"grid": args.grid, "boundaries": source},
             ["surface.csv"])
         _write_outputs(
             os.path.join(args.out, "value.manifest.json"), core, h, t0,
@@ -152,7 +155,7 @@ def cmd_value(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     _positive(parser, "--paths", args.paths)
     t0 = time.monotonic()
-    bp = BoundaryPair.load_json(args.boundaries)
+    bp, source = BoundaryPair.load_json(args.boundaries, with_source=True)
     spec = bp.spec
     try:
         cfg = SimConfig(n_paths=args.paths, n_steps=args.steps,
@@ -168,8 +171,7 @@ def cmd_simulate(parser, args) -> int:
     core, h = _manifest_core(
         "simulate", {"mu": spec.mu, "T": spec.T},
         {"paths": args.paths, "steps": args.steps, "seed": args.seed,
-         "policy": args.policy,
-         "boundaries": os.path.basename(args.boundaries)},
+         "policy": args.policy, "boundaries": source},
         [os.path.basename(p) for p in (args.out, args.dump) if p])
     doc = report.to_json_dict()
     doc["manifest_hash"] = h
@@ -216,11 +218,12 @@ def cmd_compare(parser, args) -> int:
 
 def cmd_plot(parser, args) -> int:
     t0 = time.monotonic()
-    pairs = [BoundaryPair.load_json(p) for p in args.boundaries]
+    pairs, sources = zip(*(BoundaryPair.load_json(p, with_source=True)
+                           for p in args.boundaries))
     core, h = _manifest_core(
         "plot",
         {"mus": [p.spec.mu for p in pairs], "Ts": [p.spec.T for p in pairs]},
-        {"inputs": [os.path.basename(p) for p in args.boundaries]},
+        {"inputs": list(sources)},
         [os.path.basename(args.out)])
     _write_outputs(
         args.out + ".manifest.json", core, h, t0,

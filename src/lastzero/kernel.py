@@ -12,25 +12,22 @@ lag endpoints are tamed by the substitutions s = u^2 (near s = 0, where the
 transition density concentrates) and T - t - s = v^2 (near the horizon,
 where H has a square-root derivative blow-up), restoring smooth integrands.
 
-Each inner integral is four Gauss-Legendre panels over the window, split
-at the kink y = 0 and again where H's dip around it has died out.  Where a
-(point, lag) entry's window lies within ten standard deviations of its
-transition density, every such entry of the lag shares the nodes y and
-their H values, two normal CDFs per node and nearly all of the cost; any
-other entry is clipped to ten standard deviations and integrated in the
-standardized variable, so that narrow densities at small lags are always
-resolved.  A call is two serial passes over tiles of lag nodes, on the
-calling thread whatever calls it; parallelism belongs to the callers that
-hold independent calls (``value`` rows and the certificate's times).  No
-result depends on the tiling or on the batch.  A tile's (point, lag,
-panel, node) arrays are the thread's own work arrays (``_shared.Scratch``),
-reused from tile to tile and call to call and kept for the life of the
-thread; ufuncs write into them with ``out=``, so the steady state
-allocates no tile memory.  Each holds at most max(2^15, 2 B n_gl) points:
-256 KB in a ``value`` row, 128 KB in a solver call.  On request the same
-passes also give the integral's derivatives in the evaluation point and
-in the knot values of the window edges: the boundary solver's exact
-Jacobian.
+Each inner integral is four Gauss-Legendre panels in y over the window cut
+to ten standard deviations of the transition density, split at the kink
+y = 0 and again where H's dip around it has died out.  Where no entry of a
+lag is cut, every point shares the lag's nodes y and their H values, two
+normal CDFs per node and nearly all of the cost.  A call is two serial
+loops over tiles of lag nodes, on the calling thread whatever calls it;
+parallelism belongs to the callers that hold independent calls (``value``
+rows and the certificate's times).  No result depends on the tiling or on
+the batch.  A tile's (point, lag, panel, node) arrays are the thread's own
+work arrays (``_shared.Scratch``), reused from tile to tile and call to
+call and kept for the life of the thread; ufuncs write into them with
+``out=``, so the steady state allocates no tile memory.  Each holds at
+most max(2^15, 2 B n_gl) points: 256 KB in a ``value`` row, 128 KB in a
+solver call.  On request the same loops also give the integral's
+derivatives in the evaluation point and in the knot values of the window
+edges: the boundary solver's exact Jacobian.
 """
 
 from __future__ import annotations
@@ -112,16 +109,16 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
                    weights=np.concatenate([w_lo, w_hi[order]]))
 
 
-def _panels(lo, hi, kink, dip):
+def _panels(lo, hi, dip):
     """Four panels from the breakpoints lo <= cut- <= mid <= cut+ <= hi,
-    where mid is ``kink`` clipped into [lo, hi], as (start, width) arrays
-    with the panel on a new last axis.  The cuts lie ``dip`` from mid, or
-    halfway to lo or hi if that is nearer."""
-    edges = np.empty(np.broadcast_shapes(lo.shape, np.shape(kink)) + (5,))
+    where mid is the kink y = 0 clipped into [lo, hi], as (start, width)
+    arrays with the panel on a new last axis.  The cuts lie ``dip`` from
+    mid, or halfway to lo or hi if that is nearer."""
+    edges = np.empty(lo.shape + (5,))
     start, cut_lo, mid, cut_hi, end = (edges[..., i] for i in range(5))
     np.copyto(start, lo)
     np.copyto(end, hi)
-    np.minimum(np.maximum(kink, lo, out=mid), hi, out=mid)
+    np.minimum(np.maximum(0.0, lo, out=mid), hi, out=mid)
     np.maximum(mid - dip, 0.5 * (lo + mid), out=cut_lo)
     np.minimum(mid + dip, 0.5 * (mid + hi), out=cut_hi)
     return edges[..., :-1], np.subtract(edges[..., 1:], edges[..., :-1])
@@ -184,33 +181,27 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         ``d_x`` (B,) holds each value's derivative in its own evaluation
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
-    The inner integral per (x, s-node) entry uses four Gauss-Legendre
-    panels, from five breakpoints: the window edges, the kink y = 0
+    Each (x, s-node) entry's window is first cut to ``_CLIP`` standard
+    deviations of its transition density's center x + mu s; an uncut edge
+    stays exactly z- or z+.  Its inner integral uses four Gauss-Legendre
+    panels in y, from five breakpoints: the window edges, the kink y = 0
     clipped into the window, and between them two cuts where H's dip
     around the kink has died out, ``_CLIP`` widths sqrt(T - t - s) from
     it, or halfway to the window edge if that is nearer: near the horizon
     the dip is narrow, and a panel that spans a whole side leaves it
-    unresolved.  Empty or clipped-away windows contribute exactly 0.
+    unresolved.  The entry is (width in y)/sqrt(s) times sum_g w_g H_g
+    phi((y_g - x - mu s)/sqrt(s)) over its panels.  Empty or cut-away
+    windows contribute exactly 0.  An entry's arithmetic depends on its
+    own window alone, and the lag sum runs along each point's own row, so
+    a point's value is the same bit for bit alone or in any batch.
 
-    An entry whose window lies within ``_CLIP`` standard deviations of its
-    transition density's center is *free*: its breakpoints are the same
-    points y for every free entry of its lag node, and so are its nodes
-    and their H values.  A free entry is integrated on those shared
-    nodes, as (width in y)/sqrt(s) times sum_g w_g H_g phi((y_g - x -
-    mu s)/sqrt(s)); only phi depends on x.  Any other entry is *clipped*:
-    its window is cut to ``_CLIP`` standard deviations, and its panels are
-    built in the standardized variable xi = (y - x - mu s)/sqrt(s), with
-    their own nodes and H values.  Each entry's path follows from its own
-    flag, and the lag sum runs along each point's own row, so a point's
-    value is the same bit for bit alone or in any batch.
-
-    A call is two passes over tiles of at most
+    A call is two loops over tiles of at most
     ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes, run one after the
-    other on the calling thread: the shared pass evaluates H once per
-    node of the lags with a free entry (once for the batch, or once per
-    point with per-point windows), and the clipped pass evaluates H for
-    every point of the lags with a clipped entry, where each entry keeps
-    the result of its own path.  Every entry gets the same arithmetic
+    other on the calling thread.  A lag with no cut entry has the same
+    windows for every point, so the first loop evaluates its nodes and H
+    values once for the batch (once per point with per-point windows),
+    and only phi depends on x; the second evaluates H on every point's
+    own nodes for the other lags.  Both give an entry the same arithmetic
     whatever the tile, so the result does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
@@ -234,25 +225,25 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     zm = np.asarray(z_minus, dtype=float)
     zp = np.asarray(z_plus, dtype=float)
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
-    a = (zm - center) / sq
-    c = (zp - center) / sq
-    free = (a > -_CLIP) & (c < _CLIP)
-    a = np.maximum(a, -_CLIP)
-    c = np.maximum(np.minimum(c, _CLIP), a)
+    a = np.maximum((zm - center) / sq, -_CLIP)
+    c = np.maximum(np.minimum((zp - center) / sq, _CLIP), a)
     s_rem = spec.T - t - s                             # (1, n_s), > 0
+    # each entry's window in y, cut to _CLIP sd of its center; an uncut
+    # edge is exactly z- or z+, an empty window has zero width
+    lo = np.where(a > -_CLIP, zm, center - _CLIP * sq)
+    hi = np.maximum(np.where(c < _CLIP, zp, center + _CLIP * sq), lo)
+    # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); it has died out
+    # _CLIP of those widths from the kink
+    dip = _CLIP * np.sqrt(s_rem)                       # (1, n_s)
     r, w = _gauss_unit(n_gl // 2)
     out = np.empty((xs.size, rule.n))
     moment = np.empty((xs.size, rule.n)) if with_jacobian else None
     tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
 
-    # shared pass: panels in y, (1, n_s) or per point (B, n_s)
-    shape = np.broadcast_shapes(zm.shape, zp.shape, s.shape)
-    zm_y = np.broadcast_to(zm, shape)
-    zp_y = np.broadcast_to(np.maximum(zp, zm), shape)  # empty: zero widths
-    dip_y = _CLIP * np.sqrt(s_rem)
-    for cols in _tiles(free.any(axis=0), tile):
-        lo_y, width_y = _panels(zm_y[:, cols], zp_y[:, cols], 0.0,
-                                dip_y[:, cols])
+    def integrate(cols, start, end):
+        """The entries of lags ``cols`` on windows (start, end) in y, one
+        row or B rows of them."""
+        lo_y, width_y = _panels(start, end, dip[:, cols])
         y, h, *h_work = (_scratch.array(name, lo_y.shape + r.shape)
                          for name in ("y", "h", "a", "nu", "tmp"))
         np.add(lo_y[..., np.newaxis],
@@ -266,32 +257,16 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         if with_jacobian:
             moment[:, cols] = m
 
-    # clipped pass: panels in xi, the image of the kink at its center
-    # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); in xi it has
-    # died out _CLIP of those widths from the kink
-    dip = _CLIP * np.sqrt(s_rem / s)                   # (1, n_s)
-    for cols in _tiles(~free.all(axis=0), tile):
-        a_t, c_t, center_t, sq_t = (v[:, cols] for v in (a, c, center, sq))
-        lo, width = _panels(a_t, c_t, -center_t / sq_t, dip[:, cols])
-        y, h, *h_work = (_scratch.array(name, lo.shape + r.shape)
-                         for name in ("y", "h", "a", "nu", "tmp"))
-        # y = center + sq xi, xi = lo + width r
-        np.add(lo[..., np.newaxis],
-               np.multiply(width[..., np.newaxis], r, out=y), out=y)
-        np.add(center_t[..., np.newaxis, np.newaxis],
-               np.multiply(sq_t[..., np.newaxis, np.newaxis], y, out=y),
-               out=y)
-        _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y, h,
-                     *h_work)
-        values, m = _panel_sums(lo, width, h, r, w, with_jacobian)
-        keep = free[:, cols]
-        if keep.any():
-            values = np.where(keep, out[:, cols], values)
-            if with_jacobian:
-                m = np.where(keep, moment[:, cols], m)
-        out[:, cols] = values
-        if with_jacobian:
-            moment[:, cols] = m
+    # lags with no cut entry share the rows of the edges: one row, or one
+    # per point with per-point windows
+    shared = ((a > -_CLIP) & (c < _CLIP)).all(axis=0)
+    shape = np.broadcast_shapes(zm.shape, zp.shape, s.shape)
+    zm_y = np.broadcast_to(zm, shape)
+    zp_y = np.broadcast_to(np.maximum(zp, zm), shape)
+    for cols in _tiles(shared, tile):
+        integrate(cols, zm_y[:, cols], zp_y[:, cols])
+    for cols in _tiles(~shared, tile):
+        integrate(cols, lo[:, cols], hi[:, cols])
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:

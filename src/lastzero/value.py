@@ -33,10 +33,11 @@ _SOURCES = ("integral_formula", "bellman")
 # Points per kernel call in ``value_row``.  It bounds the kernel's memory
 # for a wide row, whose (point, lag) arrays and smallest tile (2 B n_gl
 # H points) grow with the batch; no value depends on it.  A chunk shares
-# each lag's H values among its points, one H point per entry at 64
-# points, while the entries clipped at small lags evaluate about 11 of
-# their own: one call per 200-point row evaluated 1% fewer H points, ran
-# no faster and raised the ``value`` command's peak RSS by 2 MB.
+# the H values of each lag with no cut entry among its points, one H point
+# per entry at 64 points, and evaluates 64 per entry on the other lags:
+# 13.8 per entry over a 100x200 surface.  One call per 200-point row
+# evaluates 1% fewer (13.6); measured on the kernel's earlier two-pass
+# arithmetic, it ran no faster and raised ``value``'s peak RSS by 2 MB.
 _CHUNK = 64
 
 

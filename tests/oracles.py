@@ -400,14 +400,12 @@ def lag_integral_batch_standardized(spec: ProblemSpec, t: float, xs,
                                     n_gl: int = _KERNEL_N_GL,
                                     knot_weights=None):
     """The lag integral with every entry standardized
-    (``_standardized_entries``), untiled: the package's arithmetic before
-    free entries shared their nodes in y, with the Jacobian
-    (``knot_weights``) as the package then returned it, ``d_beta`` a
-    matrix product.
+    (``_standardized_entries``), untiled: each entry on its own panels in
+    xi and H at y = center + sqrt(s) xi, with the Jacobian
+    (``knot_weights``), ``d_beta`` a matrix product.
 
-    The package still takes this path for its clipped entries, so on a
-    window clipped at every lag the two agree bit for bit; elsewhere they
-    differ by rounding.
+    The package integrates every entry on panels in y instead; the two
+    are the same rule and differ by rounding.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zm, zp = _as_rows(z_minus, rule.n), _as_rows(z_plus, rule.n)
@@ -436,16 +434,14 @@ def lag_integral_batch_standardized(spec: ProblemSpec, t: float, xs,
 def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
                                z_plus, rule: LagRule,
                                n_gl: int = _KERNEL_N_GL) -> np.ndarray:
-    """``lastzero.lag_integral_batch`` as one untiled pass over all lags,
-    each entry integrated both ways.
+    """``lastzero.lag_integral_batch`` as one untiled pass over all lags.
 
-    An entry whose window lies within ``_CLIP`` standard deviations of its
-    center is free: it takes the integral on the panels of its window in
-    y, whose nodes and H values every free entry of the lag shares, with
-    only phi depending on x.  Any other entry takes its standardized
-    integral (``_standardized_entries``).  The package evaluates the same
-    arithmetic in tiles of lag nodes, and each path only where an entry
-    needs it; tests require the two to agree bit for bit.
+    Each (point, lag) entry's window is cut to ``_CLIP`` standard
+    deviations of its center, an uncut edge kept exactly, and integrated
+    on four panels in y with only phi depending on the point.  The
+    package evaluates the same arithmetic in tiles of lag nodes, sharing
+    the nodes and H values of lags with no cut entry; tests require the
+    two to agree bit for bit.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if rule.n == 0:
@@ -454,23 +450,24 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
     sq = np.sqrt(s)
     zm, zp = _as_rows(z_minus, rule.n), _as_rows(z_plus, rule.n)
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
-    free = ((zm - center) / sq > -_CLIP) & ((zp - center) / sq < _CLIP)
+    a = np.maximum((zm - center) / sq, -_CLIP)
+    c = np.maximum(np.minimum((zp - center) / sq, _CLIP), a)
+    lo = np.where(a > -_CLIP, zm, center - _CLIP * sq)
+    hi = np.maximum(np.where(c < _CLIP, zp, center + _CLIP * sq), lo)
     s_rem = spec.T - t - s
-    zp_y = np.maximum(zp, zm)
-    lo_y, width_y = _four_panels(zm, zp_y, np.clip(0.0, zm, zp_y),
-                                 _CLIP * np.sqrt(s_rem))   # (1 or B, n_s, 4)
+    lo_y, width_y = _four_panels(lo, hi, np.clip(0.0, lo, hi),
+                                 _CLIP * np.sqrt(s_rem))   # (B, n_s, 4)
     r, w = _gauss_unit(n_gl // 2)
     h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis],
                          lo_y[..., np.newaxis] + width_y[..., np.newaxis] * r)
     # the same panels in xi, around each point's own center
     sq_p = sq[..., np.newaxis]
-    lo, width = (lo_y - center[..., np.newaxis]) / sq_p, width_y / sq_p
-    xi = lo[..., np.newaxis] + width[..., np.newaxis] * r
+    lo_xi, width = (lo_y - center[..., np.newaxis]) / sq_p, width_y / sq_p
+    xi = lo_xi[..., np.newaxis] + width[..., np.newaxis] * r
     phi = np.exp(-0.5 * (xi * xi)) * (1.0 / np.sqrt(2.0 * np.pi))
     out = width * np.einsum("bspg,g->bsp", phi * h, w)
-    shared = (out[..., 0] + out[..., 1]) + (out[..., 2] + out[..., 3])
-    own = _standardized_entries(spec, t, xs, zm, zp, rule.nodes, n_gl)[0]
-    return (np.where(free, shared, own) * rule.weights).sum(axis=1)
+    inner = (out[..., 0] + out[..., 1]) + (out[..., 2] + out[..., 3])
+    return (inner * rule.weights).sum(axis=1)
 
 
 def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,

@@ -246,15 +246,15 @@ class TestRegressionPins:
     PINS = {
         (0.8, 1.0, 60): (243, (
             "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
-            "9fd236747f088d3fb6f29b543d8603c2fdfe049146adfb0c011ae616caa6b9b5",
-            "3b76facf24caefec3dcf06480a8c565d2ec9c068f03dee99d9c77b0f945ca7d8",
-            "8301972e75926ee676141bf9c45e014dd82df361315acffd3d57c239859f130a",
+            "4cf978b3827d0cc7527dc09738fc2fcaab467a164cfc612013fb1c3ba9821ecd",
+            "d7dd2d96c40838316b5c5f4fbe55b2c6c54f862bed4e46aadfac1900347cceef",
+            "c40789e89e25c196af2a070bef600ac8cf54f080259c69464b8e3fb9897a717e",
         )),
         (-1.5, 2.0, 80): (323, (
             "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
-            "d3e0473ec8c6f8ba1087c3a058b0beda41b6f08f9b0be5262834a09b1232491b",
-            "0b38206abcf781863cbf244fb21f67ea21455ea12071dda31b9484ed1c69927e",
-            "e14a2a325156aa45641350fb220c14b14dabc95aaf45a09a0e45cb054162151e",
+            "5a625dedfb9e7f574bd5a4307afa42adb86d7c2944f6a2bbff2a18788cb9d3fb",
+            "e3b0c4c9336c711855f013c83c4c84fba7e4e6fdd981447f0491dfffad58fd9b",
+            "df4d19a1806c5649597c1a39a77df036fd605d3fb7cd45234cab842226351a45",
         )),
     }
 

@@ -7,6 +7,7 @@ documented exit codes (0 ok, 2 usage, 3 non-convergence or too coarse a
 lattice, 4 I/O, 5 schema).
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -460,6 +461,50 @@ class TestPlot:
                    str(solved_dir / "boundaries.json"),
                    "--out", "/nonexistent/dir/a.svg"])
         assert rc == EXIT_IO
+
+
+class TestInputHashes:
+    """A consumer's manifest hashes each input file's content, not only its
+    name, and records the ``manifest_hash`` that the file carries."""
+
+    def test_same_name_different_content(self, tmp_path, capsys):
+        # two solves of one problem at 20 and 40 steps, both written as
+        # boundaries.json: each consumer's hash must tell them apart
+        solves, hashes = [], {}
+        for n_steps in ("20", "40"):
+            out = tmp_path / f"m{n_steps}"
+            assert main(["solve", "--mu", "1", "--horizon", "1",
+                         "--n-steps", n_steps, "--out", str(out)]) == EXIT_OK
+            solves.append(out)
+        for out in solves:
+            path = str(out / "boundaries.json")
+            assert main(["value", "--boundaries", path, "--grid", "5x7",
+                         "--out", str(out)]) == EXIT_OK
+            assert main(["simulate", "--boundaries", path, "--paths", "1000",
+                         "--steps", "50"]) == EXIT_OK
+            simulated = json.loads(
+                capsys.readouterr().out.strip().splitlines()[-1])
+            assert main(["plot", "--boundaries", path,
+                         "--out", str(out / "b.svg")]) == EXIT_OK
+            value = json.loads((out / "value.manifest.json").read_text())
+            plot = json.loads((out / "b.svg.manifest.json").read_text())
+            solve = json.loads((out / "solve.manifest.json").read_text())
+            # the chain resolves: each consumer names the solve behind it
+            record = {"name": "boundaries.json",
+                      "sha256": hashlib.sha256(
+                          (out / "boundaries.json").read_bytes()).hexdigest(),
+                      "manifest_hash": solve["manifest_hash"]}
+            assert value["config"]["boundaries"] == record
+            assert plot["config"]["inputs"] == [record]
+            hashes[out.name] = (value["manifest_hash"],
+                                simulated["manifest_hash"],
+                                plot["manifest_hash"],
+                                (out / "surface.csv").read_text(),
+                                simulated["estimate"])
+        first, second = hashes.values()
+        # the outputs differ, and so do all three commands' hashes
+        assert first[3] != second[3] and first[4] != second[4]
+        assert all(a != b for a, b in zip(first[:3], second[:3]))
 
 
 class TestProcessExitCodes:

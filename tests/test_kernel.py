@@ -373,23 +373,33 @@ class TestLagTiling:
         for got, want in zip(one_lag, whole):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("window", ["straddles_zero", "clipped"])
+    @pytest.mark.parametrize("window", ["straddles_zero", "clipped", "wide"])
     @pytest.mark.parametrize("n_points", [1, 2, 64])
     def test_rounding_against_standardized(self, n_points, window):
-        # free entries integrate on nodes shared in y, the reference puts
-        # every entry on its own nodes in xi: the same rule, rounded
-        # differently (at most 1 ulp of the largest entry here); on the
-        # clipped window every entry takes the standardized path
-        rule, xs, zm, zp = self._inputs(n_points, window)
-        knot_weights = _knot_weights(self.t, 0.1, rule)
-        got = lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
+        # the package integrates on panels in y, the reference on each
+        # entry's own panels in xi: the same rule, rounded differently.
+        # Measured in ulps of the largest entry: values at most 1 (2 on
+        # the wide window: nu = 10, clipped at every lag, |x| <= 6),
+        # d_beta at most 0.5; d_x, where cut entries take H at nodes
+        # rounded apart, at most 2.25 on the clipped window and 14 on the
+        # wide one
+        spec, t = self.spec, self.t
+        if window == "wide":
+            spec, t = ProblemSpec(mu=5.0, T=4.0), 0.0
+            rule = lag_rule(spec.T - t, 128)
+            xs = np.linspace(-6.0, 6.0, n_points)
+            zm, zp = np.full(rule.n, -50.0), np.full(rule.n, 50.0)
+        else:
+            rule, xs, zm, zp = self._inputs(n_points, window)
+        knot_weights = _knot_weights(t, 0.1, rule)
+        got = lag_integral_batch(spec, t, xs, zm, zp, rule,
                                  knot_weights=knot_weights)
-        want = lag_integral_batch_standardized(self.spec, self.t, xs, zm, zp,
-                                               rule, knot_weights=knot_weights)
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 2 * np.spacing(np.max(np.abs(w)))
-            if window == "clipped":
-                assert np.array_equal(g, w)
+        want = lag_integral_batch_standardized(spec, t, xs, zm, zp, rule,
+                                               knot_weights=knot_weights)
+        d_x_ulps = {"straddles_zero": 2, "clipped": 3, "wide": 16}[window]
+        for g, w, ulps in zip(got, want, (2, d_x_ulps, 2)):
+            assert (np.max(np.abs(g - w))
+                    <= ulps * np.spacing(np.max(np.abs(w))))
 
     def test_peak_memory_bounded(self):
         import tracemalloc
@@ -423,8 +433,9 @@ class TestLagTiling:
 
 
 class TestBatchInvariance:
-    """A point's results do not depend on the batch it is computed in,
-    though which path a lag column takes depends on all its entries."""
+    """A point's results do not depend on the batch it is computed in:
+    each entry's arithmetic follows from its own window alone, though
+    whether a lag shares its nodes depends on all its entries."""
 
     spec, t = ProblemSpec(mu=0.7, T=1.0), 0.2
 
@@ -594,11 +605,10 @@ _TILE_SHAPES = pytest.mark.parametrize("n_points, n_lags, n_gl", [
 
 class TestLagTileItems:
     """A call runs its tiles in lag order on the calling thread, one H call
-    per tile: first the shared pass over the lags with a free entry, on
-    nodes shared by the batch, then the clipped pass over the lags with a
-    clipped entry, on every point's own nodes.  Each tile stays within the
-    H-point budget, and neither pass depends on the worker count or needs
-    the pool."""
+    per tile: first the lags with no cut entry, on one row of nodes shared
+    by the batch, then the other lags, on every point's own nodes.  Each
+    tile stays within the H-point budget, and neither loop depends on the
+    worker count or needs the pool."""
 
     spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
 
@@ -613,7 +623,7 @@ class TestLagTileItems:
         monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
         return calls
 
-    def _free(self, xs, rule):
+    def _uncut(self, xs, rule):
         """Entries whose window (-1, 1) lies within _CLIP sd of the center."""
         center = xs[:, np.newaxis] + self.spec.mu * rule.nodes
         sq = np.sqrt(rule.nodes)
@@ -628,12 +638,12 @@ class TestLagTileItems:
         monkeypatch.setattr(shared_module, "workers", lambda: workers)
         calls = self._record_H_calls(monkeypatch)
         lag_integral_batch(self.spec, self.t, xs, -1.0, 1.0, rule, n_gl=n_gl)
-        free = self._free(xs, rule)
-        assert free.any() and not free.all()
+        uncut = self._uncut(xs, rule)
+        assert uncut.any() and not uncut.all()
+        shared = uncut.all(axis=0)
         tile = max(1, kernel_module._TILE_H_POINTS // (2 * n_points * n_gl))
         want = []    # (lag nodes, rows of H) per tile
-        for lags, rows in ((free.any(axis=0), 1),
-                           (~free.all(axis=0), n_points)):
+        for lags, rows in ((shared, 1), (~shared, n_points)):
             idx = np.flatnonzero(lags)
             want += [(idx[j:j + tile], rows) for j in range(0, idx.size, tile)]
         assert len(calls) == len(want)
@@ -647,16 +657,16 @@ class TestLagTileItems:
 
     def test_solver_call_is_one_H_pass(self, monkeypatch):
         # 2 points x 128 lags with the Jacobian: one tile, so one H call
-        # per pass, 4 panels x 16 nodes on 109 lags for the batch and on
+        # per loop, 4 panels x 16 nodes on 108 lags for the batch and on
         # 20 lags for each point (2 x 128 x 64 = 16384 points unshared)
         rule = lag_rule(self.spec.T - self.t, 128)
         calls = self._record_H_calls(monkeypatch)
         lag_integral_batch(self.spec, self.t, [-0.3, 0.4], -1.0, 1.0, rule,
                            knot_weights=_knot_weights(self.t, 0.1, rule))
-        assert [size for _, size in calls] == [6976, 2560]
+        assert [size for _, size in calls] == [6912, 2560]
 
     def test_value_batch_shares_H(self, monkeypatch):
-        # 64 points: 11.4 H points per (point, lag) entry, against 64 when
+        # 64 points: 11.3 H points per (point, lag) entry, against 64 when
         # every entry has its own nodes
         rule = lag_rule(self.spec.T - self.t, 128)
         xs = np.linspace(-0.5, 0.5, 64)
