@@ -204,12 +204,12 @@ class BoundaryPair:
             raise SchemaError(f"malformed boundary file: {exc}") from exc
 
     @classmethod
-    def load_json(cls, path, with_source: bool = False):
-        """Read a boundary file; malformed content raises
-        :class:`SchemaError` naming ``path``.  With ``with_source``, return
-        ``(pair, source)``, where ``source`` is what a consumer's manifest
-        records of the file from the same read: its name, its sha256 and
-        the ``manifest_hash`` it carries (None if none)."""
+    def load_json(cls, path):
+        """Read a boundary file: ``(pair, source)``, where ``source`` is
+        what a consumer's manifest records of the file from the same read:
+        its name, its sha256 and the ``manifest_hash`` it carries (None if
+        none).  Malformed content raises :class:`SchemaError` naming
+        ``path``."""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -217,8 +217,6 @@ class BoundaryPair:
             pair = cls.from_json_dict(doc)
         except ValueError as exc:   # also undecodable bytes and bad JSON
             raise SchemaError(f"{path}: {exc}") from exc
-        if not with_source:
-            return pair
         return pair, {"name": os.path.basename(path),
                       "sha256": hashlib.sha256(data).hexdigest(),
                       "manifest_hash": doc.get("manifest_hash")}

@@ -131,7 +131,7 @@ def _parse_grid(parser, text: str) -> tuple[int, int]:
 
 def cmd_value(parser, args) -> int:
     t0 = time.monotonic()
-    bp, source = BoundaryPair.load_json(args.boundaries, with_source=True)
+    bp, source = BoundaryPair.load_json(args.boundaries)
     n_t, n_x = _parse_grid(parser, args.grid)
     spec = bp.spec
     surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
@@ -155,7 +155,7 @@ def cmd_value(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     _positive(parser, "--paths", args.paths)
     t0 = time.monotonic()
-    bp, source = BoundaryPair.load_json(args.boundaries, with_source=True)
+    bp, source = BoundaryPair.load_json(args.boundaries)
     spec = bp.spec
     try:
         cfg = SimConfig(n_paths=args.paths, n_steps=args.steps,
@@ -218,8 +218,7 @@ def cmd_compare(parser, args) -> int:
 
 def cmd_plot(parser, args) -> int:
     t0 = time.monotonic()
-    pairs, sources = zip(*(BoundaryPair.load_json(p, with_source=True)
-                           for p in args.boundaries))
+    pairs, sources = zip(*map(BoundaryPair.load_json, args.boundaries))
     core, h = _manifest_core(
         "plot",
         {"mus": [p.spec.mu for p in pairs], "Ts": [p.spec.T for p in pairs]},

@@ -14,8 +14,10 @@ where H has a square-root derivative blow-up), restoring smooth integrands.
 
 Each inner integral is four Gauss-Legendre panels in y over the window cut
 to ten standard deviations of the transition density, split at the kink
-y = 0 and again where H's dip around it has died out.  Where no entry of a
-lag is cut, every point shares the lag's nodes y and their H values, two
+y = 0 and again where H's dip around it has died out.  A cut window's
+panels are laid out from the density's center, so that its nodes keep
+full precision in the standardized variable.  Where no entry of a lag is
+cut, every point shares the lag's nodes y and their H values, two
 normal CDFs per node and nearly all of the cost.  A call is two serial
 loops over tiles of lag nodes, on the calling thread whatever calls it;
 parallelism belongs to the callers that hold independent calls (``value``
@@ -109,44 +111,42 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
                    weights=np.concatenate([w_lo, w_hi[order]]))
 
 
-def _panels(lo, hi, dip):
+def _panels(lo, hi, kink, dip):
     """Four panels from the breakpoints lo <= cut- <= mid <= cut+ <= hi,
-    where mid is the kink y = 0 clipped into [lo, hi], as (start, width)
+    where mid is the kink clipped into [lo, hi], as (start, width)
     arrays with the panel on a new last axis.  The cuts lie ``dip`` from
     mid, or halfway to lo or hi if that is nearer."""
     edges = np.empty(lo.shape + (5,))
     start, cut_lo, mid, cut_hi, end = (edges[..., i] for i in range(5))
     np.copyto(start, lo)
     np.copyto(end, hi)
-    np.minimum(np.maximum(0.0, lo, out=mid), hi, out=mid)
+    np.minimum(np.maximum(kink, lo, out=mid), hi, out=mid)
     np.maximum(mid - dip, 0.5 * (lo + mid), out=cut_lo)
     np.minimum(mid + dip, 0.5 * (mid + hi), out=cut_hi)
     return edges[..., :-1], np.subtract(edges[..., 1:], edges[..., :-1])
 
 
-def _panel_sums(lo, width, h, r, w, with_jacobian):
+def _panel_sums(xi, width, h, w, phi, with_jacobian):
     """Each entry's inner integral over its four panels, and with the
     Jacobian its moment int H xi phi dxi: ``(values, moments)`` of shape
-    ``lo.shape[:-1]``, moments None without it.
+    ``xi.shape[:-2]``, moments None without it.
 
-    ``lo`` (B, n, 4) and ``width`` (B or 1, n, 4) are the panels in the
-    standardized variable xi, ``h`` (B or 1, n, 4, G) holds H at their
-    Gauss-Legendre nodes xi = lo + width r.
+    ``xi`` (B, n, 4, G) holds the standardized variable at each panel's
+    Gauss-Legendre nodes, ``width`` (B or 1, n, 4) the panels' widths in
+    it and ``h`` (B or 1, n, 4, G) H at the nodes; ``phi``, shaped like
+    ``xi``, is a work array, and the moment spends ``xi``.
     """
-    xi = _scratch.array("xi", lo.shape + r.shape)
-    np.add(lo[..., np.newaxis],
-           np.multiply(width[..., np.newaxis], r, out=xi), out=xi)
-    phi = np.multiply(xi, xi, out=xi)                  # xi is spent
+    np.multiply(xi, xi, out=phi)
     np.exp(np.multiply(-0.5, phi, out=phi), out=phi)
     h_phi = np.multiply(np.multiply(phi, _INV_SQRT_2PI, out=phi), h, out=phi)
     mass = np.einsum("bspg,g->bsp", h_phi, w,
-                     out=_scratch.array("mass", lo.shape))
+                     out=_scratch.array("mass", xi.shape[:-1]))
     values = _by_side(width * mass)
     if not with_jacobian:
         return values, None
-    # int H xi phi over each panel, xi = lo + width r
-    return values, _by_side(width * (
-        lo * mass + width * np.einsum("bspg,g->bsp", h_phi, w * r)))
+    # int H xi phi over each panel
+    return values, _by_side(width * np.einsum(
+        "bspg,g->bsp", np.multiply(h_phi, xi, out=xi), w))
 
 
 def _tiles(columns, tile):
@@ -182,27 +182,30 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
 
     Each (x, s-node) entry's window is first cut to ``_CLIP`` standard
-    deviations of its transition density's center x + mu s; an uncut edge
-    stays exactly z- or z+.  Its inner integral uses four Gauss-Legendre
-    panels in y, from five breakpoints: the window edges, the kink y = 0
-    clipped into the window, and between them two cuts where H's dip
-    around the kink has died out, ``_CLIP`` widths sqrt(T - t - s) from
-    it, or halfway to the window edge if that is nearer: near the horizon
-    the dip is narrow, and a panel that spans a whole side leaves it
-    unresolved.  The entry is (width in y)/sqrt(s) times sum_g w_g H_g
-    phi((y_g - x - mu s)/sqrt(s)) over its panels.  Empty or cut-away
-    windows contribute exactly 0.  An entry's arithmetic depends on its
-    own window alone, and the lag sum runs along each point's own row, so
-    a point's value is the same bit for bit alone or in any batch.
+    deviations of its transition density's center x + mu s.  Its inner
+    integral uses four Gauss-Legendre panels in y, from five breakpoints:
+    the window edges, the kink y = 0 clipped into the window, and between
+    them two cuts where H's dip around the kink has died out, ``_CLIP``
+    widths sqrt(T - t - s) from it, or halfway to the window edge if that
+    is nearer: near the horizon the dip is narrow, and a panel that spans
+    a whole side leaves it unresolved.  The panels are laid out as offsets
+    d from an origin: y = 0 for an uncut entry, whose edges stay exactly
+    z- and z+, the center for a cut one, whose nodes y = center + d then
+    keep xi = d/sqrt(s) to the last bit however far the center lies from
+    0.  The entry is (width in d)/sqrt(s) times sum_g w_g H(y_g) phi(xi_g)
+    over its panels; empty or cut-away windows contribute exactly 0.  An
+    entry's arithmetic depends on its own window alone, and the lag sum
+    runs along each point's own row, so a point's value is the same bit
+    for bit alone or in any batch.
 
-    A call is two loops over tiles of at most
-    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes, run one after the
-    other on the calling thread.  A lag with no cut entry has the same
-    windows for every point, so the first loop evaluates its nodes and H
-    values once for the batch (once per point with per-point windows),
-    and only phi depends on x; the second evaluates H on every point's
-    own nodes for the other lags.  Both give an entry the same arithmetic
-    whatever the tile, so the result does not depend on the tiling.
+    A call runs over tiles of at most
+    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes on the calling
+    thread: first the lags with no cut entry, whose windows are the same
+    for every point, so that their nodes and H values are evaluated once
+    for the batch (once per point with per-point windows) and only phi
+    depends on x; then the other lags, with H on every point's own nodes.
+    An entry's arithmetic is the same whatever the tile, so the result
+    does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -228,10 +231,12 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     a = np.maximum((zm - center) / sq, -_CLIP)
     c = np.maximum(np.minimum((zp - center) / sq, _CLIP), a)
     s_rem = spec.T - t - s                             # (1, n_s), > 0
-    # each entry's window in y, cut to _CLIP sd of its center; an uncut
-    # edge is exactly z- or z+, an empty window has zero width
-    lo = np.where(a > -_CLIP, zm, center - _CLIP * sq)
-    hi = np.maximum(np.where(c < _CLIP, zp, center + _CLIP * sq), lo)
+    # each entry's window cut to _CLIP sd of its center, as offsets from
+    # its origin; an empty window has zero width
+    uncut = (a > -_CLIP) & (c < _CLIP)
+    origin = np.where(uncut, 0.0, center)
+    lo = np.where(a > -_CLIP, zm - origin, -_CLIP * sq)
+    hi = np.maximum(np.where(c < _CLIP, zp - origin, _CLIP * sq), lo)
     # H(t+s, y) dips to -1 at y = 0 over a few sqrt(s_rem); it has died out
     # _CLIP of those widths from the kink
     dip = _CLIP * np.sqrt(s_rem)                       # (1, n_s)
@@ -240,33 +245,37 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     moment = np.empty((xs.size, rule.n)) if with_jacobian else None
     tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
 
-    def integrate(cols, start, end):
-        """The entries of lags ``cols`` on windows (start, end) in y, one
-        row or B rows of them."""
-        lo_y, width_y = _panels(start, end, dip[:, cols])
-        y, h, *h_work = (_scratch.array(name, lo_y.shape + r.shape)
+    def integrate(cols, rows):
+        """The entries of lags ``cols`` on rows ``rows`` of the windows."""
+        o = origin[rows, cols]
+        lo_d, width_d = _panels(lo[rows, cols], hi[rows, cols], 0.0 - o,
+                                dip[:, cols])
+        y, h, *h_work = (_scratch.array(name, lo_d.shape + r.shape)
                          for name in ("y", "h", "a", "nu", "tmp"))
-        np.add(lo_y[..., np.newaxis],
-               np.multiply(width_y[..., np.newaxis], r, out=y), out=y)
+        d = np.add(lo_d[..., np.newaxis],
+                   np.multiply(width_d[..., np.newaxis], r, out=y), out=y)
+        sq_t = sq[:, cols, np.newaxis]
+        rel = (center[:, cols] - o)[..., np.newaxis, np.newaxis]
+        xi = np.subtract(d, rel, out=_scratch.array("xi", (xs.size,)
+                                                    + d.shape[1:]))
+        np.divide(xi, sq_t[..., np.newaxis], out=xi)
+        np.add(o[..., np.newaxis, np.newaxis], d, out=y)     # d is spent
         _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y, h,
                      *h_work)
-        sq_t = sq[:, cols, np.newaxis]
-        out[:, cols], m = _panel_sums(
-            (lo_y - center[:, cols, np.newaxis]) / sq_t, width_y / sq_t, h,
-            r, w, with_jacobian)
+        # phi takes H's first work array, free again
+        out[:, cols], m = _panel_sums(xi, width_d / sq_t, h, w,
+                                      _scratch.array("a", xi.shape),
+                                      with_jacobian)
         if with_jacobian:
             moment[:, cols] = m
 
-    # lags with no cut entry share the rows of the edges: one row, or one
-    # per point with per-point windows
-    shared = ((a > -_CLIP) & (c < _CLIP)).all(axis=0)
-    shape = np.broadcast_shapes(zm.shape, zp.shape, s.shape)
-    zm_y = np.broadcast_to(zm, shape)
-    zp_y = np.broadcast_to(np.maximum(zp, zm), shape)
-    for cols in _tiles(shared, tile):
-        integrate(cols, zm_y[:, cols], zp_y[:, cols])
-    for cols in _tiles(~shared, tile):
-        integrate(cols, lo[:, cols], hi[:, cols])
+    # lags with no cut entry have the windows of the edges, so share their
+    # rows: one row, or one per point with per-point windows
+    shared = uncut.all(axis=0)
+    edge_rows = np.broadcast_shapes(zm.shape, zp.shape, s.shape)[0]
+    for lags, rows in ((shared, slice(edge_rows)), (~shared, slice(None))):
+        for cols in _tiles(lags, tile):
+            integrate(cols, rows)
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:

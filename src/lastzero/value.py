@@ -35,9 +35,7 @@ _SOURCES = ("integral_formula", "bellman")
 # H points) grow with the batch; no value depends on it.  A chunk shares
 # the H values of each lag with no cut entry among its points, one H point
 # per entry at 64 points, and evaluates 64 per entry on the other lags:
-# 13.8 per entry over a 100x200 surface.  One call per 200-point row
-# evaluates 1% fewer (13.6); measured on the kernel's earlier two-pass
-# arithmetic, it ran no faster and raised ``value``'s peak RSS by 2 MB.
+# 13.8 per entry over a 100x200 surface.
 _CHUNK = 64
 
 

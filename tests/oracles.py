@@ -437,8 +437,10 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
     """``lastzero.lag_integral_batch`` as one untiled pass over all lags.
 
     Each (point, lag) entry's window is cut to ``_CLIP`` standard
-    deviations of its center, an uncut edge kept exactly, and integrated
-    on four panels in y with only phi depending on the point.  The
+    deviations of its center and integrated on four panels in y, laid out
+    as offsets d from an origin: the center for a cut entry, y = 0 for an
+    uncut one, whose edges stay exactly z- and z+.  H is taken at
+    y = origin + d, phi at xi = (d - (center - origin))/sqrt(s).  The
     package evaluates the same arithmetic in tiles of lag nodes, sharing
     the nodes and H values of lags with no cut entry; tests require the
     two to agree bit for bit.
@@ -452,22 +454,72 @@ def lag_integral_batch_untiled(spec: ProblemSpec, t: float, xs, z_minus,
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
     a = np.maximum((zm - center) / sq, -_CLIP)
     c = np.maximum(np.minimum((zp - center) / sq, _CLIP), a)
-    lo = np.where(a > -_CLIP, zm, center - _CLIP * sq)
-    hi = np.maximum(np.where(c < _CLIP, zp, center + _CLIP * sq), lo)
+    origin = np.where((a > -_CLIP) & (c < _CLIP), 0.0, center)
+    lo = np.where(a > -_CLIP, zm - origin, -_CLIP * sq)
+    hi = np.maximum(np.where(c < _CLIP, zp - origin, _CLIP * sq), lo)
     s_rem = spec.T - t - s
-    lo_y, width_y = _four_panels(lo, hi, np.clip(0.0, lo, hi),
+    lo_d, width_d = _four_panels(lo, hi, np.clip(0.0 - origin, lo, hi),
                                  _CLIP * np.sqrt(s_rem))   # (B, n_s, 4)
     r, w = _gauss_unit(n_gl // 2)
+    d = lo_d[..., np.newaxis] + width_d[..., np.newaxis] * r
     h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis],
-                         lo_y[..., np.newaxis] + width_y[..., np.newaxis] * r)
-    # the same panels in xi, around each point's own center
-    sq_p = sq[..., np.newaxis]
-    lo_xi, width = (lo_y - center[..., np.newaxis]) / sq_p, width_y / sq_p
-    xi = lo_xi[..., np.newaxis] + width[..., np.newaxis] * r
+                         origin[..., np.newaxis, np.newaxis] + d)
+    xi = ((d - (center - origin)[..., np.newaxis, np.newaxis])
+          / sq[..., np.newaxis, np.newaxis])
     phi = np.exp(-0.5 * (xi * xi)) * (1.0 / np.sqrt(2.0 * np.pi))
-    out = width * np.einsum("bspg,g->bsp", phi * h, w)
+    out = (width_d / sq[..., np.newaxis]) * np.einsum("bspg,g->bsp", phi * h,
+                                                      w)
     inner = (out[..., 0] + out[..., 1]) + (out[..., 2] + out[..., 3])
     return (inner * rule.weights).sum(axis=1)
+
+
+def lag_integral_exact(spec: ProblemSpec, t: float, x: float, z_minus,
+                       z_plus, rule: LagRule, n_gl: int = _KERNEL_N_GL,
+                       dps: int = 30) -> tuple[float, float]:
+    """The package's lag rule for one point evaluated in mpmath at ``dps``
+    digits: ``(value, d_x)``, each rounded once to a float.
+
+    Every step of the rule is exact up to ``dps`` digits: the window cut
+    to ``_CLIP`` standard deviations in xi, its four panels (kink image
+    -center/sqrt(s), cuts ``_CLIP`` sqrt((T - t - s)/s) from it or halfway
+    to the edge), the Gauss-Legendre nodes and weights and the lag nodes
+    and weights taken as the floats the package uses, and H and phi at
+    each node.  It measures how far a float arithmetic of the same rule
+    rounds, not the rule's own error.
+    """
+    from mpmath import mp, mpf, ncdf, npdf, sqrt as mp_sqrt
+
+    mp.dps = dps
+    zm, zp = np.broadcast_to(z_minus, rule.n), np.broadcast_to(z_plus, rule.n)
+    r, w = (list(map(mpf, v.tolist())) for v in _gauss_unit(n_gl // 2))
+    mu, clip = mpf(spec.mu), mpf(_CLIP)
+
+    def gain_H(s_rem, y):
+        a, nu = abs(y), -mu * (1 if y > 0 else -1 if y < 0 else 0)
+        f = (ncdf((a - nu * s_rem) / mp_sqrt(s_rem))
+             - mp.exp(2 * nu * a) * ncdf((-a - nu * s_rem) / mp_sqrt(s_rem)))
+        return 2 * min(max(f, 0), 1) - 1
+
+    value = d_x = mpf(0)
+    for s, ws, lo_z, hi_z in zip(rule.nodes.tolist(),
+                                 rule.weights.tolist(), zm, zp):
+        s, ws = mpf(s), mpf(ws)
+        sq, s_rem = mp_sqrt(s), mpf(spec.T) - mpf(t) - s
+        center = mpf(x) + mu * s
+        a = max((mpf(lo_z) - center) / sq, -clip)
+        c = max(min((mpf(hi_z) - center) / sq, clip), a)
+        mid = min(max(-center / sq, a), c)
+        dip = clip * mp_sqrt(s_rem / s)
+        edges = [a, max(mid - dip, (a + mid) / 2), mid,
+                 min(mid + dip, (mid + c) / 2), c]
+        for lo, hi in zip(edges, edges[1:]):
+            for rg, wg in zip(r, w):
+                xi = lo + (hi - lo) * rg
+                term = ws * (hi - lo) * wg * npdf(xi) * gain_H(
+                    s_rem, center + sq * xi)
+                value += term
+                d_x += term * xi / sq
+    return float(value), float(d_x)
 
 
 def integrate_K_over_lag(spec: ProblemSpec, t: float, x: float, window,

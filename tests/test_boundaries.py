@@ -246,15 +246,15 @@ class TestRegressionPins:
     PINS = {
         (0.8, 1.0, 60): (243, (
             "fe3984f2fc65b5c934bbb75693542df6840d897a8b5541d325afc3236b44025b",
-            "4cf978b3827d0cc7527dc09738fc2fcaab467a164cfc612013fb1c3ba9821ecd",
-            "d7dd2d96c40838316b5c5f4fbe55b2c6c54f862bed4e46aadfac1900347cceef",
-            "c40789e89e25c196af2a070bef600ac8cf54f080259c69464b8e3fb9897a717e",
+            "2cbee317be7f18f34cfadeb52f0a5c1f5f354fdd0baed52ae90a8981d89e89e2",
+            "5d886bf857eb3af6d34d0fb486518c3166003d110134baf5916e1d8101c5a115",
+            "6fdb71d117eb493a6c6e6ece83401779147008dc5e234f562e3981b5e82d79de",
         )),
         (-1.5, 2.0, 80): (323, (
             "b0456327e76590374d27993dc6d8c936f30165907fda79de33f0cd595387aa6c",
-            "5a625dedfb9e7f574bd5a4307afa42adb86d7c2944f6a2bbff2a18788cb9d3fb",
-            "e3b0c4c9336c711855f013c83c4c84fba7e4e6fdd981447f0491dfffad58fd9b",
-            "df4d19a1806c5649597c1a39a77df036fd605d3fb7cd45234cab842226351a45",
+            "ee8744c2bc0dab074537da51f331bd639fa86978c99cf83e64fcf61a42c8db32",
+            "f8eb7d1efb4b268feee6bd6648537b83b364f2f33341afc67927f94e44a3abfb",
+            "39f898dc4ce8e78a9dd28f688d6e1406b2fabe28a0c6f3ad40b979a7caa1d71f",
         )),
     }
 
@@ -569,7 +569,7 @@ class TestSerialization:
         bp = boundaries_for(0.0)
         path = tmp_path / "b.json"
         bp.save_json(path, config=SolverConfig())
-        back = BoundaryPair.load_json(path)
+        back, _ = BoundaryPair.load_json(path)
         assert back.spec == bp.spec
         npt.assert_array_equal(back.grid, bp.grid)
         npt.assert_array_equal(back.b_minus, bp.b_minus)

@@ -71,7 +71,7 @@ class TestSolve:
         assert float(last[1]) == 0.0 and float(last[2]) == 0.0
 
     def test_json_loadable(self, solved_dir):
-        bp = BoundaryPair.load_json(solved_dir / "boundaries.json")
+        bp, _ = BoundaryPair.load_json(solved_dir / "boundaries.json")
         assert bp.spec.mu == 0.4
         assert bp.grid.size == 41
 
