@@ -16,20 +16,20 @@ Each inner integral is four Gauss-Legendre panels in y over the window cut
 to ten standard deviations of the transition density, split at the kink
 y = 0 and again where H's dip around it has died out.  A cut window's
 panels are laid out from the density's center, so that its nodes keep
-full precision in the standardized variable.  Where no entry of a lag is
-cut, every point shares the lag's nodes y and their H values, two
-normal CDFs per node and nearly all of the cost.  A call is two serial
-loops over tiles of lag nodes, on the calling thread whatever calls it;
+full precision in the standardized variable.  A call's window edges are
+one row for all its points: where no entry of a lag is cut, the points
+share the lag's nodes y and H values, nearly all of the cost.  A call is
+two serial loops over tiles of lag nodes, on the calling thread;
 parallelism belongs to the callers that hold independent calls (``value``
 rows and the certificate's times).  No result depends on the tiling or on
 the batch.  A tile's (point, lag, panel, node) arrays are the thread's own
 work arrays (``_shared.Scratch``), reused from tile to tile and call to
 call and kept for the life of the thread; ufuncs write into them with
 ``out=``, so the steady state allocates no tile memory.  Each holds at
-most max(2^15, 2 B n_gl) points: 256 KB in a ``value`` row, 128 KB in a
-solver call.  On request the same loops also give the integral's
-derivatives in the evaluation point and in the knot values of the window
-edges: the boundary solver's exact Jacobian.
+most max(2^15, 2 B n_gl) points, beside the call's own (B, n_s) arrays.
+On request the same loops also give the integral's derivatives in the
+evaluation point and in the knot values of the window edges, with H at
+each edge once per side and lag: the boundary solver's exact Jacobian.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# Panel nodes per tile on one thread, 2 n_gl per (point, lag) entry:
-# bounds each work array at 256 KB; a 64-point ``value`` row is tiles of
-# 8 lags, a solver call (2 points x 128 lags) one tile.
+# Panel nodes per tile on one thread, 2 n_gl per (point, lag) entry: 256 KB
+# per work array up to 512 points; a 200-point ``value`` row is tiles of 2
+# lags, a solver call (2 points x 128 lags) one tile.
 _TILE_H_POINTS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -106,9 +106,9 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
     v = half * r
     s_hi = L - v * v
     w_hi = 2.0 * v * (half * w)
-    order = np.argsort(s_hi)
-    return LagRule(nodes=np.concatenate([s_lo, s_hi[order]]),
-                   weights=np.concatenate([w_lo, w_hi[order]]))
+    # s_hi falls as v rises: reversed, it ascends
+    return LagRule(nodes=np.concatenate([s_lo, s_hi[::-1]]),
+                   weights=np.concatenate([w_lo, w_hi[::-1]]))
 
 
 def _panels(lo, hi, kink, dip):
@@ -168,8 +168,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     ----------
     xs : array (B,)
         Evaluation points, finite; B may be 0.
-    z_minus, z_plus : arrays (n_s,) or (B, n_s)
-        Window edges at each lag node (optionally per evaluation point).
+    z_minus, z_plus : scalars or arrays (n_s,)
+        Window edges at each lag node, the same for every point.
     rule : LagRule
         Lag nodes/weights from ``lag_rule(T - t, .)``, all below T - t.
     n_gl : int, even
@@ -200,20 +200,20 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
 
     A call runs over tiles of at most
     ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes on the calling
-    thread: first the lags with no cut entry, whose windows are the same
+    thread: first the lags with no cut entry, whose window is the edges'
     for every point, so that their nodes and H values are evaluated once
-    for the batch (once per point with per-point windows) and only phi
-    depends on x; then the other lags, with H on every point's own nodes.
-    An entry's arithmetic is the same whatever the tile, so the result
-    does not depend on the tiling.
+    for the batch and only phi depends on x; then the other lags, with H
+    on every point's own nodes.  An entry's arithmetic is the same
+    whatever the tile, so the result does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
     reduction of the H values the integral itself uses.  In an edge it is
     ±H(t+s, z±(s)) phi(xi±)/sqrt(s) where the edge is not clipped and the
-    window not empty, one H value per edge, point and lag node with
-    lambda_s != 0.  The values are bit-identical with and without
-    ``knot_weights``.
+    window not empty.  H there is taken once per side and lag node with
+    lambda_s != 0 for all points; its product with each point's phi is
+    formed in C order, so that ``d_beta``'s lag sum rounds alike in any
+    batch.  The values are bit-identical with and without ``knot_weights``.
     """
     if not isinstance(n_gl, numbers.Integral) or n_gl < 2 or n_gl % 2:
         raise ValueError(f"n_gl must be an even integer >= 2, got {n_gl!r}")
@@ -222,11 +222,14 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         raise ValueError("xs must be finite")
     if rule.n and not rule.nodes[-1] < spec.T - t:
         raise ValueError(f"rule's lag nodes reach T - t = {spec.T - t:.17g}")
+    zm, zp = (np.asarray(z, dtype=float) for z in (z_minus, z_plus))
+    if {zm.shape, zp.shape} - {(), rule.nodes.shape}:
+        raise ValueError(f"window edges must be scalars or of shape "
+                         f"({rule.n},), got {zm.shape} and {zp.shape}")
+    zm, zp = (np.broadcast_to(z, rule.nodes.shape) for z in (zm, zp))
     with_jacobian = knot_weights is not None
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)
     sq = np.sqrt(s)
-    zm = np.asarray(z_minus, dtype=float)
-    zp = np.asarray(z_plus, dtype=float)
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)
     a = np.maximum((zm - center) / sq, -_CLIP)
     c = np.maximum(np.minimum((zp - center) / sq, _CLIP), a)
@@ -269,11 +272,9 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         if with_jacobian:
             moment[:, cols] = m
 
-    # lags with no cut entry have the windows of the edges, so share their
-    # rows: one row, or one per point with per-point windows
+    # lags with no cut entry have the window of the edges: one row, shared
     shared = uncut.all(axis=0)
-    edge_rows = np.broadcast_shapes(zm.shape, zp.shape, s.shape)[0]
-    for lags, rows in ((shared, slice(edge_rows)), (~shared, slice(None))):
+    for lags, rows in ((shared, slice(1)), (~shared, slice(None))):
         for cols in _tiles(lags, tile):
             integrate(cols, rows)
 
@@ -285,11 +286,12 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     at = np.flatnonzero(knot_weights)
     a_at, c_at = a[:, at], c[:, at]
     xi_edge = np.stack([a_at, c_at])                   # (2, B, n_at)
-    z_edge = np.stack([np.broadcast_to(z, center.shape)[:, at]
-                       for z in (zm, zp)])
     free_edge = np.stack([a_at > -_CLIP, c_at < _CLIP]) & (c_at > a_at)
-    dens = _gain_H_raw(spec.mu, s_rem[:, at], z_edge) \
-        * np.exp(-0.5 * xi_edge * xi_edge) * _INV_SQRT_2PI
+    h_edge = _gain_H_raw(spec.mu, s_rem[:, at], np.stack([zm[at], zp[at]]))
+    # in C order: broadcast, the product would take the layout of a[:, at],
+    # and the row sum below would round differently by batch width
+    dens = np.multiply(h_edge[:, np.newaxis], np.exp(-0.5 * xi_edge * xi_edge),
+                       order="C") * _INV_SQRT_2PI
     lag_w = rule.weights[at] * np.asarray(knot_weights)[at] / sq[0, at]
     # a row sum, like the lag sums: a matrix product's rounding may depend
     # on the batch width

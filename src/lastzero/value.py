@@ -13,8 +13,9 @@ property the tests check, with their own finer raw evaluation.
 A surface's rows are independent lag integrals; ``build_value_surface``
 fans them out over the process's one thread pool (``_shared.map_in_order``;
 the kernel's numpy and scipy ufuncs release the interpreter lock), each row
-one serial pass of kernel calls on the thread that runs it, and assembles
-them in grid order, so the result does not depend on the worker count.
+one kernel call over its inside points on the thread that runs it, and
+assembles them in grid order, so the result does not depend on the worker
+count.  A row's kernel memory grows with its points, about 8 KB each.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ from .boundaries import BoundaryPair
 from ._shared import map_in_order, write_csv
 
 _SOURCES = ("integral_formula", "bellman")
-
-# Points per kernel call in ``value_row``.  It bounds the kernel's memory
-# for a wide row, whose (point, lag) arrays and smallest tile (2 B n_gl
-# H points) grow with the batch; no value depends on it.  A chunk shares
-# the H values of each lag with no cut entry among its points, one H point
-# per entry at 64 points, and evaluates 64 per entry on the other lags:
-# 13.8 per entry over a 100x200 surface.
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,10 @@ def value_row(spec: ProblemSpec, bp: BoundaryPair, t: float, xs) -> np.ndarray:
     if t >= spec.T * (1 - 1e-15):
         return out
     idx = np.flatnonzero((xs > zm_t) & (xs < zp_t))
-    rule = lag_rule(spec.T - t)
-    zm, zp = bp.interpolate(t + rule.nodes)
-    for lo in range(0, idx.size, _CHUNK):
-        sel = idx[lo:lo + _CHUNK]
-        out[sel] = lag_integral_batch(spec, t, xs[sel], zm, zp, rule)
+    if idx.size:
+        rule = lag_rule(spec.T - t)
+        zm, zp = bp.interpolate(t + rule.nodes)
+        out[idx] = lag_integral_batch(spec, t, xs[idx], zm, zp, rule)
     return out
 
 

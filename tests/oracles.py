@@ -362,9 +362,8 @@ def _four_panels(lo, hi, mid, dip):
 
 
 def _as_rows(z, n_s):
-    """A window edge, scalar, (n_s,) or (B, n_s), as a (1 or B, n_s) array."""
-    z = np.asarray(z, dtype=float)
-    return z if z.ndim == 2 else np.broadcast_to(z, (1, n_s))
+    """A window edge, scalar or (n_s,), as a (1, n_s) array."""
+    return np.broadcast_to(np.asarray(z, dtype=float), (1, n_s))
 
 
 def _standardized_entries(spec: ProblemSpec, t: float, xs, zm, zp,
@@ -388,9 +387,10 @@ def _standardized_entries(spec: ProblemSpec, t: float, xs, zm, zp,
                                                  np.newaxis] * xi
     h = gain_H_reference(spec.mu, s_rem[..., np.newaxis, np.newaxis], y)
     h_phi = h * (np.exp(-0.5 * xi * xi) * (1.0 / np.sqrt(2.0 * np.pi)))
-    mass = np.einsum("bspg,g->bsp", h_phi, w)
-    inner = width * mass
-    mom = width * (lo * mass + width * np.einsum("bspg,g->bsp", h_phi, w * r))
+    inner = width * np.einsum("bspg,g->bsp", h_phi, w)
+    # the direct sum: lo mass + width sum(H phi w r) cancels when lo ~ -10
+    # and width ~ 20
+    mom = width * np.einsum("bspg,g->bsp", h_phi * xi, w)
     return ((inner[..., 0] + inner[..., 1]) + (inner[..., 2] + inner[..., 3]),
             (mom[..., 0] + mom[..., 1]) + (mom[..., 2] + mom[..., 3]), a, c)
 

@@ -103,14 +103,27 @@ class TestValueFunction:
             raw = raw_value_row(bp, float(t), np.array([zm, zp]))
             assert np.max(np.abs(raw)) <= 2e-6
 
-    def test_chunk_invariance(self, boundaries_for, monkeypatch):
+    def test_row_is_one_kernel_call(self, boundaries_for, monkeypatch):
+        # all of a row's inside points in one call; a row with no inside
+        # point makes none
         bp = boundaries_for(0.0)
-        xs = np.linspace(-1.0, 1.0, 17)
-        a = value_row(bp.spec, bp, 0.25, xs)
-        monkeypatch.setattr(value_module, "_CHUNK", 3)
-        b = value_row(bp.spec, bp, 0.25, xs)
-        # each point's lag sum runs along its own row, whatever the chunk
-        npt.assert_array_equal(a, b)
+        calls = []
+        real = value_module.lag_integral_batch
+
+        def counting(spec, t, xs, *args, **kwargs):
+            calls.append(len(xs))
+            return real(spec, t, xs, *args, **kwargs)
+
+        monkeypatch.setattr(value_module, "lag_integral_batch", counting)
+        zm, zp = bp.interpolate(0.25)
+        xs = np.linspace(zm - 0.1, zp + 0.1, 200)
+        row = value_row(bp.spec, bp, 0.25, xs)
+        inside = (xs > zm) & (xs < zp)
+        assert calls == [np.count_nonzero(inside)] and calls[0] > 64
+        assert np.all(row[inside] < 0.0) and np.all(row[~inside] == 0.0)
+        calls.clear()
+        assert np.all(value_row(bp.spec, bp, 0.25, [zm, zp + 1.0]) == 0.0)
+        assert calls == []
 
     def test_value_at_equals_wide_row(self):
         # V at one (t, x) must not depend on the grid it is computed with
