@@ -98,8 +98,8 @@ class Scratch(threading.local):
     their arrays took 66k-115k minor faults per 1e4 x 4000 run, against
     6k with reuse).  The price is memory held while the owner lives: in
     ``simulate`` (1e4 paths x 4000 steps on two CPUs) two 2 MB arrays per
-    thread until the run ends, and in the kernel about 1.5 MB per thread
-    for the thread's life.  What a thread frees may also stay in its
+    thread until the run ends, and in the kernel at most about 1.5 MB per
+    thread, for the thread's life.  What a thread frees may also stay in its
     malloc arena, about 0.5 MB of peak RSS per pool thread in ``value``.
     """
 

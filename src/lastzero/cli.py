@@ -15,8 +15,8 @@ stay outside the hash.
 
 Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence (or a lattice
 too coarse to resolve the boundaries), 4 I/O error, 5 schema mismatch in an
-input file.  Commands raise; ``main`` alone maps each failure class to its
-exit code, through ``_EXIT_CODES``.
+input file.  Past argparse's own usage errors, commands raise; ``main``
+alone maps each failure class to its exit code, through ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -89,15 +89,7 @@ def _write_outputs(manifest_path: str, core: dict, manifest_hash: str,
         wall_time_s=round(time.monotonic() - t0, 3)))
 
 
-def _positive(parser: argparse.ArgumentParser, name: str, value: float):
-    if not value > 0:                   # NaN is not positive either
-        parser.error(f"{name} must be positive, got {value:g}")
-    return value
-
-
-def cmd_solve(parser, args) -> int:
-    _positive(parser, "--horizon", args.horizon)
-    _positive(parser, "--tol", args.tol)
+def cmd_solve(args) -> int:
     t0 = time.monotonic()
     spec = ProblemSpec(mu=args.mu, T=args.horizon)
     cfg = SolverConfig(n_steps=args.n_steps, tol_res=args.tol)
@@ -118,21 +110,22 @@ def cmd_solve(parser, args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(parser, text: str) -> tuple[int, int]:
+def _parse_grid(flag: str, text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
         n_t, n_x = int(a), int(b)
     except ValueError:
-        parser.error(f"--grid must look like 100x200, got {text!r}")
+        raise ValueError(
+            f"{flag} must look like 100x200, got {text!r}") from None
     if n_t < 2 or n_x < 2:
-        parser.error("--grid sizes must be >= 2")
+        raise ValueError(f"{flag} sizes must be >= 2")
     return n_t, n_x
 
 
-def cmd_value(parser, args) -> int:
+def cmd_value(args) -> int:
     t0 = time.monotonic()
     bp, source = BoundaryPair.load_json(args.boundaries)
-    n_t, n_x = _parse_grid(parser, args.grid)
+    n_t, n_x = _parse_grid("--grid", args.grid)
     spec = bp.spec
     surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
     v00 = value_at(spec, bp, 0.0, 0.0)
@@ -152,19 +145,15 @@ def cmd_value(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(parser, args) -> int:
-    _positive(parser, "--paths", args.paths)
+def cmd_simulate(args) -> int:
     t0 = time.monotonic()
+    # bad counts are refused before any file is read
+    cfg = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     bp, source = BoundaryPair.load_json(args.boundaries)
     spec = bp.spec
-    try:
-        cfg = SimConfig(n_paths=args.paths, n_steps=args.steps,
-                        seed=args.seed)
-        rule = parse_policy(args.policy, spec, bp)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.dump and args.paths > MAX_STORED_PATHS:
-        parser.error(f"--dump is limited to {MAX_STORED_PATHS} paths")
+    rule = parse_policy(args.policy, spec, bp)
+    if args.dump and cfg.n_paths > MAX_STORED_PATHS:
+        raise ValueError(f"--dump is limited to {MAX_STORED_PATHS} paths")
     # one pass scores the policy and fills the per-path dump
     records = np.empty(cfg.n_paths, PER_PATH_DTYPE) if args.dump else None
     report = evaluate_policy(spec, rule, cfg, records=records)
@@ -192,11 +181,10 @@ def cmd_simulate(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(parser, args) -> int:
-    _positive(parser, "--horizon", args.horizon)
+def cmd_compare(args) -> int:
     t0 = time.monotonic()
     spec = ProblemSpec(mu=args.mu, T=args.horizon)
-    n_t, n_x = _parse_grid(parser, args.lattice)
+    n_t, n_x = _parse_grid("--lattice", args.lattice)
     bp_int = solve_boundaries(spec, SolverConfig(n_steps=args.n_steps))
     _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
     rep = oracle_compare(bp_int, bp_bell)
@@ -216,7 +204,7 @@ def cmd_compare(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_plot(parser, args) -> int:
+def cmd_plot(args) -> int:
     t0 = time.monotonic()
     pairs, sources = zip(*map(BoundaryPair.load_json, args.boundaries))
     core, h = _manifest_core(
@@ -283,10 +271,9 @@ _HANDLERS = {"solve": cmd_solve, "value": cmd_value, "simulate": cmd_simulate,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](parser, args)
+        return _HANDLERS[args.command](args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES

@@ -26,7 +26,7 @@ the batch.  A tile's (point, lag, panel, node) arrays are the thread's own
 work arrays (``_shared.Scratch``), reused from tile to tile and call to
 call and kept for the life of the thread; ufuncs write into them with
 ``out=``, so the steady state allocates no tile memory.  Each holds at
-most max(2^15, 2 B n_gl) points, beside the call's own (B, n_s) arrays.
+most 2^15 points: a call takes a wide batch in runs of 2^15 / (2 n_gl).
 On request the same loops also give the integral's derivatives in the
 evaluation point and in the knot values of the window edges, with H at
 each edge once per side and lag: the boundary solver's exact Jacobian.
@@ -47,8 +47,8 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 _CLIP = 10.0
 
 # Panel nodes per tile on one thread, 2 n_gl per (point, lag) entry: 256 KB
-# per work array up to 512 points; a 200-point ``value`` row is tiles of 2
-# lags, a solver call (2 points x 128 lags) one tile.
+# per work array, 512 points per pass; a 200-point ``value`` row is tiles of
+# 2 lags, a solver call (2 points x 128 lags) one tile.
 _TILE_H_POINTS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -198,13 +198,15 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     runs along each point's own row, so a point's value is the same bit
     for bit alone or in any batch.
 
-    A call runs over tiles of at most
+    A call takes at most ``max(1, _TILE_H_POINTS // (2 n_gl))`` points in
+    one pass, and a wider batch in consecutive runs of that many.  A pass
+    of B points runs over tiles of at most
     ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes on the calling
     thread: first the lags with no cut entry, whose window is the edges'
     for every point, so that their nodes and H values are evaluated once
-    for the batch and only phi depends on x; then the other lags, with H
+    for the pass and only phi depends on x; then the other lags, with H
     on every point's own nodes.  An entry's arithmetic is the same
-    whatever the tile, so the result does not depend on the tiling.
+    whatever the run or tile, so the result does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -228,6 +230,13 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                          f"({rule.n},), got {zm.shape} and {zp.shape}")
     zm, zp = (np.broadcast_to(z, rule.nodes.shape) for z in (zm, zp))
     with_jacobian = knot_weights is not None
+    run = max(1, _TILE_H_POINTS // (2 * n_gl))
+    if xs.size > run:
+        parts = [lag_integral_batch(spec, t, xs[j:j + run], zm, zp, rule,
+                                    n_gl, knot_weights)
+                 for j in range(0, xs.size, run)]
+        return (tuple(map(np.concatenate, zip(*parts))) if with_jacobian
+                else np.concatenate(parts))
     s = rule.nodes[np.newaxis, :]                      # (1, n_s)
     sq = np.sqrt(s)
     center = xs[:, np.newaxis] + spec.mu * s           # (B, n_s)

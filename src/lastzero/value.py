@@ -15,7 +15,7 @@ fans them out over the process's one thread pool (``_shared.map_in_order``;
 the kernel's numpy and scipy ufuncs release the interpreter lock), each row
 one kernel call over its inside points on the thread that runs it, and
 assembles them in grid order, so the result does not depend on the worker
-count.  A row's kernel memory grows with its points, about 8 KB each.
+count.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ of g checks the algebra that collapses it to one Owen's T value.  The
 smooth-fit diagnostic differences the package's own raw lag integral
 across the solved boundaries.  The zero-drift anchor, last, solves the
 scalar equation that the exact boundaries b± = ±z* sqrt(T - t) of the
-driftless problem obey; its closed form needs no code of the package.
+driftless problem obey; its closed form, the closed-form value surface on
+those boundaries and the large-drift limit need no code of the package.
 """
 
 from __future__ import annotations
@@ -733,6 +734,37 @@ def zero_drift_closed_form(T: float = 1.0) -> tuple[float, float]:
                     / np.sqrt(2.0 * np.pi) - 3.0, 0.5, 3.0,
                     xtol=1e-16, rtol=4 * np.finfo(float).eps)
     return z_star, T * (2.0 * float(ndtr(z_star)) - 1.5)
+
+
+def zero_drift_value(t, x, T: float = 1.0):
+    """V(t, x) of the driftless problem on [0, T], from no code in ``src/``.
+
+    Brownian scaling (Graversen, Peskir & Shiryaev 2001) gives
+    V = (T - t) f(a) with a = |x| / sqrt(T - t), and
+    f(a) = 4 Phi(a) - 3 - 2 a phi(a) + (1 + a^2)(2 Phi(z*) - 2 Phi(a))
+    inside (a < z*), 0 on the stopping set.  f(z*) = 0 is z*'s own
+    equation, and f(0) = 2 Phi(z*) - 2 = V*/T - 1/2 = V(0, 0)/T.
+    """
+    z_star, _ = zero_drift_closed_form()
+    tau = T - np.asarray(t, dtype=float)
+    a = np.abs(np.asarray(x, dtype=float)) / np.sqrt(tau)
+    f = (4.0 * ndtr(a) - 3.0 - 2.0 * a * np.exp(-0.5 * a * a)
+         / np.sqrt(2.0 * np.pi)
+         + (1.0 + a * a) * (2.0 * ndtr(z_star) - 2.0 * ndtr(a)))
+    return tau * np.where(a < z_star, f, 0.0)
+
+
+def large_drift_limit() -> tuple[float, float]:
+    """(c, lim nu^2 V*) of the problem at T = 1 as |nu| -> infinity, from no
+    code in ``src/``.
+
+    On the drift's time scale 1/nu^2 the horizon recedes to infinity, and
+    the thin boundary at t = 0 tends to c / |nu|, where c is the positive
+    root of e^{2c} = 2 + 4c; nu^2 V* tends to c + (c + 1)/(1 + 2c) - 1.
+    """
+    c = brentq(lambda c: np.exp(2.0 * c) - 2.0 - 4.0 * c, 0.1, 2.0,
+               xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return c, c + (c + 1.0) / (1.0 + 2.0 * c) - 1.0
 
 
 if __name__ == "__main__":

@@ -26,14 +26,17 @@ from lastzero import (
     SolverConfig,
     boundary_residuals,
     h_curves,
+    mean_g,
     solve_boundaries,
+    value_at,
 )
 from lastzero.boundaries import sqrt_time_grid
 
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
-from oracles import (_KERNEL_N_GL, h_root, zero_drift_anchor,
-                     zero_drift_closed_form, zero_drift_lag_integral)
+from oracles import (_KERNEL_N_GL, h_root, large_drift_limit,
+                     zero_drift_anchor, zero_drift_closed_form,
+                     zero_drift_lag_integral)
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
@@ -680,3 +683,23 @@ class TestZeroDriftAnchor:
         z, v = zero_drift_anchor()
         assert abs(z - z_ref) <= 1e-13
         assert abs(v - v_ref) <= 1e-13
+
+
+class TestLargeDriftLimit:
+    """As |nu| grows, the thin boundary at t = 0 tends to c/|nu| and V* to
+    its limit over nu^2 (``oracles.large_drift_limit``, no code of the
+    package)."""
+
+    @pytest.mark.parametrize("nu", [
+        10.0, -10.0,
+        pytest.param(30.0, marks=pytest.mark.xfail(
+            strict=True, reason="the fixed 128-node lag rule misses c by "
+                                "1.4e-8 at nu = 30 (ROADMAP item 1)"))])
+    def test_thin_boundary_and_optimal_error(self, boundaries_for, nu):
+        # measured at nu = +-10: 7.4e-12 from c and 5.2e-10 from the limit
+        c, vstar_limit = large_drift_limit()
+        bp = boundaries_for(nu)
+        thin = bp.b_plus[0] if nu > 0 else -bp.b_minus[0]
+        assert abs(abs(nu) * thin - c) <= 1e-10
+        vstar = value_at(bp.spec, bp, 0.0, 0.0) + mean_g(bp.spec)
+        assert abs(vstar * nu ** 2 - vstar_limit) <= 1e-8

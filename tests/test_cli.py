@@ -76,18 +76,18 @@ class TestSolve:
         assert bp.grid.size == 41
 
     def test_negative_horizon_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--mu", "0.0", "--horizon", "-1.0"])
-        assert exc.value.code == EXIT_USAGE
-        assert "--horizon" in capsys.readouterr().err
+        rc = main(["solve", "--mu", "0.0", "--horizon", "-1.0"])
+        assert rc == EXIT_USAGE
+        assert ("error: horizon T must be positive and finite, got -1.0"
+                in capsys.readouterr().err)
 
     def test_nan_tolerance_usage_error(self, tmp_path, capsys):
         # NaN passes a "<= 0" test; it must be refused before any solve
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--mu", "0", "--horizon", "1", "--n-steps", "20",
-                  "--tol", "nan", "--out", str(tmp_path / "out")])
-        assert exc.value.code == EXIT_USAGE
-        assert "--tol must be positive, got nan" in capsys.readouterr().err
+        assert main(["solve", "--mu", "0", "--horizon", "1", "--n-steps",
+                     "20", "--tol", "nan", "--out",
+                     str(tmp_path / "out")]) == EXIT_USAGE
+        assert ("tol_res must be positive and finite, got nan"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_infinite_tolerance_usage_error(self, tmp_path, capsys):
@@ -186,10 +186,10 @@ class TestValue:
         assert surface_head == f"# manifest_hash={value['manifest_hash']}"
 
     def test_bad_grid_usage_error(self, solved_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["value", "--boundaries",
-                  str(solved_dir / "boundaries.json"), "--grid", "banana"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["value", "--boundaries",
+                     str(solved_dir / "boundaries.json"),
+                     "--grid", "banana"]) == EXIT_USAGE
+        assert "--grid must look like" in capsys.readouterr().err
 
     def test_missing_file_io_error(self, tmp_path, capsys):
         rc = main(["value", "--boundaries", str(tmp_path / "nope.json")])
@@ -283,11 +283,9 @@ class TestSimulate:
         assert sibling["manifest_hash"] == json.loads(line)["manifest_hash"]
 
     def test_unknown_policy_usage_error(self, solved_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--boundaries",
-                  str(solved_dir / "boundaries.json"), "--paths", "10",
-                  "--steps", "10", "--policy", "teleport"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["simulate", "--boundaries",
+                     str(solved_dir / "boundaries.json"), "--paths", "10",
+                     "--steps", "10", "--policy", "teleport"]) == EXIT_USAGE
         assert "teleport" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", [
@@ -301,26 +299,24 @@ class TestSimulate:
         drawn = []
         monkeypatch.setattr(montecarlo, "_draw_chunk",
                             lambda *a: drawn.append(a))
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--boundaries",
-                  str(solved_dir / "boundaries.json"), "--paths", "50",
-                  "--steps", "20", "--policy", policy])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["simulate", "--boundaries",
+                     str(solved_dir / "boundaries.json"), "--paths", "50",
+                     "--steps", "20", "--policy", policy]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
         assert drawn == []
 
-    def test_negative_paths_usage_error(self, solved_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--boundaries",
-                  str(solved_dir / "boundaries.json"), "--paths", "-3"])
-        assert exc.value.code == EXIT_USAGE
+    def test_negative_paths_usage_error(self, solved_dir, tmp_path, capsys):
+        # refused before the boundary file is read, so a missing one too
+        for path in (solved_dir / "boundaries.json", tmp_path / "nope.json"):
+            assert main(["simulate", "--boundaries", str(path),
+                         "--paths", "-3"]) == EXIT_USAGE
+            assert "n_paths must be an integer >= 1, got -3" in (
+                capsys.readouterr().err)
 
     def test_oversized_dump_usage_error(self, solved_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--boundaries",
-                  str(solved_dir / "boundaries.json"), "--paths", "20000",
-                  "--steps", "10", "--dump", "x.csv"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["simulate", "--boundaries",
+                     str(solved_dir / "boundaries.json"), "--paths", "20000",
+                     "--steps", "10", "--dump", "x.csv"]) == EXIT_USAGE
         assert "--dump" in capsys.readouterr().err
 
     def test_dump_per_path_csv(self, solved_dir, tmp_path, capsys):
@@ -382,6 +378,14 @@ class TestCompare:
         assert rc == EXIT_NONCONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lattice" in err
+
+    def test_bad_lattice_usage_error(self, capsys):
+        # the error names the flag it came from, not --grid
+        assert main(["compare", "--mu", "0", "--horizon", "1",
+                     "--lattice", "banana"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: --lattice must look like 100x200, got 'banana'" in err
+        assert "--grid" not in err
 
 
 class TestPlot:

@@ -506,6 +506,38 @@ class TestBatchInvariance:
             for got, want in zip(call([x]), batch):
                 assert np.array_equal(got[0], want[i])
 
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_runs_of_points_equal_single_points(self, monkeypatch,
+                                                with_jacobian):
+        # a budget of 3 points per pass: 11 points run as 3 + 3 + 3 + 2,
+        # each bit for bit its own single-point call at the default budget
+        rule, xs, zm, zp = TestLagTiling()._inputs(11, "straddles_zero")
+        knot_weights = (_knot_weights(self.t, 0.01, rule) if with_jacobian
+                        else None)
+
+        def call(x):
+            got = lag_integral_batch(self.spec, self.t, x, zm, zp, rule,
+                                     knot_weights=knot_weights)
+            return got if with_jacobian else (got,)
+
+        single = [call([x]) for x in xs]
+        monkeypatch.setattr(kernel_module, "_TILE_H_POINTS",
+                            3 * 2 * _KERNEL_N_GL)
+        rows = []    # points' rows per H call
+        real = kernel_module._gain_H_into
+
+        def gain_into(mu, s_rem, y, *work):
+            rows.append(y.shape[0])
+            return real(mu, s_rem, y, *work)
+
+        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        batch = call(xs)
+        assert max(rows) == 3
+        for i, alone in enumerate(single):
+            for got, want in zip(batch, alone):
+                assert got.shape[0] == xs.size
+                assert np.array_equal(got[i], want[0])
+
 
 def _knot_weights(t, cell, rule):
     """Weight of the knot at t in a linear interpolant with its next knot

@@ -8,6 +8,7 @@ values that the lattice oracle and Monte Carlo closure re-derive elsewhere.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -25,11 +26,14 @@ from lastzero import (
     solve_boundaries,
     value_at,
 )
+from lastzero.boundaries import sqrt_time_grid
 from lastzero.cli import main as cli_main
 from lastzero.value import default_x_grid, value_row
-from oracles import raw_value_row, smooth_fit_diagnostic
+from oracles import (raw_value_row, smooth_fit_diagnostic,
+                     zero_drift_closed_form, zero_drift_value)
 
 import lastzero._shared as shared_module
+import lastzero.kernel as kernel_module
 import lastzero.value as value_module
 
 # Regression anchors at solver defaults (n_steps=400, T=1).  E g comes from
@@ -158,6 +162,55 @@ class TestValueFunction:
         left = value_row(bp.spec, bp, 0.3, -xs)
         right = value_row(bp.spec, bp, 0.3, xs)
         npt.assert_allclose(left, right, atol=1e-12, rtol=0)
+
+
+def _root_pair(z, T, n_steps):
+    """The pair b± = ±z sqrt(T - t) at zero drift on a sqrt-time grid."""
+    grid = sqrt_time_grid(T, n_steps)
+    b = z * np.sqrt(T - grid)
+    return BoundaryPair(spec=ProblemSpec(mu=0.0, T=T), grid=grid,
+                        b_minus=-b, b_plus=b)
+
+
+class TestZeroDriftSurface:
+    """At zero drift on the exact boundaries ±z* sqrt(T - t), finely
+    interpolated, ``value_row`` against the closed-form surface
+    (``oracles.zero_drift_value``, no code of the package)."""
+
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    def test_against_closed_form(self, T):
+        # measured at most 3.85e-9 T, at t = 0
+        bp = _root_pair(zero_drift_closed_form()[0], T, 4000)
+        xs = np.linspace(-1.5, 1.5, 601) * np.sqrt(T)
+        for u in (0.0, 0.5, 0.9):
+            v = value_row(bp.spec, bp, u * T, xs)
+            assert np.count_nonzero(v) > 100
+            exact = zero_drift_value(u * T, xs, T)
+            assert np.max(np.abs(v - exact)) <= 1e-8 * T
+
+
+class TestRowMemory:
+    def test_wide_row_bounded_by_tile_budget(self, monkeypatch):
+        # a row runs through the kernel in runs of 512 points, so neither
+        # its work arrays nor the calling thread's Scratch grow with the
+        # row: measured 5.0 and 1.6 MB, where one call over all 20,000
+        # points peaked at 229 MB and left 62 MB in the Scratch.  A fresh
+        # Scratch, warmed by one full run, is this thread's alone.
+        monkeypatch.setattr(kernel_module, "_scratch", shared_module.Scratch())
+        bp = _root_pair(1.1, 1.0, 50)
+        xs = np.linspace(-1.0, 1.0, 20_000)
+        value_row(bp.spec, bp, 0.0, xs[:1000])
+        tracemalloc.start()
+        try:
+            row = value_row(bp.spec, bp, 0.0, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(row < 0.0)
+        assert peak <= 8e6
+        held = sum(buf.nbytes
+                   for buf in kernel_module._scratch._buffers.values())
+        assert held <= 2e6
 
 
 class TestInnerRule:
