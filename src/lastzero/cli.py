@@ -1,5 +1,9 @@
 """Command-line interface: solve / value / simulate / compare / plot.
 
+``solve`` alone solves; the others read its ``boundaries.json``, check
+every flag but ``simulate --policy`` before the read, and build only what
+they output (``value`` builds its surface only for ``--out``).
+
 Every command is a pure function of its flags, input files, and seed.  A
 JSON manifest with a content hash over (command, spec, config, version,
 output names) accompanies the outputs, and each output references that
@@ -8,10 +12,9 @@ produced it.  A command that reads boundary files hashes each file's name,
 sha256 and recorded ``manifest_hash`` in its config, so its hash follows
 its inputs' content and a chain of commands can be followed back.  A
 manifest is named for its command (``solve.manifest.json`` in ``--out``)
-or its output file (``<file>.manifest.json``), so commands that write
-into one directory keep each other's.  Reruns are
-byte-identical except the manifest's timestamp and wall-time fields, which
-stay outside the hash.
+or its output file (``<file>.manifest.json``), so commands that write into
+one directory keep each other's.  Reruns are byte-identical except the
+manifest's timestamp and wall-time fields, which stay outside the hash.
 
 Exit codes: 0 ok, 2 bad arguments, 3 solver non-convergence (or a lattice
 too coarse to resolve the boundaries), 4 I/O error, 5 schema mismatch in an
@@ -124,15 +127,14 @@ def _parse_grid(flag: str, text: str) -> tuple[int, int]:
 
 def cmd_value(args) -> int:
     t0 = time.monotonic()
-    bp, source = BoundaryPair.load_json(args.boundaries)
     n_t, n_x = _parse_grid("--grid", args.grid)
+    bp, source = BoundaryPair.load_json(args.boundaries)
     spec = bp.spec
-    surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
     v00 = value_at(spec, bp, 0.0, 0.0)
-    vstar = v00 + mean_g(spec)
     print(f"V(0,0) = {v00:.10g}")
-    print(f"V* = {vstar:.10g}")
+    print(f"V* = {v00 + mean_g(spec):.10g}")
     if args.out:
+        surface = build_value_surface(spec, bp, n_t=n_t, n_x=n_x)
         os.makedirs(args.out, exist_ok=True)
         core, h = _manifest_core(
             "value", {"mu": spec.mu, "T": spec.T},
@@ -147,13 +149,13 @@ def cmd_value(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    # bad counts are refused before any file is read
+    # flags that need no boundaries are refused before the file is read
     cfg = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
+    if args.dump and cfg.n_paths > MAX_STORED_PATHS:
+        raise ValueError(f"--dump is limited to {MAX_STORED_PATHS} paths")
     bp, source = BoundaryPair.load_json(args.boundaries)
     spec = bp.spec
     rule = parse_policy(args.policy, spec, bp)
-    if args.dump and cfg.n_paths > MAX_STORED_PATHS:
-        raise ValueError(f"--dump is limited to {MAX_STORED_PATHS} paths")
     # one pass scores the policy and fills the per-path dump
     records = np.empty(cfg.n_paths, PER_PATH_DTYPE) if args.dump else None
     report = evaluate_policy(spec, rule, cfg, records=records)
@@ -183,9 +185,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.monotonic()
-    spec = ProblemSpec(mu=args.mu, T=args.horizon)
     n_t, n_x = _parse_grid("--lattice", args.lattice)
-    bp_int = solve_boundaries(spec, SolverConfig(n_steps=args.n_steps))
+    bp_int, source = BoundaryPair.load_json(args.boundaries)
+    spec = bp_int.spec
     _, bp_bell = bellman_solve(spec, LatticeSpec(n_t=n_t, n_x=n_x))
     rep = oracle_compare(bp_int, bp_bell)
     doc = rep.to_json_dict()
@@ -195,7 +197,7 @@ def cmd_compare(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         core, h = _manifest_core(
             "compare", doc["spec"],
-            {"n_steps": args.n_steps, "lattice": args.lattice},
+            {"lattice": args.lattice, "boundaries": source},
             ["compare.json"])
         doc["manifest_hash"] = h
         _write_outputs(
@@ -252,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-path CSV (path_id,g,tau,abs_error); "
                         "small runs only")
 
-    p = sub.add_parser("compare", help="integral solver vs lattice oracle")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--n-steps", type=int, default=400)
+    p = sub.add_parser("compare", help="solved boundaries vs lattice oracle")
+    p.add_argument("--boundaries", required=True, help="boundaries.json")
     p.add_argument("--lattice", default="2000x2001")
     p.add_argument("--out", default=None, help="output directory")
 

@@ -76,11 +76,14 @@ class LagRule:
 
 @lru_cache(maxsize=32)
 def _gauss_unit(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1], symmetrized exactly."""
+    """Read-only Gauss-Legendre nodes/weights on [0, 1], exactly symmetric."""
     r, w = np.polynomial.legendre.leggauss(n)
     r = 0.5 * (r - r[::-1])          # enforce exact +- symmetry
     w = 0.5 * (w + w[::-1])
-    return 0.5 * (r + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (r + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
@@ -101,14 +104,11 @@ def lag_rule(L: float, n_nodes: int = 128) -> LagRule:
     r, w = _gauss_unit(n_nodes // 2)
     half = np.sqrt(L / 2.0)
     u = half * r
-    s_lo = u * u
-    w_lo = 2.0 * u * (half * w)
-    v = half * r
-    s_hi = L - v * v
-    w_hi = 2.0 * v * (half * w)
-    # s_hi falls as v rises: reversed, it ascends
-    return LagRule(nodes=np.concatenate([s_lo, s_hi[::-1]]),
-                   weights=np.concatenate([w_lo, w_hi[::-1]]))
+    s = u * u
+    wt = 2.0 * u * (half * w)
+    # the upper half mirrors the lower (v = u), and reversed it ascends
+    return LagRule(nodes=np.concatenate([s, (L - s)[::-1]]),
+                   weights=np.concatenate([wt, wt[::-1]]))
 
 
 def _panels(lo, hi, kink, dip):

@@ -51,10 +51,10 @@ MAX_STORED_PATHS = 10_000
 _BLOCK_INTERVALS = 2 ** 19
 
 # Blocks of shorter paths take turns to draw (see ``_scan``).  On two CPUs
-# turns were faster up to 384 steps and free draws from 512 on, also with
-# blocks of 2^19 intervals, and turns at 4000 steps made ``simulate`` 38%
-# slower (BENCH_mc_rekey_pick.json, BENCH_mc_one_bound.json).
-_SHORT_PATH = 512
+# free draws lost every run up to 320 steps and won 24 of 36 at 384 and 19
+# of 20 at 448 (BENCH_cli_one_producer.json); turns at 4000 steps made
+# ``simulate`` 38% slower (BENCH_mc_rekey_pick.json, BENCH_mc_one_bound.json).
+_SHORT_PATH = 448
 
 # 1 - exp(-2ab/dt) rounds to exactly 1.0 once ab >= _NEAR dt: exp(-40) is
 # below 2^-54, half the spacing of doubles under 1.  This follows from

@@ -754,17 +754,28 @@ def zero_drift_value(t, x, T: float = 1.0):
     return tau * np.where(a < z_star, f, 0.0)
 
 
-def large_drift_limit() -> tuple[float, float]:
-    """(c, lim nu^2 V*) of the problem at T = 1 as |nu| -> infinity, from no
-    code in ``src/``.
+def large_drift_limit() -> tuple[float, float, float]:
+    """(c, lim nu^2 V*, kappa) of the problem at T = 1 as |nu| -> infinity,
+    from no code in ``src/``.
 
     On the drift's time scale 1/nu^2 the horizon recedes to infinity, and
     the thin boundary at t = 0 tends to c / |nu|, where c is the positive
     root of e^{2c} = 2 + 4c; nu^2 V* tends to c + (c + 1)/(1 + 2c) - 1.
+    In z = x + nu (T - t) the thick side is driftless, and its boundary at
+    t = 0 tends to -|nu| - kappa, where kappa is the root of
+    (2 Phi(k) - 1)(k Phi(k) + phi(k)) = phi(k)((1 + k^2) Phi(k) + k phi(k)).
     """
+    eps = 4 * np.finfo(float).eps
     c = brentq(lambda c: np.exp(2.0 * c) - 2.0 - 4.0 * c, 0.1, 2.0,
-               xtol=1e-16, rtol=4 * np.finfo(float).eps)
-    return c, c + (c + 1.0) / (1.0 + 2.0 * c) - 1.0
+               xtol=1e-16, rtol=eps)
+
+    def thick(k):
+        cdf, pdf = ndtr(k), np.exp(-0.5 * k * k) / np.sqrt(2.0 * np.pi)
+        return ((2.0 * cdf - 1.0) * (k * cdf + pdf)
+                - pdf * ((1.0 + k * k) * cdf + k * pdf))
+
+    kappa = brentq(thick, 0.1, 2.0, xtol=1e-16, rtol=eps)
+    return c, c + (c + 1.0) / (1.0 + 2.0 * c) - 1.0, kappa
 
 
 if __name__ == "__main__":

@@ -685,21 +685,44 @@ class TestZeroDriftAnchor:
         assert abs(v - v_ref) <= 1e-13
 
 
+def _lag_rule_misses(nu, gap):
+    return pytest.param(nu, marks=pytest.mark.xfail(
+        strict=True, reason=f"the fixed 128-node lag rule misses c by {gap} "
+                            f"at nu = {nu:g} (ROADMAP item 1)"))
+
+
 class TestLargeDriftLimit:
-    """As |nu| grows, the thin boundary at t = 0 tends to c/|nu| and V* to
-    its limit over nu^2 (``oracles.large_drift_limit``, no code of the
-    package)."""
+    """As |nu| grows, the thin boundary at t = 0 tends to c/|nu|, V* to its
+    limit over nu^2, and the thick boundary to -|nu| - kappa
+    (``oracles.large_drift_limit``, no code of the package).  Each nu is
+    solved once, through the session's ``boundaries_for``."""
 
     @pytest.mark.parametrize("nu", [
-        10.0, -10.0,
-        pytest.param(30.0, marks=pytest.mark.xfail(
-            strict=True, reason="the fixed 128-node lag rule misses c by "
-                                "1.4e-8 at nu = 30 (ROADMAP item 1)"))])
+        10.0, -10.0, _lag_rule_misses(20.0, "1.1e-9"),
+        _lag_rule_misses(30.0, "1.4e-8"), _lag_rule_misses(50.0, "2.1e-7")])
     def test_thin_boundary_and_optimal_error(self, boundaries_for, nu):
         # measured at nu = +-10: 7.4e-12 from c and 5.2e-10 from the limit
-        c, vstar_limit = large_drift_limit()
+        c, vstar_limit, _ = large_drift_limit()
         bp = boundaries_for(nu)
         thin = bp.b_plus[0] if nu > 0 else -bp.b_minus[0]
         assert abs(abs(nu) * thin - c) <= 1e-10
         vstar = value_at(bp.spec, bp, 0.0, 0.0) + mean_g(bp.spec)
         assert abs(vstar * nu ** 2 - vstar_limit) <= 1e-8
+
+    @pytest.mark.parametrize("nu", [20.0, 50.0, 100.0])
+    def test_thick_boundary_trend(self, boundaries_for, nu):
+        # the thick side is sharp only at first order in 1/nu: nu times
+        # the gap measured 0.13, 0.12 and 0.11 at nu = 20, 50 and 100
+        kappa = large_drift_limit()[2]
+        bp = boundaries_for(nu)
+        assert abs(bp.b_minus[0] + nu + kappa) * nu <= 0.2
+
+    def test_kappa_solves_its_equation(self):
+        # the same root at 40 digits (mpmath): 0.67912431604829553
+        from mpmath import findroot, mp, ncdf, npdf
+
+        mp.dps = 40
+        root = findroot(lambda k: (2 * ncdf(k) - 1) * (k * ncdf(k) + npdf(k))
+                        - npdf(k) * ((1 + k * k) * ncdf(k) + k * npdf(k)),
+                        0.68)
+        assert abs(large_drift_limit()[2] - float(root)) <= 1e-15

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from lastzero import BoundaryPair, montecarlo
+import lastzero.value as value_module
 from lastzero.cli import (
     EXIT_IO,
     EXIT_NONCONVERGENCE,
@@ -185,11 +186,30 @@ class TestValue:
         surface_head = (out / "surface.csv").read_text().splitlines()[0]
         assert surface_head == f"# manifest_hash={value['manifest_hash']}"
 
-    def test_bad_grid_usage_error(self, solved_dir, capsys):
+    def test_bad_grid_usage_error(self, solved_dir, tmp_path, capsys):
+        # refused before the boundary file is read, so a missing one too
+        for path in (solved_dir / "boundaries.json", tmp_path / "nope.json"):
+            assert main(["value", "--boundaries", str(path),
+                         "--grid", "banana"]) == EXIT_USAGE
+            assert "--grid must look like" in capsys.readouterr().err
+
+    def test_no_surface_without_out(self, solved_dir, capsys, monkeypatch):
+        # without --out nothing reads a surface: the one kernel call is
+        # V(0,0)'s, and stdout is the two lines
+        calls = []
+        batch = value_module.lag_integral_batch
+
+        def counting_batch(*args, **kwargs):
+            calls.append(args[2].size)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(value_module, "lag_integral_batch",
+                            counting_batch)
         assert main(["value", "--boundaries",
-                     str(solved_dir / "boundaries.json"),
-                     "--grid", "banana"]) == EXIT_USAGE
-        assert "--grid must look like" in capsys.readouterr().err
+                     str(solved_dir / "boundaries.json")]) == EXIT_OK
+        assert calls == [1]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["V(0,0)", "V*"]
 
     def test_missing_file_io_error(self, tmp_path, capsys):
         rc = main(["value", "--boundaries", str(tmp_path / "nope.json")])
@@ -313,11 +333,14 @@ class TestSimulate:
             assert "n_paths must be an integer >= 1, got -3" in (
                 capsys.readouterr().err)
 
-    def test_oversized_dump_usage_error(self, solved_dir, capsys):
-        assert main(["simulate", "--boundaries",
-                     str(solved_dir / "boundaries.json"), "--paths", "20000",
-                     "--steps", "10", "--dump", "x.csv"]) == EXIT_USAGE
-        assert "--dump" in capsys.readouterr().err
+    def test_oversized_dump_usage_error(self, solved_dir, tmp_path, capsys):
+        # refused before the boundary file is read, so a missing one too
+        for path in (solved_dir / "boundaries.json", tmp_path / "nope.json"):
+            assert main(["simulate", "--boundaries", str(path),
+                         "--paths", "20000", "--steps", "10",
+                         "--dump", "x.csv"]) == EXIT_USAGE
+            assert ("--dump is limited to 10000 paths"
+                    in capsys.readouterr().err)
 
     def test_dump_per_path_csv(self, solved_dir, tmp_path, capsys):
         dump = tmp_path / "paths.csv"
@@ -354,10 +377,12 @@ class TestSimulate:
 
 class TestCompare:
     def test_report_and_outputs(self, tmp_path, capsys):
+        solved = tmp_path / "solved"
+        assert main(["solve", "--mu", "0.0", "--horizon", "1.0",
+                     "--n-steps", "30", "--out", str(solved)]) == EXIT_OK
         out = tmp_path / "cmp"
-        rc = main(["compare", "--mu", "0.0", "--horizon", "1.0",
-                   "--n-steps", "30", "--lattice", "200x201",
-                   "--out", str(out)])
+        rc = main(["compare", "--boundaries", str(solved / "boundaries.json"),
+                   "--lattice", "200x201", "--out", str(out)])
         assert rc == EXIT_OK
         line = capsys.readouterr().out.strip().splitlines()[-1]
         doc = json.loads(line)
@@ -369,23 +394,46 @@ class TestCompare:
         assert written["manifest_hash"] == manifest["manifest_hash"]
         assert written["sup_norm"] == doc["sup_norm"]
 
+    def test_checks_the_file_it_reads(self, solved_dir, tmp_path, capsys):
+        # compare measures the pair in the file, not a solve of its own:
+        # a b+ moved by 1% moves sup_plus and leaves sup_minus
+        doc = json.loads((solved_dir / "boundaries.json").read_text())
+        doc["b_plus"] = [1.01 * b for b in doc["b_plus"]]
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(doc))
+        reports = []
+        for path in (solved_dir / "boundaries.json", moved):
+            assert main(["compare", "--boundaries", str(path),
+                         "--lattice", "200x201"]) == EXIT_OK
+            reports.append(json.loads(
+                capsys.readouterr().out.strip().splitlines()[-1]))
+        first, second = reports
+        assert second["sup_minus"] == first["sup_minus"]
+        assert second["sup_plus"] != first["sup_plus"]
+        assert first["spec"] == second["spec"] == {"mu": 0.4, "T": 1.0}
 
-    def test_coarse_lattice_exit_code(self, tmp_path, capsys):
+    def test_coarse_lattice_exit_code(self, solved_dir, capsys):
         # a lattice too coarse to resolve the boundaries is a documented
         # failure (exit 3), not a traceback
-        rc = main(["compare", "--mu", "0", "--horizon", "1",
-                   "--n-steps", "20", "--lattice", "2x2"])
+        rc = main(["compare", "--boundaries",
+                   str(solved_dir / "boundaries.json"), "--lattice", "2x2"])
         assert rc == EXIT_NONCONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lattice" in err
 
-    def test_bad_lattice_usage_error(self, capsys):
-        # the error names the flag it came from, not --grid
-        assert main(["compare", "--mu", "0", "--horizon", "1",
+    def test_bad_lattice_usage_error(self, tmp_path, capsys):
+        # the error names the flag it came from, not --grid, and comes
+        # before the file is read: a missing one is not an I/O error
+        assert main(["compare", "--boundaries", str(tmp_path / "nope.json"),
                      "--lattice", "banana"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "error: --lattice must look like 100x200, got 'banana'" in err
         assert "--grid" not in err
+
+    def test_missing_file_io_error(self, tmp_path, capsys):
+        assert main(["compare", "--boundaries",
+                     str(tmp_path / "nope.json")]) == EXIT_IO
+        assert "nope.json" in capsys.readouterr().err
 
 
 class TestPlot:
@@ -490,8 +538,13 @@ class TestInputHashes:
                 capsys.readouterr().out.strip().splitlines()[-1])
             assert main(["plot", "--boundaries", path,
                          "--out", str(out / "b.svg")]) == EXIT_OK
+            assert main(["compare", "--boundaries", path, "--lattice",
+                         "200x201", "--out", str(out / "cmp")]) == EXIT_OK
+            capsys.readouterr()
             value = json.loads((out / "value.manifest.json").read_text())
             plot = json.loads((out / "b.svg.manifest.json").read_text())
+            compare = json.loads(
+                (out / "cmp" / "compare.manifest.json").read_text())
             solve = json.loads((out / "solve.manifest.json").read_text())
             # the chain resolves: each consumer names the solve behind it
             record = {"name": "boundaries.json",
@@ -500,15 +553,17 @@ class TestInputHashes:
                       "manifest_hash": solve["manifest_hash"]}
             assert value["config"]["boundaries"] == record
             assert plot["config"]["inputs"] == [record]
+            assert compare["config"]["boundaries"] == record
             hashes[out.name] = (value["manifest_hash"],
                                 simulated["manifest_hash"],
                                 plot["manifest_hash"],
+                                compare["manifest_hash"],
                                 (out / "surface.csv").read_text(),
                                 simulated["estimate"])
         first, second = hashes.values()
-        # the outputs differ, and so do all three commands' hashes
-        assert first[3] != second[3] and first[4] != second[4]
-        assert all(a != b for a, b in zip(first[:3], second[:3]))
+        # the outputs differ, and so do all four commands' hashes
+        assert first[4] != second[4] and first[5] != second[5]
+        assert all(a != b for a, b in zip(first[:4], second[:4]))
 
 
 class TestProcessExitCodes:
@@ -520,15 +575,16 @@ class TestProcessExitCodes:
         ("ok", EXIT_OK), ("usage", EXIT_USAGE),
         ("coarse_lattice", EXIT_NONCONVERGENCE), ("missing_file", EXIT_IO),
         ("schema", EXIT_SCHEMA)])
-    def test_exit_code(self, tmp_path, case, code):
+    def test_exit_code(self, solved_dir, tmp_path, case, code):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "lastzero.surface.v1"}))
         argv = {
             "ok": ["solve", "--mu", "0.4", "--horizon", "1", "--n-steps",
                    "10", "--out", str(tmp_path / "out")],
             "usage": ["solve", "--mu", "0", "--horizon", "-1"],
-            "coarse_lattice": ["compare", "--mu", "0", "--horizon", "1",
-                               "--n-steps", "20", "--lattice", "2x2"],
+            "coarse_lattice": ["compare", "--boundaries",
+                               str(solved_dir / "boundaries.json"),
+                               "--lattice", "2x2"],
             "missing_file": ["value", "--boundaries",
                              str(tmp_path / "nope.json")],
             "schema": ["value", "--boundaries", str(bad)],
