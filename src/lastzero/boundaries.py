@@ -8,8 +8,9 @@ b- <= h- and b+ >= h+, solving
 where K is the stopping kernel (see :mod:`~lastzero.kernel`).  The sweep
 runs backward from T on a grid uniform in v = sqrt(T - t), which matches the
 square-root shape of the boundaries near the horizon.  Its one state is
-the pair's own knot arrays: node k's iterate is knot k, and its windows read
-the pair's interpolant.  Each node runs one Newton loop from a warm start
+the pair's own knot arrays: node k's iterate is knot k.  Its windows, their
+derivatives in knot k and every later reader use one interpolant, ``_interp``.
+Each node runs one Newton loop from a warm start
 extrapolated in v, with the exact Jacobian of the discrete equations from
 the residual's kernel pass and every step cut back to a fixed maximum
 length.  It stops only once a taken step is within ``tol_b`` and the
@@ -148,13 +149,13 @@ class BoundaryPair:
             arr.setflags(write=False)
 
     def interpolate(self, t):
-        """Monotone piecewise-linear (b-(t), b+(t)); exact at grid nodes."""
+        """(b-(t), b+(t)) by the pair's one interpolant, ``_interp``:
+        piecewise linear in t, monotone, exact at grid nodes."""
         t, T = np.asarray(t, dtype=float), self.spec.T
         if not np.all((t >= -1e-12 * T) & (t <= T * (1 + 1e-12))):  # NaN fails
             raise ValueError("t outside [0, T]")
-        tc = np.clip(t, 0.0, T)
-        return (np.interp(tc, self.grid, self.b_minus),
-                np.interp(tc, self.grid, self.b_plus))
+        return _interp(np.clip(t, 0.0, T), self.grid, self.b_minus,
+                       self.b_plus)
 
     # -- serialization ----------------------------------------------------
 
@@ -242,6 +243,11 @@ def sqrt_time_grid(T: float, n_steps: int) -> np.ndarray:
     return T * (1.0 - ((n_steps - k) / n_steps) ** 2)
 
 
+def _interp(t, grid, *knots):
+    """Each knot array at times ``t``, linear in t between grid nodes."""
+    return tuple(np.interp(t, grid, b) for b in knots)
+
+
 def _newton_step(r, jac):
     """``(step, None)`` with the Newton step -jac^-1 r, or ``(None, cause)``
     naming why the iterate admits none."""
@@ -265,10 +271,10 @@ def solve_boundaries(spec: ProblemSpec,
     The sweep solves the normalized problem (nu, 1), nu = mu sqrt(T), and
     returns its solution rescaled to ``spec``: grid times T, boundaries
     times sqrt(T), residuals times T.  Node k's iterate is the knot
-    (b-[k], b+[k]) of the arrays being filled, so its windows read the
-    interpolant ``BoundaryPair.interpolate`` later gives.  It starts
-    extrapolated linearly in v = sqrt(T - t) from knots k+1, k+2 and
-    clipped into the h±-class; then one loop evaluates the kernel (the
+    (b-[k], b+[k]) of the arrays being filled.  Its windows are their
+    ``_interp``, and their derivatives in the knot the k-th unit vector's.
+    It starts extrapolated linearly in v = sqrt(T - t) from knots k+1, k+2
+    and clipped into the h±-class; then one loop evaluates the kernel (the
     residual and its exact Jacobian), stops once the last taken step moved
     each boundary by at most ``tol_b`` and both residuals are within
     ``tol_res`` (normalized), and else takes the Newton step scaled back to
@@ -299,8 +305,8 @@ def solve_boundaries(spec: ProblemSpec,
             t_k = grid[k]
             rule = lag_rule(1.0 - t_k)
             u = t_k + rule.nodes
-            # weight of the iterate's knot in the window edges per lag node
-            knot_weights = np.interp(u, grid[k:k + 2], [1.0, 0.0])
+            # the window edges' derivative in the iterate's knot
+            knot_weights = _interp(u, grid, np.arange(n + 1) == k)[0]
             # uniform in v: extrapolate 2b1 - b2; node n-1 starts at b(T) = 0
             bm[k] = min(2.0 * bm[k + 1] - bm[min(k + 2, n)], hc.h_minus[k])
             bp[k] = max(2.0 * bp[k + 1] - bp[min(k + 2, n)], hc.h_plus[k])
@@ -308,8 +314,8 @@ def solve_boundaries(spec: ProblemSpec,
             for i in range(MAX_ITER + 1):
                 x = np.array([bm[k], bp[k]])
                 r, d_x, d_beta = lag_integral_batch(
-                    unit, t_k, x, np.interp(u, grid, bm),
-                    np.interp(u, grid, bp), rule, knot_weights=knot_weights)
+                    unit, t_k, x, *_interp(u, grid, bm, bp), rule,
+                    knot_weights=knot_weights)
                 if taken <= cfg.tol_b and np.max(np.abs(r)) <= cfg.tol_res:
                     break
                 if i == MAX_ITER:

@@ -29,6 +29,7 @@ from lastzero import (
     mean_g,
     solve_boundaries,
     value_at,
+    value_row,
 )
 from lastzero.boundaries import sqrt_time_grid
 
@@ -36,7 +37,7 @@ import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
 from oracles import (_KERNEL_N_GL, h_root, large_drift_limit,
                      zero_drift_anchor, zero_drift_closed_form,
-                     zero_drift_lag_integral)
+                     zero_drift_lag_integral, zero_drift_value)
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
 # solution itself, as a solve at tol_res=1e-11 gives it (the
@@ -389,14 +390,56 @@ class TestInterpolation:
         assert bp.b_plus[11] <= bpl <= bp.b_plus[10]
         assert bp.b_minus[10] <= bm <= bp.b_minus[11]
 
-    def test_vectorized_and_function_form(self, boundaries_for):
+    def test_chord_and_vectorized(self, boundaries_for):
+        # today's rule is the chord in t: at lam of the way into cell k
+        # each side is (1 - lam) b[k] + lam b[k+1], to rounding (measured
+        # at most 1 ulp over every cell at lam = 0.1, 0.5 and 0.9)
         bp = boundaries_for(0.0)
-        ts = np.linspace(0.0, 1.0, 11)
+        g = bp.grid
+        for k in (0, 10, 200, 380, 399):
+            for lam in (0.1, 0.5, 0.9):
+                t = g[k] + lam * (g[k + 1] - g[k])
+                lam_t = (t - g[k]) / (g[k + 1] - g[k])
+                for b, got in zip((bp.b_minus, bp.b_plus), bp.interpolate(t)):
+                    chord = (1.0 - lam_t) * b[k] + lam_t * b[k + 1]
+                    ulp = np.spacing(max(abs(b[k]), abs(b[k + 1])))
+                    assert abs(got - chord) <= 2.0 * ulp
+        ts = np.append(np.linspace(0.0, 1.0, 11), 0.5 * (g[10] + g[11]))
         bm, bpl = bp.interpolate(ts)
-        assert bm.shape == ts.shape
-        fm, fp = bp.interpolate(ts)
-        npt.assert_array_equal(fm, bm)
-        npt.assert_array_equal(fp, bpl)
+        assert bm.shape == bpl.shape == ts.shape
+        scalar = np.array([bp.interpolate(t) for t in ts])
+        npt.assert_array_equal(scalar[:, 0], bm)
+        npt.assert_array_equal(scalar[:, 1], bpl)
+
+    def test_one_interpolant_drives_every_reader(self, monkeypatch):
+        # swap the one interpolant for one linear in v = sqrt(T - t), the
+        # exact zero-drift boundary's own shape: the solver's windows and
+        # Jacobian, value_row and the certificate must all follow it
+        # (measured 8.7e-15 sqrt(T) at the knots, 1.7e-10 T in value_row
+        # and 2.9e-16 T in the certificate)
+        def linear_in_v(t, grid, *knots):
+            T = grid[-1]
+            # a lag node may pass T by rounding
+            v = np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))
+            nodes = np.sqrt(T - grid)[::-1]
+            return tuple(np.interp(v, nodes, b[::-1]) for b in knots)
+
+        monkeypatch.setattr(boundaries_module, "_interp", linear_in_v)
+        T = 2.0
+        spec = ProblemSpec(mu=0.0, T=T)
+        z_star = zero_drift_closed_form()[0]
+        for n_steps in (3, 7, 100):
+            bp = solve_boundaries(spec, SolverConfig(n_steps=n_steps))
+            exact = z_star * np.sqrt(T - bp.grid)
+            assert np.max(np.abs(bp.b_plus - exact)) <= 1e-12 * np.sqrt(T)
+            assert np.max(np.abs(bp.b_minus + exact)) <= 1e-12 * np.sqrt(T)
+        xs = np.linspace(-1.5, 1.5, 61) * np.sqrt(T)
+        for u in (0.0, 0.5, 0.9):
+            v = value_row(spec, bp, u * T, xs)
+            exact = zero_drift_value(u * T, xs, T)
+            assert np.max(np.abs(v - exact)) <= 1e-9 * T
+        res = boundary_residuals(spec, bp, bp.grid[:-1:10])
+        assert np.max(np.abs(res)) <= 1e-12 * T
 
     def test_domain_errors(self, boundaries_for):
         bp = boundaries_for(0.0)
@@ -688,7 +731,7 @@ class TestZeroDriftAnchor:
 def _lag_rule_misses(nu, gap):
     return pytest.param(nu, marks=pytest.mark.xfail(
         strict=True, reason=f"the fixed 128-node lag rule misses c by {gap} "
-                            f"at nu = {nu:g} (ROADMAP item 1)"))
+                            f"at nu = {nu:g} (ROADMAP item 2)"))
 
 
 class TestLargeDriftLimit:
