@@ -116,11 +116,12 @@ class Scratch(threading.local):
 
 def integer_fields(config, **least) -> None:
     """Store each named field of the frozen dataclass ``config`` as a Python
-    int; one that is not an integer (numpy integers are), or is below its
-    ``least``, raises a ValueError naming the field."""
+    int; one that is not an integer (numpy integers are, bools are not), or
+    is below its ``least``, raises a ValueError naming the field."""
     for name, low in least.items():
         value = getattr(config, name)
-        if not (isinstance(value, numbers.Integral) and value >= low):
+        if not (isinstance(value, numbers.Integral)
+                and not isinstance(value, bool) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, "
                              f"got {value!r}")
         object.__setattr__(config, name, int(value))

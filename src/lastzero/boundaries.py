@@ -13,9 +13,10 @@ derivatives in knot k and every later reader use one interpolant, ``_interp``.
 Each node runs one Newton loop from a warm start
 extrapolated in v, with the exact Jacobian of the discrete equations from
 the residual's kernel pass and every step cut back to a fixed maximum
-length.  It stops only once a taken step is within ``tol_b`` and the
-residuals within ``tol_res``: smooth fit makes the residual nearly flat in
+length.  It stops only once a taken step is within ``_TOL_B`` and the
+residuals within ``_TOL_RES``: smooth fit makes the residual nearly flat in
 x, so a small residual alone leaves the answer far from the discrete one.
+The stop lands on that one, so ``n_steps`` alone sets the accuracy.
 
 By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
 
@@ -24,7 +25,7 @@ By Brownian scaling the problem has one parameter, nu = mu sqrt(T):
 and the residuals scale with T.  The sweep therefore solves only the
 normalized problem (nu, 1) and maps its grid, boundaries and residuals back
 in one place, so every step size and tolerance is relative to the problem's
-own scale (``tol_b`` to sqrt(T), ``tol_res`` to T), and whether a solve
+own scale (``_TOL_B`` to sqrt(T), ``_TOL_RES`` to T), and whether a solve
 succeeds depends on nu and ``n_steps`` alone.
 """
 
@@ -47,8 +48,11 @@ JSON_SCHEMA = "lastzero.boundaries.v1"
 # the boundaries are O(1).
 _STEP_LIMIT = 0.25
 
-# Iterations of one step's Newton solve.
+# Iterations of one step's Newton solve, and its stop tolerances in the
+# units of the normalized problem.
 MAX_ITER = 200
+_TOL_RES = 1e-6
+_TOL_B = 1e-7
 
 # An iterate further than this many standard deviations sqrt(T - t) of its
 # node's longest lag beyond the next knot has left the window's reach: it
@@ -85,19 +89,14 @@ class InvariantViolationError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     n_steps: int = 400
-    tol_res: float = 1e-6
 
     def __post_init__(self):
         integer_fields(self, n_steps=1)
-        # NaN fails too; inf would switch off the residual stop test
-        if not 0.0 < self.tol_res < np.inf:
-            raise ValueError(
-                f"tol_res must be positive and finite, got {self.tol_res}")
 
-    @property
-    def tol_b(self) -> float:
-        """Step tolerance, relative to sqrt(T), derived from ``tol_res``."""
-        return min(1e-7, self.tol_res / 10.0)
+    def record(self) -> dict:
+        """The settings a solve's outputs record, the fixed ones included."""
+        return {"n_steps": self.n_steps, "max_iter": MAX_ITER,
+                "tol_b": _TOL_B, "tol_res": _TOL_RES}
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,8 @@ class BoundaryPair:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_dict(self, config: SolverConfig | None = None) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema": JSON_SCHEMA,
             "spec": {"mu": self.spec.mu, "T": self.spec.T},
             "grid": self.grid.tolist(),
@@ -169,19 +168,11 @@ class BoundaryPair:
             "residual_minus": self.residuals[:, 0].tolist(),
             "residual_plus": self.residuals[:, 1].tolist(),
         }
-        if config is not None:
-            out["config"] = {
-                "n_steps": config.n_steps, "max_iter": MAX_ITER,
-                "tol_b": config.tol_b, "tol_res": config.tol_res,
-            }
-        return out
 
-    def save_json(self, path, config: SolverConfig | None = None,
-                  manifest_hash: str | None = None) -> None:
-        doc = self.to_json_dict(config)
-        if manifest_hash is not None:
-            doc["manifest_hash"] = manifest_hash
-        write_json(path, doc)
+    def save_json(self, path, **extra) -> None:
+        """Write ``to_json_dict()``, then the keys of ``extra``: a solve
+        adds its ``config`` record and its ``manifest_hash``."""
+        write_json(path, {**self.to_json_dict(), **extra})
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BoundaryPair":
@@ -192,16 +183,16 @@ class BoundaryPair:
                 f"unknown boundary schema {doc.get('schema')!r}; "
                 f"expected {JSON_SCHEMA!r}")
         try:
-            spec = ProblemSpec(mu=float(doc["spec"]["mu"]),
-                               T=float(doc["spec"]["T"]))
-            res = np.column_stack([doc["residual_minus"],
-                                   doc["residual_plus"]])
-            return cls(spec=spec, grid=np.array(doc["grid"]),
-                       b_minus=np.array(doc["b_minus"]),
-                       b_plus=np.array(doc["b_plus"]), residuals=res)
+            spec = doc["spec"]
+            mu, T = _json_numbers("spec", [spec["mu"], spec["T"]])
+            grid, bm, bp, *res = (_json_numbers(k, doc[k]) for k in (
+                "grid", "b_minus", "b_plus", "residual_minus",
+                "residual_plus"))
+            return cls(spec=ProblemSpec(mu=float(mu), T=float(T)), grid=grid,
+                       b_minus=bm, b_plus=bp, residuals=np.column_stack(res))
         except KeyError as exc:
             raise SchemaError(f"boundary file lacks key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed boundary file: {exc}") from exc
 
     @classmethod
@@ -235,6 +226,14 @@ class BoundaryPair:
 
 class SchemaError(ValueError):
     """Unrecognized or malformed serialized artifact."""
+
+
+def _json_numbers(key: str, value) -> np.ndarray:
+    """``value``, a JSON number or a flat list of them, as floats."""
+    for entry in value if isinstance(value, list) else [value]:
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise TypeError(f"{key!r} must hold numbers, got {entry!r}")
+    return np.array(value, dtype=float)
 
 
 def sqrt_time_grid(T: float, n_steps: int) -> np.ndarray:
@@ -276,14 +275,14 @@ def solve_boundaries(spec: ProblemSpec,
     It starts extrapolated linearly in v = sqrt(T - t) from knots k+1, k+2
     and clipped into the h±-class; then one loop evaluates the kernel (the
     residual and its exact Jacobian), stops once the last taken step moved
-    each boundary by at most ``tol_b`` and both residuals are within
-    ``tol_res`` (normalized), and else takes the Newton step scaled back to
+    each boundary by at most ``_TOL_B`` and both residuals are within
+    ``_TOL_RES`` (normalized), and else takes the Newton step scaled back to
     the step limit in its longest component (Dennis & Schnabel 1996,
     ch. 5-6) and clipped into the h±-class.
     Raises :class:`NonConvergenceError` on iteration exhaustion, a
     non-finite residual or Jacobian, or a singular Jacobian, and
     :class:`InvariantViolationError` if the h± curves cannot be bracketed
-    or the final monotonicity clamp moves any value by more than 10*tol_b.
+    or the final monotonicity clamp moves any value by more than 10*_TOL_B.
     """
     n = cfg.n_steps
     root_T = np.sqrt(spec.T)
@@ -316,7 +315,7 @@ def solve_boundaries(spec: ProblemSpec,
                 r, d_x, d_beta = lag_integral_batch(
                     unit, t_k, x, *_interp(u, grid, bm, bp), rule,
                     knot_weights=knot_weights)
-                if taken <= cfg.tol_b and np.max(np.abs(r)) <= cfg.tol_res:
+                if taken <= _TOL_B and np.max(np.abs(r)) <= _TOL_RES:
                     break
                 if i == MAX_ITER:
                     cause = "iteration budget exhausted"
@@ -345,10 +344,10 @@ def solve_boundaries(spec: ProblemSpec,
     bp_c = np.maximum.accumulate(bp[::-1])[::-1]
     clamp = max(np.max(bm - bm_c), np.max(bp_c - bp))
     bm, bp = bm_c, bp_c
-    if clamp > 10.0 * cfg.tol_b:
+    if clamp > 10.0 * _TOL_B:
         raise InvariantViolationError(
             f"monotonicity clamp of {clamp:.3e} (relative to sqrt(T)) "
-            f"exceeds 10*tol_b={10 * cfg.tol_b:.3e} for nu = mu*sqrt(T) = "
+            f"exceeds 10*tol_b={10 * _TOL_B:.3e} for nu = mu*sqrt(T) = "
             f"{unit.mu:.6g} with n_steps = {n}; refine the time grid")
     return BoundaryPair(spec=spec, grid=grid * spec.T, b_minus=bm * root_T,
                         b_plus=bp * root_T, residuals=res * spec.T)

@@ -36,9 +36,9 @@ import numpy as np
 
 from . import __version__
 from .closed_forms import ProblemSpec, mean_g
-from .boundaries import (MAX_ITER, BoundaryPair, SolverConfig,
-                         solve_boundaries, NonConvergenceError,
-                         InvariantViolationError, SchemaError)
+from .boundaries import (BoundaryPair, SolverConfig, solve_boundaries,
+                         NonConvergenceError, InvariantViolationError,
+                         SchemaError)
 from .bellman import (LatticeSpec, LatticeTooCoarseError, bellman_solve,
                       oracle_compare)
 from .value import build_value_surface, value_at
@@ -95,20 +95,18 @@ def _write_outputs(manifest_path: str, core: dict, manifest_hash: str,
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
     spec = ProblemSpec(mu=args.mu, T=args.horizon)
-    cfg = SolverConfig(n_steps=args.n_steps, tol_res=args.tol)
+    cfg = SolverConfig(n_steps=args.n_steps)
     bp = solve_boundaries(spec, cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "boundaries.csv")
     json_path = os.path.join(args.out, "boundaries.json")
     core, h = _manifest_core(
-        "solve", {"mu": spec.mu, "T": spec.T},
-        {"n_steps": cfg.n_steps, "tol_res": cfg.tol_res, "tol_b": cfg.tol_b,
-         "max_iter": MAX_ITER},
+        "solve", {"mu": spec.mu, "T": spec.T}, cfg.record(),
         ["boundaries.csv", "boundaries.json"])
     _write_outputs(
         os.path.join(args.out, "solve.manifest.json"), core, h, t0,
         lambda: bp.save_csv(csv_path, manifest_hash=h),
-        lambda: bp.save_json(json_path, config=cfg, manifest_hash=h))
+        lambda: bp.save_json(json_path, config=cfg.record(), manifest_hash=h))
     print(f"wrote {csv_path} and {json_path} (manifest {h[:12]})")
     return EXIT_OK
 
@@ -231,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the boundary integral equations")
     p.add_argument("--mu", type=float, required=True, help="drift")
     p.add_argument("--horizon", type=float, required=True, help="horizon T")
-    p.add_argument("--n-steps", type=int, default=400)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="residual tolerance, relative to T")
+    p.add_argument("--n-steps", type=int, default=SolverConfig.n_steps)
     p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("value", help="value surface from solved boundaries")
@@ -256,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="solved boundaries vs lattice oracle")
     p.add_argument("--boundaries", required=True, help="boundaries.json")
-    p.add_argument("--lattice", default="2000x2001")
+    p.add_argument("--lattice",
+                   default=f"{LatticeSpec.n_t}x{LatticeSpec.n_x}")
     p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("plot", help="SVG of boundary curves")

@@ -334,11 +334,13 @@ def parse_policy(text: str, spec: ProblemSpec,
                  bp: BoundaryPair | None = None) -> StoppingRule:
     """Parse CLI policy strings: optimal | fixed_time:C | sqrt_rule:Z |
     scaled_optimal:F."""
-    kind, _, arg = text.partition(":")
+    kind, colon, arg = text.partition(":")
     if kind not in ("optimal", "scaled_optimal", "sqrt_rule", "fixed_time"):
         raise ValueError(f"unknown policy name {text!r}")
-    if kind == "optimal" and arg:
+    if kind == "optimal" and colon:
         raise ValueError(f"policy 'optimal' takes no parameter, got {text!r}")
+    if kind != "optimal" and not arg:
+        raise ValueError(f"policy {kind!r} needs a parameter, got {text!r}")
     value = 1.0 if kind == "optimal" else float(arg)
     if kind == "sqrt_rule":
         return SqrtRule(value, spec.T)

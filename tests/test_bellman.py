@@ -46,8 +46,9 @@ class TestLatticeSpec:
 
     @pytest.mark.parametrize("field", ["n_t", "n_x"])
     def test_non_integer_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            LatticeSpec(**{field: 100.5})
+        for value in (100.5, True):
+            with pytest.raises(ValueError, match=field):
+                LatticeSpec(**{field: value})
         assert type(getattr(LatticeSpec(**{field: np.int64(100)}),
                             field)) is int
 

@@ -40,8 +40,9 @@ from oracles import (_KERNEL_N_GL, h_root, large_drift_limit,
                      zero_drift_lag_integral, zero_drift_value)
 
 # Regression anchor, solver defaults (n_steps=400, T=1): the discrete
-# solution itself, as a solve at tol_res=1e-11 gives it (the
-# path-independence test below ties default solves to such tight ones).
+# solution itself, as a solve with its Newton stop tolerances tightened to
+# 1e-11 and 1e-12 gives it (the path-independence test below ties default
+# solves to such tight ones).
 # Independent checks come from the residual certificate below and the
 # lattice cross-validation in the acceptance suite.
 B_PLUS_0_MU0 = 1.12269874
@@ -82,27 +83,16 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(n_steps=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tol_res=-1.0)
-
-    def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_res=float("nan"))
-
-    def test_infinite_tolerance_rejected(self):
-        # it would switch off the residual half of the stop test
-        with pytest.raises(ValueError, match="tol_res"):
-            SolverConfig(tol_res=float("inf"))
 
     def test_step_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match="n_steps"):
             SolverConfig(n_steps=12.5)
         assert type(SolverConfig(n_steps=np.int64(12)).n_steps) is int
 
-    def test_step_tolerance_derived(self):
-        assert SolverConfig().tol_b == 1e-7
-        assert SolverConfig(tol_res=1e-5).tol_b == 1e-7
-        assert SolverConfig(tol_res=1e-11).tol_b == 1e-12
+    def test_bool_step_count_rejected(self):
+        # True is an int to Python, and would run a one-step solve
+        with pytest.raises(ValueError, match="n_steps"):
+            SolverConfig(n_steps=True)
 
 
 class TestSolvedBoundaries:
@@ -161,14 +151,15 @@ class TestSolvedBoundaries:
         assert np.max(np.abs(cert)) / bp_pos.spec.T <= 1e-5
 
     @pytest.mark.parametrize("mu", [0.0, 0.8])
-    def test_path_independent_of_tolerance(self, mu):
+    def test_path_independent_of_tolerance(self, monkeypatch, mu):
         # The residual is nearly flat in x (smooth fit), so a small residual
         # alone does not pin the iterate; the step-size stop must deliver
         # the discrete solution itself, whatever the iteration path.
         spec = ProblemSpec(mu=mu, T=1.0)
         loose = solve_boundaries(spec, SolverConfig(n_steps=80))
-        tight = solve_boundaries(spec, SolverConfig(n_steps=80,
-                                                    tol_res=1e-11))
+        monkeypatch.setattr(boundaries_module, "_TOL_RES", 1e-11)
+        monkeypatch.setattr(boundaries_module, "_TOL_B", 1e-12)
+        tight = solve_boundaries(spec, SolverConfig(n_steps=80))
         npt.assert_allclose(loose.b_minus, tight.b_minus, atol=1e-6, rtol=0)
         npt.assert_allclose(loose.b_plus, tight.b_plus, atol=1e-6, rtol=0)
 
@@ -218,7 +209,8 @@ class TestSolvedBoundaries:
         bp = solve_boundaries(spec, cfg)
         assert any(long_steps)
         assert len(calls) <= 8 * n_steps
-        assert np.max(np.abs(bp.residuals)) / spec.T <= cfg.tol_res
+        assert (np.max(np.abs(bp.residuals)) / spec.T
+                <= boundaries_module._TOL_RES)
         cert = boundary_residuals(spec, bp, bp.grid)
         assert np.max(np.abs(cert)) / spec.T <= 1e-5
 
@@ -370,7 +362,8 @@ class TestBrownianScaling:
             pair = solve_boundaries(ProblemSpec(mu=nu / np.sqrt(T), T=T), cfg)
         except (NonConvergenceError, InvariantViolationError):
             return
-        assert np.max(np.abs(pair.residuals)) / T <= cfg.tol_res
+        assert (np.max(np.abs(pair.residuals)) / T
+                <= boundaries_module._TOL_RES)
 
 
 class TestInterpolation:
@@ -538,8 +531,10 @@ class TestContainerValidation:
 class TestNonConvergence:
     def test_iteration_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(boundaries_module, "MAX_ITER", 1)
+        monkeypatch.setattr(boundaries_module, "_TOL_RES", 1e-14)
+        monkeypatch.setattr(boundaries_module, "_TOL_B", 1e-15)
         spec = ProblemSpec(mu=0.0, T=1.0)
-        cfg = SolverConfig(n_steps=12, tol_res=1e-14)
+        cfg = SolverConfig(n_steps=12)
         with pytest.raises(NonConvergenceError) as exc:
             solve_boundaries(spec, cfg)
         assert exc.value.step >= 0
@@ -614,7 +609,7 @@ class TestSerialization:
     def test_json_round_trip(self, boundaries_for, tmp_path):
         bp = boundaries_for(0.0)
         path = tmp_path / "b.json"
-        bp.save_json(path, config=SolverConfig())
+        bp.save_json(path, config=SolverConfig().record())
         back, _ = BoundaryPair.load_json(path)
         assert back.spec == bp.spec
         npt.assert_array_equal(back.grid, bp.grid)
@@ -663,6 +658,30 @@ class TestSerialization:
         doc[key] = value
         with pytest.raises(SchemaError):
             BoundaryPair.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("spec", {"mu": "0.5", "T": 1.0}), ("spec", {"mu": 0.0, "T": True}),
+        ("spec", {"mu": 10 ** 400, "T": 1.0}), ("spec", {"mu": [0.0], "T": 1}),
+        ("grid", ["0", "0.5", "1"]), ("b_plus", [1.0, False, 0.0]),
+        ("b_minus", [-1.0, [-0.5], 0.0]), ("residual_minus", [True, 0, 0])])
+    def test_non_number_is_schema_error(self, key, value):
+        # float() and numpy would read these as numbers; a boundary file
+        # holds JSON numbers only
+        doc = self._doc()
+        doc[key] = value
+        with pytest.raises(SchemaError, match="numbers|too large"):
+            BoundaryPair.from_json_dict(doc)
+
+    def test_integer_entries_load_as_floats(self):
+        doc = self._doc()
+        doc["spec"] = {"mu": 0, "T": 1}
+        doc["grid"] = [0, 0.5, 1]
+        doc["residual_plus"] = [0, 0, 0]
+        pair = BoundaryPair.from_json_dict(doc)
+        assert pair.spec == ProblemSpec(mu=0.0, T=1.0)
+        npt.assert_array_equal(pair.grid, [0.0, 0.5, 1.0])
+        assert pair.grid.dtype == pair.residuals.dtype == np.float64
+        npt.assert_array_equal(pair.residuals[:, 1], 0.0)
 
     def test_csv_reuses_solver_h_curves(self, tmp_path):
         # a solved pair (swept in normalized units) and a pair built from the

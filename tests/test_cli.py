@@ -82,24 +82,23 @@ class TestSolve:
         assert ("error: horizon T must be positive and finite, got -1.0"
                 in capsys.readouterr().err)
 
-    def test_nan_tolerance_usage_error(self, tmp_path, capsys):
-        # NaN passes a "<= 0" test; it must be refused before any solve
-        assert main(["solve", "--mu", "0", "--horizon", "1", "--n-steps",
-                     "20", "--tol", "nan", "--out",
-                     str(tmp_path / "out")]) == EXIT_USAGE
-        assert ("tol_res must be positive and finite, got nan"
-                in capsys.readouterr().err)
+    def test_tol_flag_usage_error(self, tmp_path, capsys):
+        # the Newton stop's tolerances are fixed: no value of them moved the
+        # answer, so solve has no --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--mu", "0", "--horizon", "1", "--n-steps", "20",
+                  "--tol", "1e-6", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_infinite_tolerance_usage_error(self, tmp_path, capsys):
-        # inf would switch off the residual stop test and write Infinity,
-        # which is not JSON, to boundaries.json and manifest.json
-        assert main(["solve", "--mu", "0.5", "--horizon", "1", "--n-steps",
-                     "20", "--tol", "inf", "--out",
-                     str(tmp_path / "out")]) == EXIT_USAGE
-        assert "tol_res must be positive and finite" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
+    def test_json_and_manifest_record_one_config(self, solved_dir):
+        doc = json.loads((solved_dir / "boundaries.json").read_text())
+        manifest = json.loads(
+            (solved_dir / "solve.manifest.json").read_text())
+        assert doc["config"] == manifest["config"]
+        assert doc["config"] == {"n_steps": 40, "max_iter": 200,
+                                 "tol_b": 1e-7, "tol_res": 1e-6}
 
     def test_failure_depends_on_nu_only(self, tmp_path, capsys):
         # (-50, 1) and (-5, 100) share nu = mu*sqrt(T) = -50: the same
@@ -253,6 +252,18 @@ class TestValue:
         assert rc == EXIT_SCHEMA
         assert "finite" in capsys.readouterr().err
 
+    def test_string_number_schema_error(self, solved_dir, tmp_path, capsys):
+        # "0.4" and true are not JSON numbers, though float() reads them
+        def stringify(doc):
+            doc["spec"]["mu"] = str(doc["spec"]["mu"])
+            doc["spec"]["T"] = True
+
+        path = self._rewritten(solved_dir, tmp_path, stringify)
+        rc = main(["value", "--boundaries", str(path), "--grid", "4x5"])
+        assert rc == EXIT_SCHEMA
+        assert "'spec' must hold numbers, got '0.4'" in (
+            capsys.readouterr().err)
+
     def test_grid_past_a_tiny_horizon_schema_error(self, solved_dir, tmp_path,
                                                    capsys):
         # at T = 1e-14 a grid ending at 2T is 1e-14 past T: within an
@@ -307,6 +318,17 @@ class TestSimulate:
                      str(solved_dir / "boundaries.json"), "--paths", "10",
                      "--steps", "10", "--policy", "teleport"]) == EXIT_USAGE
         assert "teleport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", [
+        "sqrt_rule", "fixed_time:", "scaled_optimal", "optimal:"])
+    def test_policy_parameter_usage_error(self, solved_dir, capsys, policy):
+        # a parameter missing, or one given to optimal, names the policy
+        assert main(["simulate", "--boundaries",
+                     str(solved_dir / "boundaries.json"), "--paths", "10",
+                     "--steps", "10", "--policy", policy]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"policy {policy.rstrip(':')!r}" in err
+        assert "could not convert" not in err
 
     @pytest.mark.parametrize("policy", [
         "scaled_optimal:inf", "scaled_optimal:nan", "sqrt_rule:inf",

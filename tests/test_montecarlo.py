@@ -70,6 +70,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed"])
+    def test_bool_rejected(self, field):
+        # True and False are ints to Python: they ran as 1 path or seed 0
+        kwargs = {"n_paths": 10, "n_steps": 10, "seed": 1, field: True}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
     def test_numpy_integers_stored_as_int(self):
         cfg = SimConfig(n_paths=np.int64(10), n_steps=np.int32(10),
                         seed=np.uint64(2 ** 63 + 7))
@@ -461,8 +468,13 @@ class TestStoppingRules:
             parse_policy("banana", spec, bp)
         with pytest.raises(ValueError):
             parse_policy("fixed_time:abc", spec, bp)
-        with pytest.raises(ValueError, match="no parameter"):
-            parse_policy("optimal:2", spec, bp)
+        for text in ("optimal:2", "optimal:"):
+            with pytest.raises(ValueError, match="no parameter"):
+                parse_policy(text, spec, bp)
+        for text in ("sqrt_rule", "fixed_time:", "scaled_optimal"):
+            with pytest.raises(ValueError, match=(
+                    f"policy '{text.rstrip(':')}' needs a parameter")):
+                parse_policy(text, spec, bp)
         with pytest.raises(ValueError, match="finite"):
             parse_policy("scaled_optimal:inf", spec, bp)
 
