@@ -18,15 +18,22 @@ y = 0 and again where H's dip around it has died out.  A cut window's
 panels are laid out from the density's center, so that its nodes keep
 full precision in the standardized variable.  A call's window edges are
 one row for all its points: where no entry of a lag is cut, the points
-share the lag's nodes y and H values, nearly all of the cost.  A call is
-two serial loops over tiles of lag nodes, on the calling thread;
-parallelism belongs to the callers that hold independent calls (``value``
-rows and the certificate's times).  No result depends on the tiling or on
-the batch.  A tile's (point, lag, panel, node) arrays are the thread's own
-work arrays (``_shared.Scratch``), reused from tile to tile and call to
-call and kept for the life of the thread; ufuncs write into them with
-``out=``, so the steady state allocates no tile memory.  Each holds at
-most 2^15 points: a call takes a wide batch in runs of 2^15 / (2 n_gl).
+share the lag's nodes y and H values, nearly all of the cost.  A caller
+whose calls move the windows at a few lags only (the boundary solver's
+Newton iterations) may keep a ``memo`` across them.  It holds each shared
+lag's panel offsets, widths and H values with the inputs they are a pure
+function of: (mu, n_gl, the rule's size) and, per lag, T - t - s, z- and
+z+.  A later call reuses a lag only where those inputs are bitwise the
+same and no entry is cut, so every output is the same bits with or
+without it.  A call is at most three serial loops over tiles of lag
+nodes, on the calling thread; parallelism belongs to the callers that
+hold independent calls (``value`` rows and the certificate's times).  No
+result depends on the tiling, on the batch or on a memo.  A tile's
+(point, lag, panel, node) arrays are the thread's own work arrays
+(``_shared.Scratch``), reused from tile to tile and call to call and kept
+for the life of the thread; ufuncs write into them with ``out=``, so the
+steady state allocates no tile memory.  Each holds at most 2^15 points:
+a call takes a wide batch in runs of 2^15 / (2 n_gl).
 On request the same loops also give the integral's derivatives in the
 evaluation point and in the knot values of the window edges, with H at
 each edge once per side and lag: the boundary solver's exact Jacobian.
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -160,8 +167,32 @@ def _tiles(columns, tile):
                if run[-1] - run[0] + 1 == run.size else run)
 
 
+def _same_bits(a, b):
+    """Entrywise: do the float arrays ``a`` and ``b`` hold the same bits?"""
+    return np.asarray(a).view(np.int64) == np.asarray(b).view(np.int64)
+
+
+def _recall(memo, mu, n_gl, inputs, shared):
+    """The lags whose values ``memo`` holds for this call: stored under the
+    key (mu, n_gl, number of lags) from bitwise the same ``inputs``
+    (T - t - s, z-, z+), and with no cut entry now.  A memo under another
+    key starts again, empty."""
+    key = (float(mu).hex(), n_gl, shared.size)
+    if memo.get("key") != key:
+        n, g = shared.size, n_gl // 2
+        memo.clear()
+        memo.update(key=key, valid=np.zeros(n, dtype=bool),
+                    inputs=np.empty((3, n)), d=np.empty((n, 4, g)),
+                    width=np.empty((n, 4)), h=np.empty((n, 4, g)))
+    match = memo["valid"] & shared
+    for now, stored in zip(inputs, memo["inputs"]):
+        match &= _same_bits(now, stored)
+    return match
+
+
 def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
-                       rule: LagRule, n_gl: int = 32, knot_weights=None):
+                       rule: LagRule, n_gl: int = 32, knot_weights=None,
+                       memo: dict | None = None):
     """Vectorized int_0^{L} K(t, x, s, z-(s), z+(s)) ds for a batch of x.
 
     Parameters
@@ -180,6 +211,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         the call returns ``(values, d_x, d_beta)`` instead of ``values``:
         ``d_x`` (B,) holds each value's derivative in its own evaluation
         point, ``d_beta`` (B, 2) its derivatives in beta- and beta+.
+    memo : dict, optional
+        Kept by the caller from call to call, empty at first, and used by
+        one thread at a time: the shared lags' nodes and H values, reused
+        while their inputs hold (below).
 
     Each (x, s-node) entry's window is first cut to ``_CLIP`` standard
     deviations of its transition density's center x + mu s.  Its inner
@@ -202,10 +237,10 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     one pass, and a wider batch in consecutive runs of that many.  A pass
     of B points runs over tiles of at most
     ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes on the calling
-    thread: first the lags with no cut entry, whose window is the edges'
-    for every point, so that their nodes and H values are evaluated once
-    for the pass and only phi depends on x; then the other lags, with H
-    on every point's own nodes.  An entry's arithmetic is the same
+    thread: first the lags whose values a ``memo`` holds; then the lags
+    with no cut entry, whose window is the edges' for every point, so that
+    their nodes and H values are evaluated once for the pass and only phi
+    depends on x; then the other lags, with H on every point's own nodes.  An entry's arithmetic is the same
     whatever the run or tile, so the result does not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
@@ -216,6 +251,19 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     lambda_s != 0 for all points; its product with each point's phi is
     formed in C order, so that ``d_beta``'s lag sum rounds alike in any
     batch.  The values are bit-identical with and without ``knot_weights``.
+
+    With a ``memo``, a pass keeps its shared lags' panel offsets d, panel
+    widths and H values there, keyed on what they are a pure function of:
+    (mu, n_gl, rule.n) and, per lag, T - t - s, z- and z+.  A later pass
+    reuses a lag's values where its three inputs are bitwise the stored
+    ones and none of its entries is cut; there it forms only xi, phi and
+    the sums.  Its other lags, such as those whose window moved, go to the
+    per-point pass, which gives an uncut entry the same bits: its origin
+    is 0 and its edges z± there too.  A pass that reuses no lag, as the
+    first under a new key, stores its own shared lags in their place, in
+    the memo's arrays.  Every output is bit-identical with and without a
+    memo: reuse rests on the inputs' values, never on what the caller says
+    has changed.
     """
     if not isinstance(n_gl, numbers.Integral) or n_gl < 2 or n_gl % 2:
         raise ValueError(f"n_gl must be an even integer >= 2, got {n_gl!r}")
@@ -233,7 +281,7 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     run = max(1, _TILE_H_POINTS // (2 * n_gl))
     if xs.size > run:
         parts = [lag_integral_batch(spec, t, xs[j:j + run], zm, zp, rule,
-                                    n_gl, knot_weights)
+                                    n_gl, knot_weights, memo)
                  for j in range(0, xs.size, run)]
         return (tuple(map(np.concatenate, zip(*parts))) if with_jacobian
                 else np.concatenate(parts))
@@ -257,23 +305,23 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     moment = np.empty((xs.size, rule.n)) if with_jacobian else None
     tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
 
-    def integrate(cols, rows):
-        """The entries of lags ``cols`` on rows ``rows`` of the windows."""
-        o = origin[rows, cols]
-        lo_d, width_d = _panels(lo[rows, cols], hi[rows, cols], 0.0 - o,
-                                dip[:, cols])
-        y, h, *h_work = (_scratch.array(name, lo_d.shape + r.shape)
-                         for name in ("y", "h", "a", "nu", "tmp"))
-        d = np.add(lo_d[..., np.newaxis],
-                   np.multiply(width_d[..., np.newaxis], r, out=y), out=y)
+    def sums(cols, o, d, width_d, h=None, keep=None):
+        """The entries of lags ``cols`` from their panels' offsets ``d``
+        from origins ``o`` and widths, with H at the nodes: ``h``, or else
+        evaluated here, spending ``d``, and stored in ``keep`` if given."""
         sq_t = sq[:, cols, np.newaxis]
         rel = (center[:, cols] - o)[..., np.newaxis, np.newaxis]
         xi = np.subtract(d, rel, out=_scratch.array("xi", (xs.size,)
                                                     + d.shape[1:]))
         np.divide(xi, sq_t[..., np.newaxis], out=xi)
-        np.add(o[..., np.newaxis, np.newaxis], d, out=y)     # d is spent
-        _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y, h,
-                     *h_work)
+        if h is None:
+            y, h, *h_work = (_scratch.array(name, d.shape)
+                             for name in ("y", "h", "a", "nu", "tmp"))
+            np.add(o[..., np.newaxis, np.newaxis], d, out=y)
+            _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y,
+                         h, *h_work)
+            if keep is not None:
+                keep["h"][cols] = h[0]
         # phi takes H's first work array, free again
         out[:, cols], m = _panel_sums(xi, width_d / sq_t, h, w,
                                       _scratch.array("a", xi.shape),
@@ -281,11 +329,44 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
         if with_jacobian:
             moment[:, cols] = m
 
+    def integrate(cols, rows=slice(None), keep=None):
+        """The entries of lags ``cols`` on rows ``rows`` of the windows;
+        with ``keep``, the first row's panels and H are stored there."""
+        o = origin[rows, cols]
+        lo_d, width_d = _panels(lo[rows, cols], hi[rows, cols], 0.0 - o,
+                                dip[:, cols])
+        y = _scratch.array("y", lo_d.shape + r.shape)
+        d = np.add(lo_d[..., np.newaxis],
+                   np.multiply(width_d[..., np.newaxis], r, out=y), out=y)
+        if keep is not None:
+            keep["d"][cols], keep["width"][cols] = d[0], width_d[0]
+        sums(cols, o, d, width_d, keep=keep)
+
+    def recall(cols):
+        """The entries of lags ``cols`` from the memo's stored values."""
+        d, width_d, h = (memo[name][cols][np.newaxis]
+                         for name in ("d", "width", "h"))
+        sums(cols, origin[:1, cols], d, width_d, h)
+
     # lags with no cut entry have the window of the edges: one row, shared
     shared = uncut.all(axis=0)
-    for lags, rows in ((shared, slice(1)), (~shared, slice(None))):
+    reuse, keep = np.zeros_like(shared), None
+    if memo is not None and xs.size:
+        inputs = (s_rem[0], zm, zp)
+        reuse = _recall(memo, spec.mu, n_gl, inputs, shared)
+        if not reuse.any():
+            # nothing to reuse: the memo keeps this call's shared lags
+            np.copyto(memo["inputs"], inputs)
+            np.copyto(memo["valid"], shared)
+            keep = memo
+    # with reuse, an unmatched shared lag joins the per-point pass
+    one_row = shared & (not reuse.any())
+    for lags, integrate_lags in (
+            (reuse, recall),
+            (one_row, partial(integrate, rows=slice(1), keep=keep)),
+            (~(reuse | one_row), integrate)):
         for cols in _tiles(lags, tile):
-            integrate(cols, rows)
+            integrate_lags(cols)
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:

@@ -299,7 +299,7 @@ class OptimalRule(StoppingRule):
         self.bp = bp
         self.factor = _finite("scaled_optimal", factor)
         self.name = ("optimal" if factor == 1.0
-                     else f"scaled_optimal:{factor:g}")
+                     else f"scaled_optimal:{float(factor)!r}")
 
     def stop_mask(self, times, w):
         zm, zp = self.bp.interpolate(times)
@@ -312,7 +312,7 @@ class SqrtRule(StoppingRule):
     def __init__(self, z: float, T: float):
         self.z = _finite("sqrt_rule", z)
         self.T = T
-        self.name = f"sqrt_rule:{z:g}"
+        self.name = f"sqrt_rule:{float(z)!r}"
 
     def stop_mask(self, times, w):
         thr = self.z * np.sqrt(np.maximum(self.T - times, 0.0))
@@ -324,7 +324,7 @@ class FixedTimeRule(StoppingRule):
 
     def __init__(self, c: float, T: float):
         self.c = float(np.clip(_finite("fixed_time", c), 0.0, T))
-        self.name = f"fixed_time:{c:g}"
+        self.name = f"fixed_time:{float(c)!r}"
 
     def taus(self, times, w):
         return np.full(w.shape[0], self.c)

@@ -35,6 +35,7 @@ from lastzero.boundaries import sqrt_time_grid
 
 import lastzero._shared as shared_module
 import lastzero.boundaries as boundaries_module
+import lastzero.kernel as kernel_module
 from oracles import (_KERNEL_N_GL, h_root, large_drift_limit,
                      zero_drift_anchor, zero_drift_closed_form,
                      zero_drift_lag_integral, zero_drift_value)
@@ -263,6 +264,25 @@ class TestRegressionPins:
                         .hexdigest()
                         for name in ("grid", "b_minus", "b_plus", "residuals"))
         assert (n_calls, digests) == self.PINS[key]
+
+    # H points of the same solves, counted where the kernel evaluates H:
+    # each node keeps its shared row's H in the kernel's memo from one
+    # Newton call to the next (without it, 2371840 and 3193344)
+    H_POINTS = {(0.8, 1.0, 60): 1343104, (-1.5, 2.0, 80): 1791552}
+
+    @pytest.mark.parametrize("key", list(H_POINTS))
+    def test_solve_H_points(self, monkeypatch, key):
+        points = []
+        real = kernel_module._gain_H_into
+
+        def counting(mu, s_rem, y, *work):
+            points.append(y.size)
+            return real(mu, s_rem, y, *work)
+
+        monkeypatch.setattr(kernel_module, "_gain_H_into", counting)
+        mu, T, n_steps = key
+        solve_boundaries(ProblemSpec(mu=mu, T=T), SolverConfig(n_steps=n_steps))
+        assert sum(points) == self.H_POINTS[key]
 
 
 class TestInnerRule:

@@ -730,6 +730,23 @@ class TestLagTileItems:
                            knot_weights=_knot_weights(self.t, 0.1, rule))
         assert [size for _, size in calls] == [6912, 2560]
 
+    def test_memo_takes_H_on_cut_and_moved_lags(self, monkeypatch):
+        # with a memo the first call is the one above and stores the 108
+        # shared lags; the same windows again, as arrays, take H on the 20
+        # cut lags only, 2 x 20 x 64 points, and a lower window moved on
+        # the first cell (32 lags, 12 of them uncut) on those 32 lags
+        rule = lag_rule(self.spec.T - self.t, 128)
+        knot_weights = _knot_weights(self.t, 0.1, rule)
+        zm = np.full(rule.n, -1.0)
+        calls = self._record_H_calls(monkeypatch)
+        memo, sizes = {}, []
+        for edge in (-1.0, zm, zm - 0.05 * knot_weights):
+            calls.clear()
+            lag_integral_batch(self.spec, self.t, [-0.3, 0.4], edge, 1.0, rule,
+                               knot_weights=knot_weights, memo=memo)
+            sizes.append([size for _, size in calls])
+        assert sizes == [[6912, 2560], [2560], [4096]]
+
     def test_value_batch_shares_H(self, monkeypatch):
         # 64 points: 11.3 H points per (point, lag) entry, against 64 when
         # every entry has its own nodes
@@ -771,6 +788,126 @@ class TestLagTileItems:
         lag_integral_batch(self.spec, self.t, np.linspace(-0.5, 0.5, 64),
                            -1.0, 1.0, rule, knot_weights=knot_weights)
         assert 0 < n_at < rule.n and sizes == [2 * n_at]
+
+
+class TestLagMemo:
+    """A memo kept across calls leaves every output bit-identical: a run of
+    calls with one memo gives the bits of the same calls without it,
+    while the later calls take fewer H points."""
+
+    spec, t, cell = ProblemSpec(mu=0.4, T=1.0), 0.2, 0.1
+
+    def _window(self, rule, beta):
+        """The solver's windows: knots beta± at t and fixed knots beyond,
+        so that they move with beta on the first cell's lags only."""
+        u = self.t + rule.nodes
+        knots = [self.t, self.t + self.cell, self.spec.T]
+        return (np.interp(u, knots, [beta[0], -0.7, 0.0]),
+                np.interp(u, knots, [beta[1], 0.8, 0.0]))
+
+    @staticmethod
+    def _same_bits(got, want):
+        return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def _check(self, monkeypatch, calls, jacobian=True):
+        """Each call's outputs with one memo against those without it; the
+        H points of the calls with the memo and of those without."""
+        count = [0]
+
+        def gain_into(mu, s_rem, y, *work):
+            count[0] += y.size
+            return gain_H_into(mu, s_rem, y, *work)
+
+        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        memo, points = {}, []
+        for spec, t, xs, zm, zp, rule, n_gl in calls:
+            knot_weights = (_knot_weights(t, self.cell, rule) if jacobian
+                            else None)
+            pair = []
+            for kept in (memo, None):
+                count[0] = 0
+                pair.append(lag_integral_batch(
+                    spec, t, xs, zm, zp, rule, n_gl, knot_weights,
+                    memo=kept))
+                pair.append(count[0])
+            got, with_memo, want, without = pair
+            if not jacobian:
+                got, want = (got,), (want,)
+            assert len(got) == len(want) and self._same_bits(got, want)
+            points.append((with_memo, without))
+        return points
+
+    def _calls(self, betas, xs=None, rule=None, spec=None, t=None, n_gl=32):
+        spec, t = spec or self.spec, self.t if t is None else t
+        rule = rule or lag_rule(spec.T - t, 128)
+        return [(spec, t, np.asarray(beta if xs is None else xs),
+                 *self._window(rule, beta), rule, n_gl) for beta in betas]
+
+    @pytest.mark.parametrize("jacobian", [True, False])
+    def test_unchanged(self, monkeypatch, jacobian):
+        points = self._check(monkeypatch, self._calls([[-0.8, 0.9]] * 3),
+                             jacobian)
+        assert points[0][0] == points[0][1]
+        assert all(0 < memo < full for memo, full in points[1:])
+
+    def test_first_cell_windows_move(self, monkeypatch):
+        # Newton iterates: the windows move on the first cell's lags only
+        betas = [[-0.8, 0.9], [-0.85, 0.93], [-0.86, 0.94], [-0.86, 0.94]]
+        calls = self._calls(betas)
+        rule = calls[0][5]
+        first_cell = rule.nodes < self.cell
+        for a, b in zip(calls, calls[1:]):
+            moved = (a[3] != b[3]) | (a[4] != b[4])
+            assert not np.any(moved & ~first_cell)
+        points = self._check(monkeypatch, calls)
+        assert all(memo < full for memo, full in points[1:])
+
+    def test_lags_flip_between_cut_and_uncut(self, monkeypatch):
+        # x near z+ cuts the short lags' entries; moving it back uncuts
+        # them, and their stored values are reused again
+        rule = lag_rule(self.spec.T - self.t, 128)
+        sq = np.sqrt(rule.nodes)
+        shared = []
+        xs_seq = [[-0.3, 0.4], [-0.3, 0.75], [-0.3, 0.4]]
+        for xs in xs_seq:
+            zm, zp = self._window(rule, [-0.8, 0.9])
+            center = np.array(xs)[:, np.newaxis] + self.spec.mu * rule.nodes
+            shared.append((((zm - center) / sq > -kernel_module._CLIP)
+                           & ((zp - center) / sq < kernel_module._CLIP))
+                          .all(axis=0))
+        assert np.any(shared[0] & ~shared[1])
+        assert np.any(~shared[1] & shared[2])
+        calls = [self._calls([[-0.8, 0.9]], xs=xs, rule=rule)[0]
+                 for xs in xs_seq]
+        points = self._check(monkeypatch, calls)
+        assert points[2][0] < points[1][0] < points[1][1]
+
+    @pytest.mark.parametrize("change", ["t", "rule", "mu", "n_gl"])
+    def test_other_setting_resets(self, monkeypatch, change):
+        # the dict kept for one setting and reused for another: the first
+        # call of the other setting takes every H point, and stores its
+        # lags for the next
+        beta = [[-0.8, 0.9]] * 2
+        other = {"t": dict(t=0.25),
+                 "rule": dict(rule=lag_rule(self.spec.T - self.t, 64)),
+                 "mu": dict(spec=ProblemSpec(mu=-0.4, T=1.0)),
+                 "n_gl": dict(n_gl=16)}[change]
+        points = self._check(monkeypatch,
+                             self._calls(beta) + self._calls(beta, **other))
+        assert points[1][0] < points[1][1]
+        assert points[2][0] == points[2][1]
+        assert points[3][0] < points[3][1]
+
+    def test_wider_than_one_run(self, monkeypatch):
+        # 1100 points: three runs of at most 512 share one memo; the
+        # third call's moved lag takes every point's own nodes in each run
+        run = kernel_module._TILE_H_POINTS // (2 * 32)
+        xs = np.linspace(-0.9, 1.0, 2 * run + 76)
+        rule = lag_rule(self.spec.T - self.t, 16)
+        calls = [self._calls([beta], xs=xs, rule=rule)[0]
+                 for beta in ([-0.8, 0.9], [-0.8, 0.9], [-0.82, 0.91])]
+        points = self._check(monkeypatch, calls)
+        assert points[1][0] < points[1][1]
 
 
 class TestLagScratch:

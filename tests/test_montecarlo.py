@@ -442,6 +442,18 @@ class TestStoppingRules:
         assert SqrtRule(0.8, 1.0).name == "sqrt_rule:0.8"
         assert FixedTimeRule(0.5, 1.0).name == "fixed_time:0.5"
 
+    @pytest.mark.parametrize("value", [0.39346934, 1.4405468])
+    def test_names_replay(self, boundaries_for, value):
+        # a rule's name parses back to the rule with the same parameter,
+        # to the last bit (six significant digits did not)
+        bp = boundaries_for(0.0)
+        for kind, attr in (("scaled_optimal", "factor"), ("sqrt_rule", "z"),
+                           ("fixed_time", "c")):
+            rule = parse_policy(f"{kind}:{value}", bp.spec, bp)
+            again = parse_policy(rule.name, bp.spec, bp)
+            assert again.name == rule.name == f"{kind}:{value}"
+            assert getattr(again, attr) == getattr(rule, attr)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_parameters_refused(self, boundaries_for, value):
         # with inf or NaN a terminal column need not stop, and tau would
