@@ -23,7 +23,6 @@ live as long as the thread), the Monte Carlo one per call.
 from __future__ import annotations
 
 import contextvars
-import csv
 import json
 import math
 import numbers
@@ -98,9 +97,11 @@ class Scratch(threading.local):
     their arrays took 66k-115k minor faults per 1e4 x 4000 run, against
     6k with reuse).  The price is memory held while the owner lives: in
     ``simulate`` (1e4 paths x 4000 steps on two CPUs) two 2 MB arrays per
-    thread until the run ends, and in the kernel at most about 1.5 MB per
-    thread, for the thread's life.  What a thread frees may also stay in its
-    malloc arena, about 0.5 MB of peak RSS per pool thread in ``value``.
+    thread until the run ends, and in the kernel one buffer per thread, for
+    the thread's life, of 6 x 2^15 floats (1.5 MB), out of which every
+    tile carves its arrays; its pages become resident as tiles reach
+    them.  What a thread frees may also stay in its malloc arena, about
+    0.5 MB of peak RSS per pool thread in ``value``.
     """
 
     def __init__(self):
@@ -130,14 +131,15 @@ def integer_fields(config, **least) -> None:
 def write_csv(path, header, rows, comments: dict) -> None:
     """CSV with '\\n' line ends: a '# key=value' line per comment whose
     value is not None, the header, then the rows (sequences of already
-    formatted fields)."""
+    formatted strings).  Fields are joined with commas as they are: every
+    caller's are column names and formatted numbers, which a CSV writer
+    never quotes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in comments.items():
             if value is not None:
                 fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(fields) + "\n" for fields in rows)
 
 
 def write_json(path, doc: dict) -> None:

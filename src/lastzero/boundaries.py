@@ -278,7 +278,12 @@ def solve_boundaries(spec: ProblemSpec,
     each boundary by at most ``_TOL_B`` and both residuals are within
     ``_TOL_RES`` (normalized), and else takes the Newton step scaled back to
     the step limit in its longest component (Dennis & Schnabel 1996,
-    ch. 5-6) and clipped into the h±-class.  Every kernel call of the sweep
+    ch. 5-6) and clipped into the h±-class.  After a step within
+    ``_TOL_B`` the loop first asks the kernel for the residual alone, whose
+    values are bit for bit those of the call with the Jacobian: a node's
+    last call, which confirms the stop, forms no Jacobian, and one that
+    does not confirm it is followed by the Jacobian call at the same
+    iterate.  Every kernel call of the sweep
     takes one ``memo``: between a node's calls only knot k moves, so only
     the first cell's windows do, and each call after the node's first
     reuses the panels and H values of the shared row's other lags.  The
@@ -320,11 +325,17 @@ def solve_boundaries(spec: ProblemSpec,
             taken = np.inf
             for i in range(MAX_ITER + 1):
                 x = np.array([bm[k], bp[k]])
+                windows = _interp(u, grid, bm, bp)
+                if taken <= _TOL_B:
+                    # a short step: the values alone, the same bits as the
+                    # Jacobian call's, may confirm the stop
+                    r = lag_integral_batch(unit, t_k, x, *windows, rule,
+                                           memo=memo)
+                    if np.max(np.abs(r)) <= _TOL_RES:
+                        break
                 r, d_x, d_beta = lag_integral_batch(
-                    unit, t_k, x, *_interp(u, grid, bm, bp), rule,
-                    knot_weights=knot_weights, memo=memo)
-                if taken <= _TOL_B and np.max(np.abs(r)) <= _TOL_RES:
-                    break
+                    unit, t_k, x, *windows, rule, knot_weights=knot_weights,
+                    memo=memo)
                 if i == MAX_ITER:
                     cause = "iteration budget exhausted"
                 else:

@@ -123,7 +123,10 @@ def _gain_H_into(mu, s, x, out, a, nu, tmp):
     np.subtract(np.negative(a, out=a), tmp, out=a)
     log_ndtr(np.divide(a, rs, out=a), out=a)
     np.exp(np.add(nu, a, out=a), out=a)            # second
-    np.clip(np.subtract(out, a, out=out), 0.0, 1.0, out=out)
+    # clip(first - second, 0, 1) as maximum, then minimum: the same bits but
+    # a zero's sign, which 2 out - 1 maps to -1 either way, at half the cost
+    np.maximum(np.subtract(out, a, out=out), 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
     return np.subtract(np.multiply(2.0, out, out=out), 1.0, out=out)
 
 

@@ -28,12 +28,15 @@ same and no entry is cut, so every output is the same bits with or
 without it.  A call is at most three serial loops over tiles of lag
 nodes, on the calling thread; parallelism belongs to the callers that
 hold independent calls (``value`` rows and the certificate's times).  No
-result depends on the tiling, on the batch or on a memo.  A tile's
-(point, lag, panel, node) arrays are the thread's own work arrays
-(``_shared.Scratch``), reused from tile to tile and call to call and kept
-for the life of the thread; ufuncs write into them with ``out=``, so the
-steady state allocates no tile memory.  Each holds at most 2^15 points:
-a call takes a wide batch in runs of 2^15 / (2 n_gl).
+result depends on the tiling, on the batch or on a memo.  Each thread
+keeps one work buffer of 6 x 2^15 floats (``_shared.Scratch``) for its
+life, and every tile carves the (point, lag, panel, node) arrays
+its loop holds out of it; ufuncs write into them with ``out=``, so the
+steady state allocates no tile memory.  A loop takes as many lags per
+tile as the buffer holds of what it keeps per lag, so the loop that
+evaluates H on one shared row runs in tiles several times longer than
+the one that evaluates it on every point's row; a call takes a wide
+batch in runs of 2^15 / (2 n_gl) points.
 On request the same loops also give the integral's derivatives in the
 evaluation point and in the knot values of the window edges, with H at
 each edge once per side and lag: the boundary solver's exact Jacobian.
@@ -41,6 +44,7 @@ each edge once per side and lag: the boundary solver's exact Jacobian.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -53,14 +57,18 @@ from .closed_forms import ProblemSpec, _gain_H_into, _gain_H_raw
 # Standardized tail cutoff: mass beyond is ~1.5e-23, far below the rule's error.
 _CLIP = 10.0
 
-# Panel nodes per tile on one thread, 2 n_gl per (point, lag) entry: 256 KB
-# per work array, 512 points per pass; a 200-point ``value`` row is tiles of
-# 2 lags, a solver call (2 points x 128 lags) one tile.
-_TILE_H_POINTS = 2 ** 15
+# Floats in each thread's one work buffer, 1.5 MB, out of which every tile
+# carves the arrays its loop holds (``_floats_per_lag``).  Where H runs on
+# every point's row, those are six arrays of 2 n_gl nodes per (point, lag)
+# entry: 512 points per pass, and a 200-point ``value`` row in tiles of 2
+# lags.  Its shared row holds one such array of every point's row beside
+# one-row arrays: tiles of 54 lags for 48 points without the Jacobian.  A
+# solver call (2 points x 128 lags) is one tile in each loop.
+_WORK_FLOATS = 6 * 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Each thread's tile arrays, reused from call to call.
+# Each thread's work buffer, reused from call to call.
 _scratch = _shared.Scratch()
 
 
@@ -133,21 +141,74 @@ def _panels(lo, hi, kink, dip):
     return edges[..., :-1], np.subtract(edges[..., 1:], edges[..., :-1])
 
 
-def _panel_sums(xi, width, h, w, phi, with_jacobian):
+def _floats_per_lag(points, h_rows, n_gl, with_jacobian):
+    """Floats of work memory a tile holds per lag node (``_tile_arrays``):
+    xi on every point's row and H's five arrays on ``h_rows`` rows, 2 n_gl
+    nodes each; where H's arrays have fewer rows than there are points,
+    also ``mass`` and, with the Jacobian, ``phi``."""
+    if h_rows == points:
+        return 2 * n_gl * 6 * points
+    phi_rows = points if with_jacobian else 0
+    return 2 * n_gl * (points + 5 * h_rows + phi_rows) + 4 * points
+
+
+def _tile_arrays(lags, points, h_rows, n_gl, with_jacobian):
+    """A tile's work arrays, carved back to back from the start of the
+    calling thread's one buffer, by name.
+
+    ``xi`` (points, lags, 4, n_gl/2) holds the standardized variable at
+    the nodes.  H's nodes ``y``, its values ``h`` and its three work
+    arrays ``a``, ``nu`` and ``tmp`` have ``h_rows`` rows: every point's,
+    one shared by all points, or none where H is recalled.  ``phi``,
+    shaped like xi, is xi itself without the Jacobian, whose sums need
+    no xi after phi.  Where H's arrays have every point's row, phi (with
+    the Jacobian) and ``mass`` (points, lags, 4) take its work arrays,
+    free once H is done; else they have their own.
+    """
+    node = (lags, 4, n_gl // 2)
+    # the whole budget at once, its pages touched only as tiles use them:
+    # grown tile by tile, the freed smaller buffers left about 1 MB more
+    # peak RSS in ``value``
+    buf = _scratch.array("work", (max(_WORK_FLOATS, lags * _floats_per_lag(
+        points, h_rows, n_gl, with_jacobian)),))
+    start = 0
+
+    def take(shape):
+        nonlocal start
+        view = buf[start:start + math.prod(shape)].reshape(shape)
+        start += view.size
+        return view
+
+    arrays = {name: take((rows,) + node) for name, rows in (
+        ("xi", points), ("y", h_rows), ("h", h_rows), ("a", h_rows),
+        ("nu", h_rows), ("tmp", h_rows))}
+    if h_rows == points:
+        # H's work arrays, free once H is done
+        phi = arrays["a"]
+        mass = arrays["nu"].reshape(-1)[:points * lags * 4]
+    else:
+        phi = take((points,) + node) if with_jacobian else None
+        mass = take((points, lags, 4))
+    arrays["phi"] = phi if with_jacobian else arrays["xi"]
+    arrays["mass"] = mass.reshape(points, lags, 4)
+    return arrays
+
+
+def _panel_sums(xi, width, h, w, phi, mass, with_jacobian):
     """Each entry's inner integral over its four panels, and with the
     Jacobian its moment int H xi phi dxi: ``(values, moments)`` of shape
     ``xi.shape[:-2]``, moments None without it.
 
     ``xi`` (B, n, 4, G) holds the standardized variable at each panel's
     Gauss-Legendre nodes, ``width`` (B or 1, n, 4) the panels' widths in
-    it and ``h`` (B or 1, n, 4, G) H at the nodes; ``phi``, shaped like
-    ``xi``, is a work array, and the moment spends ``xi``.
+    it and ``h`` (B or 1, n, 4, G) H at the nodes.  ``phi``, shaped like
+    ``xi``, and ``mass`` (B, n, 4) are work arrays; without the Jacobian
+    phi may be ``xi`` itself, and with it the moment spends ``xi``.
     """
     np.multiply(xi, xi, out=phi)
     np.exp(np.multiply(-0.5, phi, out=phi), out=phi)
     h_phi = np.multiply(np.multiply(phi, _INV_SQRT_2PI, out=phi), h, out=phi)
-    mass = np.einsum("bspg,g->bsp", h_phi, w,
-                     out=_scratch.array("mass", xi.shape[:-1]))
+    mass = np.einsum("bspg,g->bsp", h_phi, w, out=mass)
     values = _by_side(width * mass)
     if not with_jacobian:
         return values, None
@@ -158,13 +219,13 @@ def _panel_sums(xi, width, h, w, phi, with_jacobian):
 
 def _tiles(columns, tile):
     """The indices of the True entries of ``columns``, ascending, in runs
-    of at most ``tile``: a slice where a run is contiguous (a view, not a
-    copy), else an index array."""
+    of at most ``tile``, each with its length: a slice where a run is
+    contiguous (a view, not a copy), else an index array."""
     idx = np.flatnonzero(columns)
     for j in range(0, idx.size, tile):
         run = idx[j:j + tile]
         yield (slice(run[0], run[-1] + 1)
-               if run[-1] - run[0] + 1 == run.size else run)
+               if run[-1] - run[0] + 1 == run.size else run), run.size
 
 
 def _same_bits(a, b):
@@ -233,15 +294,21 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     runs along each point's own row, so a point's value is the same bit
     for bit alone or in any batch.
 
-    A call takes at most ``max(1, _TILE_H_POINTS // (2 n_gl))`` points in
-    one pass, and a wider batch in consecutive runs of that many.  A pass
-    of B points runs over tiles of at most
-    ``max(1, _TILE_H_POINTS // (2 B n_gl))`` lag nodes on the calling
-    thread: first the lags whose values a ``memo`` holds; then the lags
-    with no cut entry, whose window is the edges' for every point, so that
-    their nodes and H values are evaluated once for the pass and only phi
-    depends on x; then the other lags, with H on every point's own nodes.  An entry's arithmetic is the same
-    whatever the run or tile, so the result does not depend on the tiling.
+    A pass of B points runs three loops over tiles of lag nodes on the
+    calling thread: first the lags whose values a ``memo`` holds; then the
+    lags with no cut entry, whose window is the edges' for every point, so
+    that their nodes and H values are evaluated once for the pass and only
+    phi depends on x; then the other lags, with H on every point's own
+    nodes.  Each tile carves its arrays out of the thread's one buffer of
+    ``_WORK_FLOATS`` floats, and a loop takes ``max(1, _WORK_FLOATS // F)``
+    lags per tile, F the floats it holds per lag (``_floats_per_lag``):
+    xi on B rows, with the Jacobian phi on B rows, and mass, beside H's
+    five arrays on no row, on one row or on B rows, where they also hold
+    phi and mass.  A call takes at most ``max(1, _WORK_FLOATS // (12
+    n_gl))`` points in one pass, the points of one lag of the last loop,
+    and a wider batch in consecutive runs of that many.  An entry's
+    arithmetic is the same whatever the run or tile, so the result does
+    not depend on the tiling.
 
     The derivatives are those of the inner integral in closed form.  In x
     it is int H(center + sqrt(s) xi) xi phi(xi) dxi / sqrt(s), a second
@@ -278,7 +345,8 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
                          f"({rule.n},), got {zm.shape} and {zp.shape}")
     zm, zp = (np.broadcast_to(z, rule.nodes.shape) for z in (zm, zp))
     with_jacobian = knot_weights is not None
-    run = max(1, _TILE_H_POINTS // (2 * n_gl))
+    # a pass takes as many points as one lag of the per-point loop holds
+    run = max(1, _WORK_FLOATS // _floats_per_lag(1, 1, n_gl, False))
     if xs.size > run:
         parts = [lag_integral_batch(spec, t, xs[j:j + run], zm, zp, rule,
                                     n_gl, knot_weights, memo)
@@ -303,50 +371,49 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
     r, w = _gauss_unit(n_gl // 2)
     out = np.empty((xs.size, rule.n))
     moment = np.empty((xs.size, rule.n)) if with_jacobian else None
-    tile = max(1, _TILE_H_POINTS // (2 * n_gl * max(xs.size, 1)))
 
-    def sums(cols, o, d, width_d, h=None, keep=None):
+    def sums(cols, o, d, width_d, arrays, h=None, keep=None):
         """The entries of lags ``cols`` from their panels' offsets ``d``
-        from origins ``o`` and widths, with H at the nodes: ``h``, or else
-        evaluated here, spending ``d``, and stored in ``keep`` if given."""
+        from origins ``o`` and widths, in the tile's ``arrays``, with H at
+        the nodes: ``h``, or else evaluated here, spending ``d``, and
+        stored in ``keep`` if given."""
         sq_t = sq[:, cols, np.newaxis]
         rel = (center[:, cols] - o)[..., np.newaxis, np.newaxis]
-        xi = np.subtract(d, rel, out=_scratch.array("xi", (xs.size,)
-                                                    + d.shape[1:]))
+        xi = np.subtract(d, rel, out=arrays["xi"])
         np.divide(xi, sq_t[..., np.newaxis], out=xi)
         if h is None:
-            y, h, *h_work = (_scratch.array(name, d.shape)
-                             for name in ("y", "h", "a", "nu", "tmp"))
+            y, h = arrays["y"], arrays["h"]
             np.add(o[..., np.newaxis, np.newaxis], d, out=y)
             _gain_H_into(spec.mu, s_rem[:, cols, np.newaxis, np.newaxis], y,
-                         h, *h_work)
+                         h, arrays["a"], arrays["nu"], arrays["tmp"])
             if keep is not None:
                 keep["h"][cols] = h[0]
-        # phi takes H's first work array, free again
         out[:, cols], m = _panel_sums(xi, width_d / sq_t, h, w,
-                                      _scratch.array("a", xi.shape),
+                                      arrays["phi"], arrays["mass"],
                                       with_jacobian)
         if with_jacobian:
             moment[:, cols] = m
 
-    def integrate(cols, rows=slice(None), keep=None):
-        """The entries of lags ``cols`` on rows ``rows`` of the windows;
-        with ``keep``, the first row's panels and H are stored there."""
-        o = origin[rows, cols]
-        lo_d, width_d = _panels(lo[rows, cols], hi[rows, cols], 0.0 - o,
-                                dip[:, cols])
-        y = _scratch.array("y", lo_d.shape + r.shape)
+    def integrate(cols, arrays, keep=None):
+        """The entries of lags ``cols`` on as many rows of the windows as
+        the tile's H arrays have, one or all; with ``keep``, the first
+        row's panels and H are stored there."""
+        h_rows = arrays["y"].shape[0]
+        o = origin[:h_rows, cols]
+        lo_d, width_d = _panels(lo[:h_rows, cols], hi[:h_rows, cols],
+                                0.0 - o, dip[:, cols])
+        y = arrays["y"]
         d = np.add(lo_d[..., np.newaxis],
                    np.multiply(width_d[..., np.newaxis], r, out=y), out=y)
         if keep is not None:
             keep["d"][cols], keep["width"][cols] = d[0], width_d[0]
-        sums(cols, o, d, width_d, keep=keep)
+        sums(cols, o, d, width_d, arrays, keep=keep)
 
-    def recall(cols):
+    def recall(cols, arrays):
         """The entries of lags ``cols`` from the memo's stored values."""
         d, width_d, h = (memo[name][cols][np.newaxis]
                          for name in ("d", "width", "h"))
-        sums(cols, origin[:1, cols], d, width_d, h)
+        sums(cols, origin[:1, cols], d, width_d, arrays, h)
 
     # lags with no cut entry have the window of the edges: one row, shared
     shared = uncut.all(axis=0)
@@ -361,12 +428,18 @@ def lag_integral_batch(spec: ProblemSpec, t: float, xs, z_minus, z_plus,
             keep = memo
     # with reuse, an unmatched shared lag joins the per-point pass
     one_row = shared & (not reuse.any())
-    for lags, integrate_lags in (
-            (reuse, recall),
-            (one_row, partial(integrate, rows=slice(1), keep=keep)),
-            (~(reuse | one_row), integrate)):
-        for cols in _tiles(lags, tile):
-            integrate_lags(cols)
+    for lags, h_rows, integrate_lags in (
+            (reuse, 0, recall),
+            (one_row, 1, partial(integrate, keep=keep)),
+            (~(reuse | one_row), xs.size, integrate)):
+        if not (xs.size and lags.any()):
+            continue
+        # as many lags as the buffer holds of what this loop keeps per lag
+        tile = max(1, _WORK_FLOATS // _floats_per_lag(
+            xs.size, h_rows, n_gl, with_jacobian))
+        for cols, n_lags in _tiles(lags, tile):
+            integrate_lags(cols, _tile_arrays(n_lags, xs.size, h_rows, n_gl,
+                                              with_jacobian))
 
     values = (out * rule.weights).sum(axis=1)
     if not with_jacobian:

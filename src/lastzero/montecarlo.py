@@ -395,6 +395,6 @@ def save_per_path_csv(path, records: np.ndarray,
     """Write per-path rows (PER_PATH_DTYPE, as ``evaluate_policies`` fills
     them) as CSV: path_id, g, tau, abs_error."""
     write_csv(path, PER_PATH_DTYPE.names,
-              ((i, f"{g:.17g}", f"{tau:.17g}", f"{err:.17g}")
+              ((str(i), f"{g:.17g}", f"{tau:.17g}", f"{err:.17g}")
                for i, g, tau, err in records.tolist()),
               {"manifest_hash": manifest_hash})

@@ -58,11 +58,11 @@ class ValueSurface:
 
     def save_csv(self, path, manifest_hash: str | None = None) -> None:
         """Long-format dump: one (t, x, V) row per cell."""
-        ts = [f"{t:.17g}" for t in self.t_grid]
-        xs = [f"{x:.17g}" for x in self.x_grid]
+        ts = [f"{t:.17g}" for t in self.t_grid.tolist()]
+        xs = [f"{x:.17g}" for x in self.x_grid.tolist()]
         write_csv(path, ["t", "x", "V"],
                   ((t, x, f"{v:.17g}")
-                   for t, row in zip(ts, self.values)
+                   for t, row in zip(ts, self.values.tolist())
                    for x, v in zip(xs, row)),
                   {"manifest_hash": manifest_hash, "source": self.source})
 

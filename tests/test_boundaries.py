@@ -170,8 +170,9 @@ class TestSolvedBoundaries:
                                      n_steps)[1]
 
     def test_kernel_calls_per_step(self, monkeypatch):
-        # each call gives the residual and its exact Jacobian: the start
-        # point plus one call per Newton step, about 3.7 per step here
+        # each call but a node's last gives the residual and its exact
+        # Jacobian: the start point plus one call per Newton step, about
+        # 3.7 per step here
         n = 80
         assert self._count_kernel_calls(monkeypatch, 0.5, n) <= 5 * n
 
@@ -283,6 +284,56 @@ class TestRegressionPins:
         mu, T, n_steps = key
         solve_boundaries(ProblemSpec(mu=mu, T=T), SolverConfig(n_steps=n_steps))
         assert sum(points) == self.H_POINTS[key]
+
+
+class TestConfirmCall:
+    """After a step within _TOL_B a node asks the kernel for the residual
+    alone; only where that does not confirm the stop does it ask again,
+    with the Jacobian, at the same iterate."""
+
+    @staticmethod
+    def _record(monkeypatch, fail_first_confirm=False):
+        """Each kernel call of the sweep as (t, bytes of x, with the
+        Jacobian); the first values-only call fails if asked."""
+        calls = []
+        real = boundaries_module.lag_integral_batch
+
+        def recording(spec, t, xs, *args, **kwargs):
+            jacobian = kwargs.get("knot_weights") is not None
+            calls.append((t, xs.tobytes(), jacobian))
+            got = real(spec, t, xs, *args, **kwargs)
+            if (fail_first_confirm and not jacobian
+                    and [c[2] for c in calls].count(False) == 1):
+                return got + 1.0
+            return got
+
+        monkeypatch.setattr(boundaries_module, "lag_integral_batch",
+                            recording)
+        return calls
+
+    def test_last_call_of_each_node_is_values_only(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        solve_boundaries(ProblemSpec(mu=0.8, T=1.0), SolverConfig(n_steps=60))
+        ts = [t for t, _, _ in calls]
+        ends = [i for i in range(len(calls))
+                if i + 1 == len(calls) or ts[i + 1] != ts[i]]
+        assert len(ends) == 60
+        for start, end in zip([0] + [i + 1 for i in ends[:-1]], ends):
+            assert calls[start][2] and not calls[end][2]
+
+    def test_failed_confirm_resumes_with_jacobian(self, monkeypatch):
+        calls = self._record(monkeypatch, fail_first_confirm=True)
+        spec = ProblemSpec(mu=0.8, T=1.0)
+        bp = solve_boundaries(spec, SolverConfig(n_steps=12))
+        first = [jacobian for _, _, jacobian in calls].index(False)
+        t, x, _ = calls[first]
+        # the Jacobian call at the same iterate, then a step and a
+        # confirmation that holds, the node's last call
+        assert calls[first + 1] == (t, x, True)
+        assert calls[first + 2][0] == t and not calls[first + 2][2]
+        assert calls[first + 3][0] != t
+        assert (np.max(np.abs(bp.residuals[:-1])) / spec.T
+                <= boundaries_module._TOL_RES)
 
 
 class TestInnerRule:

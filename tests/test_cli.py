@@ -7,6 +7,7 @@ documented exit codes (0 ok, 2 usage, 3 non-convergence or too coarse a
 lattice, 4 I/O, 5 schema).
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from lastzero import BoundaryPair, montecarlo
+import lastzero.boundaries as boundaries_module
 import lastzero.value as value_module
 from lastzero.cli import (
     EXIT_IO,
@@ -586,6 +588,45 @@ class TestInputHashes:
         # the outputs differ, and so do all four commands' hashes
         assert first[4] != second[4] and first[5] != second[5]
         assert all(a != b for a, b in zip(first[:4], second[:4]))
+
+
+class TestCsvBytes:
+    """The boundaries CSV, the surface CSV and the per-path dump are byte
+    for byte what the ``csv`` module writes from the same fields."""
+
+    @staticmethod
+    def _csv_module_writer(path, header, rows, comments):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for key, value in comments.items():
+                if value is not None:
+                    fh.write(f"# {key}={value}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def test_equal_csv_module_reference(self, solved_dir, tmp_path,
+                                        monkeypatch, capsys):
+        boundaries = str(solved_dir / "boundaries.json")
+        written = {}
+        for writer in ("package", "csv_module"):
+            if writer == "csv_module":
+                for module in (boundaries_module, value_module, montecarlo):
+                    monkeypatch.setattr(module, "write_csv",
+                                        self._csv_module_writer)
+            out = tmp_path / writer
+            assert main(["solve", "--mu", "-0.7", "--horizon", "2.0",
+                         "--n-steps", "20", "--out", str(out)]) == EXIT_OK
+            assert main(["value", "--boundaries", boundaries, "--grid",
+                         "6x9", "--out", str(out)]) == EXIT_OK
+            assert main(["simulate", "--boundaries", boundaries, "--paths",
+                         "200", "--steps", "30", "--seed", "3", "--dump",
+                         str(out / "paths.csv")]) == EXIT_OK
+            written[writer] = [(out / name).read_bytes() for name in
+                               ("boundaries.csv", "surface.csv", "paths.csv")]
+        capsys.readouterr()
+        assert all(len(data.splitlines()) > 10
+                   for data in written["package"])
+        assert written["package"] == written["csv_module"]
 
 
 class TestProcessExitCodes:

@@ -168,6 +168,20 @@ class TestGainH:
                               gain_H_reference(mu, np.array([4.0, 1.0]),
                                                xs[:2, None]))
 
+    @pytest.mark.parametrize("mu", [0.0, 2.6, -2.6])
+    def test_equals_frozen_expressions_at_nan_inf_and_zero(self, mu):
+        # H clips with maximum and minimum, the reference with np.clip:
+        # NaN, infinite and zero x and s give the same bits, NaN's too
+        xs = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308])
+        seen = []
+        with np.errstate(all="ignore"):
+            for s in (0.0, 1e-12, 4.0, np.inf):
+                got = _gain_H_raw(mu, s, xs)
+                want = gain_H_reference(mu, s, xs)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                seen += got.tolist()
+        assert np.isnan(seen).any() and {-1.0, 1.0} <= set(seen)
+
 
 class TestHCurves:
     def test_zero_drift_closed_form(self):

@@ -371,14 +371,14 @@ class TestLagTiling:
         rule, xs, zm, zp = self._inputs(n_points, window)
         knot_weights = _knot_weights(self.t, 0.1, rule)
 
-        def run(tile_h_points):
-            monkeypatch.setattr(kernel_module, "_TILE_H_POINTS",
-                                tile_h_points)
+        def run(work_floats):
+            monkeypatch.setattr(kernel_module, "_WORK_FLOATS", work_floats)
             return lag_integral_batch(self.spec, self.t, xs, zm, zp, rule,
                                       knot_weights=knot_weights)
 
         one_lag = run(1)
-        whole = run(2 * n_points * rule.n * _KERNEL_N_GL)  # a single tile
+        # a single tile in each loop: six arrays of every point's nodes
+        whole = run(6 * 2 * n_points * rule.n * _KERNEL_N_GL)
         for got, want in zip(one_lag, whole):
             assert np.array_equal(got, want)
 
@@ -521,8 +521,9 @@ class TestBatchInvariance:
             return got if with_jacobian else (got,)
 
         single = [call([x]) for x in xs]
-        monkeypatch.setattr(kernel_module, "_TILE_H_POINTS",
-                            3 * 2 * _KERNEL_N_GL)
+        # one lag of the per-point loop: six arrays of 3 points' nodes
+        monkeypatch.setattr(kernel_module, "_WORK_FLOATS",
+                            6 * 3 * 2 * _KERNEL_N_GL)
         rows = []    # points' rows per H call
         real = kernel_module._gain_H_into
 
@@ -672,8 +673,9 @@ class TestLagTileItems:
     """A call runs its tiles in lag order on the calling thread, one H call
     per tile: first the lags with no cut entry, on one row of nodes shared
     by the batch, then the other lags, on every point's own nodes.  Each
-    tile stays within the H-point budget, and neither loop depends on the
-    worker count or needs the pool."""
+    loop takes as many lags per tile as the thread's work buffer holds of
+    what it keeps per lag, and neither loop depends on the worker count or
+    needs the pool."""
 
     spec, t = ProblemSpec(mu=0.4, T=1.0), 0.2
 
@@ -706,19 +708,58 @@ class TestLagTileItems:
         uncut = self._uncut(xs, rule)
         assert uncut.any() and not uncut.all()
         shared = uncut.all(axis=0)
-        tile = max(1, kernel_module._TILE_H_POINTS // (2 * n_points * n_gl))
+        budget = kernel_module._WORK_FLOATS
+        nodes = 2 * n_gl     # four panels of n_gl / 2 nodes per row and lag
+        # floats held per lag, by the rows H runs on.  The shared row: xi
+        # on every point's row, y, H and H's three work arrays on one row,
+        # and mass's four panels per point.  Every point's row: xi, y, H
+        # and its work arrays, with mass in a work array H is done with.
+        per_lag = {1: nodes * (n_points + 5) + 4 * n_points,
+                   n_points: nodes * 6 * n_points}
         want = []    # (lag nodes, rows of H) per tile
         for lags, rows in ((shared, 1), (~shared, n_points)):
+            tile = budget // per_lag[rows]
             idx = np.flatnonzero(lags)
             want += [(idx[j:j + tile], rows) for j in range(0, idx.size, tile)]
         assert len(calls) == len(want)
         for (s_rem, size), (cols, rows) in zip(calls, want):
             assert np.array_equal(s_rem,
                                   self.spec.T - self.t - rule.nodes[cols])
-            # four panels of n_gl / 2 nodes per row and lag
-            assert size == 2 * rows * n_gl * cols.size
-            assert size <= max(kernel_module._TILE_H_POINTS,
-                               2 * n_points * n_gl)
+            assert size == rows * nodes * cols.size
+            assert per_lag[rows] * cols.size <= budget
+
+    @pytest.mark.parametrize("jacobian", [False, True])
+    def test_shared_row_tiles_within_budget(self, monkeypatch, jacobian):
+        # 64 points: the shared row's tiles hold xi (and with the
+        # Jacobian phi) on every point's 64 nodes per lag, its five H
+        # arrays on one row and mass's 4 panels per point, so its lags
+        # run in tiles of 42 (22 with the Jacobian), where tiles of every
+        # point's H arrays hold 8; a fresh Scratch is left holding the
+        # one work buffer, at most the budget
+        monkeypatch.setattr(kernel_module, "_scratch", shared_module.Scratch())
+        rule = lag_rule(self.spec.T - self.t, 128)
+        xs = np.linspace(-0.5, 0.5, 64)
+        tiles = []   # (rows, lags) of each H call
+        real = kernel_module._gain_H_into
+
+        def gain_into(mu, s_rem, y, *work):
+            tiles.append(y.shape[:2])
+            return real(mu, s_rem, y, *work)
+
+        monkeypatch.setattr(kernel_module, "_gain_H_into", gain_into)
+        knot_weights = _knot_weights(self.t, 0.1, rule) if jacobian else None
+        lag_integral_batch(self.spec, self.t, xs, -1.0, 1.0, rule,
+                           knot_weights=knot_weights)
+        per_lag = 64 * (64 * (1 + jacobian) + 5) + 4 * 64
+        tile = kernel_module._WORK_FLOATS // per_lag
+        assert tile == (22 if jacobian else 42)
+        n_shared = np.count_nonzero(self._uncut(xs, rule).all(axis=0))
+        shared = [lags for rows, lags in tiles if rows == 1]
+        assert sum(shared) == n_shared and max(shared) == tile
+        assert len(shared) == -(-n_shared // tile) > 1
+        held = kernel_module._scratch._buffers
+        assert list(held) == ["work"]
+        assert held["work"].size <= kernel_module._WORK_FLOATS
 
     def test_solver_call_is_one_H_pass(self, monkeypatch):
         # 2 points x 128 lags with the Jacobian: one tile, so one H call
@@ -901,7 +942,7 @@ class TestLagMemo:
     def test_wider_than_one_run(self, monkeypatch):
         # 1100 points: three runs of at most 512 share one memo; the
         # third call's moved lag takes every point's own nodes in each run
-        run = kernel_module._TILE_H_POINTS // (2 * 32)
+        run = kernel_module._WORK_FLOATS // (6 * 2 * 32)
         xs = np.linspace(-0.9, 1.0, 2 * run + 76)
         rule = lag_rule(self.spec.T - self.t, 16)
         calls = [self._calls([beta], xs=xs, rule=rule)[0]
